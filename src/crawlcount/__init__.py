@@ -65,6 +65,7 @@ from .patterns import (
     induced_isomorphic,
     load_pattern_path,
     parse_pattern,
+    require_feasible,
     validate_segmentation,
 )
 from .walk import (

@@ -36,6 +36,7 @@ from .patterns import (
     builtin_pattern,
     load_pattern_path,
     parse_pattern,
+    require_feasible,
     validate_segmentation,
 )
 from .walk import CollisionShortfallError, WalkConfig, estimate_edge_count
@@ -94,11 +95,6 @@ class RunRecord:
 class ExperimentSpec:
     """A full sweep: repetitions at every walk length in the schedule."""
 
-    graph_path: str
-    pattern_name: str | None = None
-    pattern_file: str | None = None
-    slack_override: int | None = None
-    order_override: tuple[int, ...] | None = None
     repetitions: int = 100
     walk_lengths: tuple[int, ...] = ()
     layer_sizes: tuple[int, ...] | None = None
@@ -168,15 +164,7 @@ def _resolve_pattern(
         seg = Segmentation(p, seg.order)
     if order_override is not None:
         seg = Segmentation(p, order_override)
-    report = validate_segmentation(p, seg)
-    if not report.ok:
-        raise ValueError(
-            f"segmentation has disconnected levels {report.disconnected_levels}"
-        )
-    if report.min_slack > p.slack:
-        raise ValueError(
-            f"segmentation needs slack {report.min_slack}, pattern declares {p.slack}"
-        )
+    require_feasible(p, seg)
     return p, seg
 
 
@@ -205,12 +193,10 @@ def _auto_layers(
     )
 
 
-def run_experiment(spec: ExperimentSpec) -> tuple[list[RunRecord], list[SummaryRecord]]:
+def run_experiment(
+    spec: ExperimentSpec, g: Graph, p: Pattern, seg: Segmentation
+) -> tuple[list[RunRecord], list[SummaryRecord]]:
     """Execute the sweep; returns per-run rows and per-walk-length medians."""
-    g = load_edge_list_path(spec.graph_path)
-    p, seg = _resolve_pattern(
-        spec.pattern_name, spec.pattern_file, spec.slack_override, spec.order_override
-    )
     if not spec.walk_lengths:
         raise ValueError("experiment needs at least one walk length")
     if spec.layer_sizes is None:
@@ -354,13 +340,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
-    p, _ = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
+    p, seg = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
     spec = ExperimentSpec(
-        graph_path=args.graph,
-        pattern_name=args.pattern,
-        pattern_file=args.pattern_file,
-        slack_override=args.c,
-        order_override=_order(args),
         repetitions=args.reps,
         walk_lengths=tuple(args.walk_len),
         layer_sizes=_layers(args, g, p),
@@ -372,7 +353,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         exact_total=args.exact_t,
         budget=args.budget,
     )
-    records, summaries = run_experiment(spec)
+    records, summaries = run_experiment(spec, g, p, seg)
     _write_csv(spec.out_path, CSV_HEADER, [r.row() for r in records])
     _write_csv(summary_path(spec.out_path), SUMMARY_HEADER, [s.row() for s in summaries])
     _write_csv(sys.stdout, SUMMARY_HEADER, [s.row() for s in summaries])
@@ -441,6 +422,12 @@ def _add_estimate_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--max-layer", type=int, default=100_000, help="cap for auto-sized layers")
 
 
+BUDGET_HELP = (
+    "cap on the exact side's extension checks (one per parent and vertex of its "
+    "representative neighborhood, so the sum of seg-degrees over each level)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="crawlcount",
@@ -451,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exact", help="enumerate and count exactly")
     sp.add_argument("--graph", required=True)
     _add_pattern_flags(sp)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("validate", help="report the minimal slack of a segmentation")
@@ -477,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=100)
     sp.add_argument("--out", required=True, help="CSV output path")
     sp.add_argument("--exact-t", type=float, default=None, help="known exact count")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     _add_estimate_flags(sp)
     sp.set_defaults(func=cmd_experiment)
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .graph import Graph, QueryLedger, edges_observed_fraction
 from .instances import Instance, check_extension, seg_degree, seg_neighborhood
-from .patterns import Pattern, Segmentation, validate_segmentation
+from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, default_burn_in, estimate_edge_count, simple_random_walk
 
 
@@ -113,27 +113,13 @@ def _check_setup(g: Graph, pattern: Pattern, seg: Segmentation, cfg: EstimateCon
             f"pattern of size {pattern.size} needs {pattern.size - 2} layer sizes "
             f"(l_3..l_{pattern.size}), got {len(cfg.layer_sizes)}"
         )
-    if pattern.slack >= 2:
-        raise ValueError(
-            "slack >= 2 is outside the sampler's reach: a 2-vertex instance "
-            "has no representative subset of that size"
-        )
-    report = validate_segmentation(pattern, seg)
-    if not report.ok:
-        raise ValueError(
-            f"segmentation has disconnected levels {report.disconnected_levels}"
-        )
-    if report.min_slack > pattern.slack:
-        raise ValueError(
-            f"segmentation needs slack {report.min_slack}, pattern declares {pattern.slack}"
-        )
+    require_feasible(pattern, seg)
 
 
-def initial_layer(
-    g: Graph, ledger: QueryLedger, edges: Sequence[tuple[int, int]], slack: int
-) -> LayerState:
-    """Wrap walk edges (a multiset, order preserved) as the level-2 layer."""
-    members = [Instance(e) for e in edges]
+def _member_degrees(
+    g: Graph, ledger: QueryLedger, members: Sequence[Instance], slack: int
+) -> list[int]:
+    """Sampling weight of each member; repeated members reuse the first lookup."""
     cache: dict[tuple[int, ...], int] = {}
     degrees = []
     for inst in members:
@@ -142,6 +128,15 @@ def initial_layer(
             d = seg_degree(g, ledger, inst, slack)
             cache[inst.vertices] = d
         degrees.append(d)
+    return degrees
+
+
+def initial_layer(
+    g: Graph, ledger: QueryLedger, edges: Sequence[tuple[int, int]], slack: int
+) -> LayerState:
+    """Wrap walk edges (a multiset, order preserved) as the level-2 layer."""
+    members = [Instance(e) for e in edges]
+    degrees = _member_degrees(g, ledger, members, slack)
     return LayerState.build(2, members, degrees, trials=len(members))
 
 
@@ -235,14 +230,7 @@ def build_layers(
             got = _trial(g, ledger, cur, seg, rng, hood_cache)
             if got is not None:
                 members.append(got)
-        degrees = []
-        dcache: dict[tuple[int, ...], int] = {}
-        for inst in members:
-            d = dcache.get(inst.vertices)
-            if d is None:
-                d = seg_degree(g, ledger, inst, pattern.slack)
-                dcache[inst.vertices] = d
-            degrees.append(d)
+        degrees = _member_degrees(g, ledger, members, pattern.slack)
         layers.append(LayerState.build(level, members, degrees, trials=trials))
 
     last = layers[-1]

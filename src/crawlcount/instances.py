@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import Graph, QueryLedger, degree, neighbors
 from .patterns import Segmentation, _bits_connected, _bits_isomorphic
@@ -39,10 +39,6 @@ class Instance:
     @property
     def level(self) -> int:
         return len(self.vertices)
-
-    @staticmethod
-    def from_vertices(vs: Iterable[int]) -> "Instance":
-        return Instance(tuple(sorted(vs)))
 
 
 def _neighbor_sets(

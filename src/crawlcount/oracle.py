@@ -1,8 +1,14 @@
-"""Exhaustive ground truth: enumeration, chain counts, degeneracy, bounds.
+"""Exact ground truth: copy enumeration, chain counts, degeneracy, bounds.
 
 Everything here may read the graph without metering; it exists to verify
-what the sampling estimator only approximates.  Feasible on graphs small
-enough to enumerate, which is what the work budget protects.
+what the sampling estimator only approximates.  Copies are found by the
+sampler's own structure: level 2 is the edge set, and level i holds every
+accepted extension of a level-(i-1) copy by a vertex of its representative
+neighborhood.  Each copy is reached exactly once, from its assigned parent,
+so the work is one extension check per (copy, neighborhood vertex) pair:
+the sum of seg-degrees over every level below the top one.  The work
+budget counts those checks.  Completeness needs a feasible order at slack at most 1, so
+patterns that fail :func:`require_feasible` are rejected here as well.
 """
 
 from __future__ import annotations
@@ -11,78 +17,48 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .graph import Graph, QueryLedger
-from .instances import Instance, assign, seg_degree
-from .patterns import LevelGraph, Pattern, Segmentation, _bits_isomorphic
+from .instances import Instance, check_extension, seg_degree, seg_neighborhood
+from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The enumeration search tree outgrew the configured work budget."""
+    """The enumeration outgrew the configured work budget."""
 
 
 DEFAULT_BUDGET = 100_000_000
 
 
-def _connected_sets(g: Graph, size: int, budget: int):
-    """Yield every connected vertex set of the given size exactly once.
+def _expand(
+    g: Graph, pattern: Pattern, seg: Segmentation, top: int, budget: int
+) -> list[list[tuple[Instance, int]]]:
+    """Copies of levels 2..top, each with the index of its parent one level down.
 
-    Grow-only enumeration rooted at each vertex: a set is found from its
-    smallest vertex, extensions draw on exclusive new neighbors above the
-    root, so no set appears twice.  Raises when the number of search nodes
-    passes the budget (the branching estimate of the work bound).
+    ``result[i - 2]`` lists level i.  Level 2 is the sorted edge set (no
+    parent, index -1); level i keeps parent order, then neighborhood order.
+    Raises before a parent's checks would take the total past ``budget``.
     """
-    n = g.vertex_count
-    nodes = 0
-
-    def extend(sub: list[int], ext: list[int], closed: set[int], root: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise EnumerationBudgetError(
-                f"enumeration exceeded {budget} search nodes; "
-                "use a smaller graph or raise the budget"
-            )
-        if len(sub) == size:
-            yield tuple(sorted(sub))
-            return
-        while ext:
-            w = ext.pop()
-            new_closed = closed | g.raw_neighbor_set(w)
-            new_ext = ext + [
-                u for u in g.raw_neighbor_set(w) if u > root and u not in closed
-            ]
-            sub.append(w)
-            yield from extend(sub, new_ext, new_closed, root)
-            sub.pop()
-
-    for v in range(n):
-        if size == 1:
-            yield (v,)
-            continue
-        nbrs = g.raw_neighbor_set(v)
-        ext = [u for u in nbrs if u > v]
-        closed = set(nbrs) | {v}
-        yield from extend([v], ext, closed, v)
-
-
-def _local_bits_raw(g: Graph, verts: tuple[int, ...]) -> list[int]:
-    n = len(verts)
-    bits = [0] * n
-    for i in range(n):
-        u = verts[i]
-        for j in range(i):
-            if g.has_edge(u, verts[j]):
-                bits[i] |= 1 << j
-                bits[j] |= 1 << i
-    return bits
-
-
-def _copies(g: Graph, target: LevelGraph, budget: int) -> list[Instance]:
-    out = []
-    for verts in _connected_sets(g, target.size, budget):
-        if _bits_isomorphic(_local_bits_raw(g, verts), target):
-            out.append(Instance(verts))
-    out.sort(key=lambda inst: inst.vertices)
-    return out
+    require_feasible(pattern, seg)
+    if not 2 <= top <= pattern.size:
+        raise ValueError(f"level {top} outside 2..{pattern.size}")
+    scratch = QueryLedger()
+    levels = [[(Instance(e), -1) for e in g.edges()]]
+    checks = 0
+    for _ in range(3, top + 1):
+        found = []
+        for idx, (parent, _) in enumerate(levels[-1]):
+            hood = seg_neighborhood(g, scratch, parent, pattern.slack)
+            checks += len(hood)
+            if checks > budget:
+                raise EnumerationBudgetError(
+                    f"enumeration exceeded {budget} extension checks; "
+                    "use a smaller graph or raise the budget"
+                )
+            for u in hood:
+                child = check_extension(g, scratch, parent, u, seg)
+                if child is not None:
+                    found.append((child, idx))
+        levels.append(found)
+    return levels
 
 
 def enumerate_instances(
@@ -93,12 +69,14 @@ def enumerate_instances(
     budget: int = DEFAULT_BUDGET,
 ) -> list[Instance]:
     """All copies of the given segmentation level, sorted by vertex tuple."""
-    return _copies(g, seg.level(level), budget)
+    found = [inst for inst, _ in _expand(g, pattern, seg, level, budget)[-1]]
+    found.sort(key=lambda inst: inst.vertices)
+    return found
 
 
 def exact_count(g: Graph, pattern: Pattern, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of copies of the pattern in the graph."""
-    return len(_copies(g, pattern.level_graph, budget))
+    return len(_expand(g, pattern, auto_segment(pattern), pattern.size, budget)[-1])
 
 
 @dataclass
@@ -120,31 +98,20 @@ class CountProfile:
 def count_profile(
     g: Graph, pattern: Pattern, seg: Segmentation, budget: int = DEFAULT_BUDGET
 ) -> CountProfile:
-    """Enumerate every copy and walk its assignment chain down to level 2."""
+    """Enumerate every copy and add its chain tally to each ancestor by parent link."""
     k = pattern.size
-    per_level: dict[int, list[Instance]] = {}
-    level_sets: dict[int, set[tuple[int, ...]]] = {}
-    for i in range(2, k + 1):
-        found = enumerate_instances(g, pattern, seg, i, budget=budget)
-        per_level[i] = found
-        level_sets[i] = {inst.vertices for inst in found}
-    copies = per_level[k]
-    f_tables: dict[int, dict[tuple[int, ...], int]] = {
-        i: {} for i in range(2, k + 1)
-    }
-    scratch = QueryLedger()
-    for copy in copies:
-        cur = copy
-        f_tables[k][cur.vertices] = f_tables[k].get(cur.vertices, 0) + 1
-        for lvl in range(k, 2, -1):
-            cur = assign(g, scratch, cur, seg)
-            assert cur.vertices in level_sets[lvl - 1], (
-                "assignment chain left the copy set"
-            )
-            f_tables[lvl - 1][cur.vertices] = (
-                f_tables[lvl - 1].get(cur.vertices, 0) + 1
-            )
-    total = len(copies)
+    levels = _expand(g, pattern, seg, k, budget)
+    total = len(levels[-1])
+    f_tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in range(2, k)}
+    f_tables[k] = {inst.vertices: 1 for inst, _ in levels[-1]}
+    chains = [1] * total
+    for i in range(k, 2, -1):
+        below = levels[i - 3]
+        up = [0] * len(below)
+        for (_, parent), w in zip(levels[i - 2], chains):
+            up[parent] += w
+        f_tables[i - 1] = {below[j][0].vertices: w for j, w in enumerate(up) if w}
+        chains = up
     for i in range(2, k + 1):
         assert sum(f_tables[i].values()) == total, "chain tallies must sum to total"
     f_max_per_level = {
@@ -152,7 +119,7 @@ def count_profile(
     }
     return CountProfile(
         total=total,
-        per_level_counts={i: len(per_level[i]) for i in range(2, k + 1)},
+        per_level_counts={i: len(levels[i - 2]) for i in range(2, k + 1)},
         f_tables=f_tables,
         f_max_per_level=f_max_per_level,
         f_max=max(f_max_per_level.values()) if f_max_per_level else 0,

@@ -26,7 +26,6 @@ class LevelGraph:
     bits: tuple[int, ...]
     degrees: tuple[int, ...]
     degree_multiset: tuple[int, ...]
-    edge_total: int
 
     @staticmethod
     def from_bits(bits: Sequence[int]) -> "LevelGraph":
@@ -36,7 +35,6 @@ class LevelGraph:
             bits=tuple(bits),
             degrees=degs,
             degree_multiset=tuple(sorted(degs)),
-            edge_total=sum(degs) // 2,
         )
 
 
@@ -134,12 +132,6 @@ class Pattern:
         """The whole pattern as a :class:`LevelGraph`."""
         return self._level_graph
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        return [
-            [(self.bits[i] >> j) & 1 for j in range(self.size)]
-            for i in range(self.size)
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Pattern(size={self.size}, edges={len(self.edges)}, slack={self.slack})"
 
@@ -192,9 +184,6 @@ class SegmentationReport:
     def ok(self) -> bool:
         return not self.disconnected_levels
 
-    def feasible_for(self, slack: int) -> bool:
-        return self.ok and self.min_slack is not None and self.min_slack <= slack
-
 
 def validate_segmentation(pattern: Pattern, seg: Segmentation) -> SegmentationReport:
     """Report the minimal feasible slack and any disconnected levels."""
@@ -213,6 +202,29 @@ def validate_segmentation(pattern: Pattern, seg: Segmentation) -> SegmentationRe
     if bad:
         return SegmentationReport(min_slack=None, disconnected_levels=tuple(bad))
     return SegmentationReport(min_slack=worst, disconnected_levels=())
+
+
+def require_feasible(pattern: Pattern, seg: Segmentation) -> None:
+    """Raise ValueError unless the sampler and the exact side can use this order.
+
+    Slack 2 and up is out of reach: a 2-vertex instance has no representative
+    subset of that size.  Below that, every level must be connected and the
+    order may need no more slack than the pattern declares.
+    """
+    if pattern.slack >= 2:
+        raise ValueError(
+            "slack >= 2 is outside the sampler's reach: a 2-vertex instance "
+            "has no representative subset of that size"
+        )
+    report = validate_segmentation(pattern, seg)
+    if not report.ok:
+        raise ValueError(
+            f"segmentation has disconnected levels {report.disconnected_levels}"
+        )
+    if report.min_slack > pattern.slack:
+        raise ValueError(
+            f"segmentation needs slack {report.min_slack}, pattern declares {pattern.slack}"
+        )
 
 
 def _order_slack(pbits: Sequence[int], order: Sequence[int]) -> int | None:
@@ -340,8 +352,9 @@ def parse_pattern(
     Line 1 is ``k c``.  Line 2 may be ``order v_1 ... v_k``; if absent the
     order is chosen by :func:`auto_segment`.  Every other line is one edge
     ``a b`` on 0-based vertex ids.  '#' lines and blank lines are skipped.
-    With ``strict`` set (the default) an order that cannot meet the declared
-    slack is rejected; validators pass ``strict=False`` to inspect it anyway.
+    With ``strict`` set (the default) a pattern that fails
+    :func:`require_feasible` is rejected; validators pass ``strict=False`` to
+    inspect it anyway.
     """
     lines = []
     for raw in source:
@@ -374,15 +387,7 @@ def parse_pattern(
     p = Pattern(size, edges, slack=slack)
     seg = Segmentation(p, order) if order is not None else auto_segment(p)
     if strict:
-        report = validate_segmentation(p, seg)
-        if not report.ok:
-            raise ValueError(
-                f"segmentation has disconnected levels {report.disconnected_levels}"
-            )
-        if report.min_slack > slack:
-            raise ValueError(
-                f"order needs slack {report.min_slack}, but the pattern declares {slack}"
-            )
+        require_feasible(p, seg)
     return p, seg
 
 

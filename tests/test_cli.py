@@ -291,6 +291,16 @@ class TestErrors:
         assert code == 2
         assert "slack" in capsys.readouterr().err
 
+    def test_slack_two_stops_exact_with_one_error_line(self, bowtie_file, capsys):
+        code = main(
+            ["exact", "--graph", bowtie_file, "--pattern", "g33", "--c", "2"]
+        )
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and out.err.count("\n") == 1
+        assert "slack" in out.err
+
 
 class TestScriptEntry:
     def test_module_invocation(self):

@@ -24,9 +24,6 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance((2, 1))
 
-    def test_from_vertices_sorts(self):
-        assert Instance.from_vertices([3, 1, 2]).vertices == (1, 2, 3)
-
     def test_level_is_size(self):
         assert Instance((0, 4, 7)).level == 3
 

@@ -1,3 +1,4 @@
+import io
 from math import comb
 
 import networkx as nx
@@ -7,18 +8,26 @@ from hypothesis import given, settings, strategies as st
 from crawlcount import (
     EnumerationBudgetError,
     Graph,
+    Pattern,
+    builtin_names,
     check_arboricity_bound,
     count_profile,
     degeneracy,
     builtin_pattern,
     enumerate_instances,
     exact_count,
+    parse_pattern,
     seg_degree_total,
 )
 
 import util
 
 TRIANGLE_M = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+# Every builtin plus one loader-accepted slack-1 pattern that is no
+# clique minus edges: the 4-cycle, in the order the loader picks.
+PATTERNS = [(name, *builtin_pattern(name)) for name in builtin_names()]
+PATTERNS.append(("c4", *parse_pattern(io.StringIO("4 1\n0 1\n1 2\n2 3\n0 3\n"))))
 
 
 def nx_of(g: Graph) -> nx.Graph:
@@ -82,6 +91,29 @@ class TestEnumeration:
         got = [i.vertices for i in enumerate_instances(g, p, seg, 4)]
         assert got == util.naive_copies(g, tgt)
 
+    @pytest.mark.parametrize("name,p,seg", PATTERNS, ids=[t[0] for t in PATTERNS])
+    def test_every_level_matches_naive_subset_scan(self, name, p, seg):
+        for seed in range(4):
+            g = util.er_graph(9, 0.55, seed)
+            for lvl in range(2, p.size + 1):
+                want = util.naive_copies(g, util.level_matrix(seg, lvl))
+                got = [i.vertices for i in enumerate_instances(g, p, seg, lvl)]
+                assert got == want, (seed, lvl)
+            assert exact_count(g, p) == len(want), seed
+
+    def test_underdeclared_slack_rejected(self, bowtie_plus):
+        # g45's order needs slack 1; at slack 0 the expansion would undercount
+        p, seg = builtin_pattern("g45")
+        with pytest.raises(ValueError, match="slack"):
+            enumerate_instances(bowtie_plus, Pattern(4, p.edges, slack=0), seg, 4)
+
+    def test_budget_counts_extension_checks(self, k4):
+        # 6 edges, each with seg-degree 3: 18 checks find the 4 triangles
+        p, _ = builtin_pattern("g33")
+        with pytest.raises(EnumerationBudgetError, match="budget"):
+            exact_count(k4, p, budget=17)
+        assert exact_count(k4, p, budget=18) == 4
+
     def test_budget_error(self):
         g = util.er_graph(30, 0.3, 1)
         p, _ = builtin_pattern("g510")
@@ -96,6 +128,12 @@ class TestEnumeration:
 
 
 class TestCountProfile:
+    @pytest.mark.parametrize("name,p,seg", PATTERNS, ids=[t[0] for t in PATTERNS])
+    def test_f_tables_match_assign_chain_walk(self, corpus, name, p, seg):
+        for gname, g in corpus[:14]:
+            prof = count_profile(g, p, seg)
+            assert prof.f_tables == util.chain_walk_tables(g, seg), gname
+
     def test_chain_tallies_sum_to_total(self, corpus):
         for name, g in corpus[:12]:
             for pat in ("g33", "g45", "g46"):

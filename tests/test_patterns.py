@@ -12,6 +12,7 @@ from crawlcount import (
     builtin_pattern,
     induced_isomorphic,
     parse_pattern,
+    require_feasible,
     validate_segmentation,
 )
 
@@ -41,12 +42,6 @@ class TestPattern:
         p = Pattern(3, [(1, 0), (0, 2), (2, 1)])
         assert p.edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
-    def test_adjacency_matrix_symmetric(self):
-        p, _ = builtin_pattern("g45")
-        m = p.adjacency_matrix()
-        assert m == [list(row) for row in zip(*m)]
-        assert sum(sum(r) for r in m) == 2 * len(p.edges)
-
 
 class TestBuiltins:
     def test_roster(self):
@@ -67,9 +62,8 @@ class TestBuiltins:
         assert p.size == size
         assert len(p.edges) == edges
         assert p.slack == slack
-        report = validate_segmentation(p, seg)
-        assert report.feasible_for(slack)
-        assert report.min_slack == slack
+        require_feasible(p, seg)
+        assert validate_segmentation(p, seg).min_slack == slack
 
     def test_unknown_name_lists_roster(self):
         with pytest.raises(ValueError, match="g33.*g45.*g46.*g510.*g59"):
@@ -91,9 +85,9 @@ class TestSegmentation:
 
     def test_levels_shrink_correctly(self):
         p, seg = builtin_pattern("g45")
-        assert seg.level(4).edge_total == 5
-        assert seg.level(3).edge_total == 3
-        assert seg.level(2).edge_total == 1
+        assert sum(seg.level(4).degrees) == 2 * 5
+        assert sum(seg.level(3).degrees) == 2 * 3
+        assert sum(seg.level(2).degrees) == 2 * 1
 
     def test_disconnected_level_named_in_report(self):
         # path 0-1-2-3 inserted as 0, 2: level 2 has no edge
@@ -103,7 +97,8 @@ class TestSegmentation:
         assert not report.ok
         assert 2 in report.disconnected_levels
         assert report.min_slack is None
-        assert not report.feasible_for(5)
+        with pytest.raises(ValueError, match="disconnected"):
+            require_feasible(Pattern(4, p.edges, slack=1), seg)
 
     def test_report_against_recomputed_slack(self):
         for name in builtin_names():

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
-from crawlcount import Graph
+from crawlcount import Graph, Instance, QueryLedger, Segmentation, assign
 
 # ---- named graphs ----
 
@@ -165,6 +165,26 @@ def naive_copies(g: Graph, target_matrix: list[list[int]]) -> list[tuple[int, ..
         if matrices_isomorphic(naive_matrix(g, verts), target_matrix):
             found.append(verts)
     return found
+
+
+def level_matrix(seg: Segmentation, level: int) -> list[list[int]]:
+    """Adjacency matrix of one segmentation level, for :func:`naive_copies`."""
+    lg = seg.level(level)
+    return [[(row >> j) & 1 for j in range(lg.size)] for row in lg.bits]
+
+
+def chain_walk_tables(g: Graph, seg: Segmentation) -> dict[int, dict[tuple[int, ...], int]]:
+    """Chain tallies by walking ``assign`` down from every naive full-size copy."""
+    k = seg.pattern.size
+    tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in range(2, k + 1)}
+    ledger = QueryLedger()
+    for verts in naive_copies(g, level_matrix(seg, k)):
+        cur = Instance(verts)
+        tables[k][verts] = tables[k].get(verts, 0) + 1
+        for lvl in range(k, 2, -1):
+            cur = assign(g, ledger, cur, seg)
+            tables[lvl - 1][cur.vertices] = tables[lvl - 1].get(cur.vertices, 0) + 1
+    return tables
 
 
 def brute_representative(g: Graph, verts: tuple[int, ...], slack: int) -> tuple[int, ...]:

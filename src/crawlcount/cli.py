@@ -34,7 +34,6 @@ from .patterns import (
     Segmentation,
     builtin_names,
     builtin_pattern,
-    load_pattern_path,
     parse_pattern,
     require_feasible,
     validate_segmentation,
@@ -147,6 +146,12 @@ def _record_from_result(
     )
 
 
+def _read_pattern_file(path: str) -> tuple[Pattern, Segmentation]:
+    """Load a pattern file unchecked; callers apply overrides, then judge feasibility."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_pattern(fh, strict=False)
+
+
 def _resolve_pattern(
     name: str | None,
     path: str | None,
@@ -158,7 +163,7 @@ def _resolve_pattern(
     if name is not None:
         p, seg = builtin_pattern(name)
     else:
-        p, seg = load_pattern_path(path)
+        p, seg = _read_pattern_file(path)
     if slack_override is not None and slack_override != p.slack:
         p = Pattern(p.size, p.edges, slack=slack_override)
         seg = Segmentation(p, seg.order)
@@ -295,8 +300,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         p, seg = builtin_pattern(args.pattern)
         label = args.pattern
     else:
-        with open(args.pattern_file, "r", encoding="utf-8") as fh:
-            p, seg = parse_pattern(fh, strict=False)
+        p, seg = _read_pattern_file(args.pattern_file)
         label = args.pattern_file
     if args.c is not None:
         p = Pattern(p.size, p.edges, slack=args.c)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -95,31 +95,24 @@ class Graph:
 class QueryLedger:
     """Running account of oracle traffic.
 
-    ``oracle_calls`` counts every call, repeats included.  The sets are
+    ``oracle_calls`` counts every call, repeats included.  The set is
     deduplicated, so ``len(queried_vertices) <= oracle_calls`` always.
     """
 
     queried_vertices: set[int] = field(default_factory=set)
     oracle_calls: int = 0
-    observed_edges: set[tuple[int, int]] = field(default_factory=set)
 
-    def _record(self, v: int, nbrs: tuple[int, ...]) -> None:
+    def _record(self, v: int) -> None:
         self.oracle_calls += 1
-        if v in self.queried_vertices:
-            return  # incident edges already on file
         self.queried_vertices.add(v)
-        add = self.observed_edges.add
-        for w in nbrs:
-            add((v, w) if v < w else (w, v))
 
 
 def neighbors(g: Graph, ledger: QueryLedger, v: int) -> tuple[int, ...]:
     """One oracle query: the sorted neighbor list of ``v``."""
     if not 0 <= v < g.vertex_count:
         raise ValueError(f"vertex {v} out of range")
-    nbrs = g.raw_neighbors(v)
-    ledger._record(v, nbrs)
-    return nbrs
+    ledger._record(v)
+    return g.raw_neighbors(v)
 
 
 def degree(g: Graph, ledger: QueryLedger, v: int) -> int:
@@ -127,9 +120,32 @@ def degree(g: Graph, ledger: QueryLedger, v: int) -> int:
     return len(neighbors(g, ledger, v))
 
 
+def charge(g: Graph, ledger: QueryLedger, verts: Sequence[int]) -> None:
+    """Charge one neighbors query per vertex of ``verts``, as that many calls would.
+
+    ``verts`` must be sorted.  For callers that then read the adjacency
+    among ``verts`` unmetered.
+    """
+    if verts and (verts[0] < 0 or verts[-1] >= g.vertex_count):
+        raise ValueError(f"vertex out of range in {tuple(verts)}")
+    ledger.oracle_calls += len(verts)
+    ledger.queried_vertices.update(verts)
+
+
 def edges_observed_fraction(ledger: QueryLedger, g: Graph) -> float:
-    """Share of the edge set the ledger has seen at least once."""
-    return len(ledger.observed_edges) / g.edge_count
+    """Share of the edge set the ledger has seen at least once.
+
+    An edge is seen once either endpoint was queried, so the count is the
+    degree sum over the queried set Q minus the edges inside Q, each of
+    which that sum counts twice.  Read unmetered, once, at the end.
+    """
+    q = ledger.queried_vertices
+    degrees = inside = 0
+    for v in q:
+        nbrs = g.raw_neighbor_set(v)
+        degrees += len(nbrs)
+        inside += len(nbrs.intersection(q))
+    return (degrees - inside // 2) / g.edge_count
 
 
 def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:

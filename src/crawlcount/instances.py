@@ -3,6 +3,14 @@
 Everything here reaches the host graph through the metered oracle: each
 helper queries every vertex whose neighborhood it relies on, so the cost
 of a decision shows up in the ledger.
+
+Whether a sorted vertex tuple is a copy of its segmentation level, and
+which vertex its assignment removes, depends only on the tuple's induced
+adjacency.  :func:`classify` reads that adjacency as one integer word and
+keeps the answer in the segmentation's memo, so the backtracking
+isomorphism test and the removal scan run once per distinct word, not once
+per trial.  The memo belongs to one :class:`Segmentation`; it holds at most
+one entry per classified tuple and never more than the distinct words seen.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .graph import Graph, QueryLedger, degree, neighbors
+from .graph import Graph, QueryLedger, charge, degree, neighbors
 from .patterns import Segmentation, _bits_connected, _bits_isomorphic
 
 
@@ -41,31 +49,6 @@ class Instance:
         return len(self.vertices)
 
 
-def _neighbor_sets(
-    g: Graph, ledger: QueryLedger, verts: Sequence[int]
-) -> dict[int, frozenset[int]]:
-    out = {}
-    for v in verts:
-        neighbors(g, ledger, v)
-        out[v] = g.raw_neighbor_set(v)
-    return out
-
-
-def _local_bits(g: Graph, ledger: QueryLedger, verts: Sequence[int]) -> list[int]:
-    """Induced adjacency bitmasks over ``verts`` (one query per vertex)."""
-    for v in verts:
-        neighbors(g, ledger, v)
-    n = len(verts)
-    bits = [0] * n
-    for i in range(n):
-        u = verts[i]
-        for j in range(i):
-            if g.has_edge(u, verts[j]):
-                bits[i] |= 1 << j
-                bits[j] |= 1 << i
-    return bits
-
-
 def representative(
     g: Graph, ledger: QueryLedger, inst: Instance, slack: int
 ) -> tuple[int, ...]:
@@ -87,7 +70,8 @@ def representative(
             if d < best_d:
                 best, best_d = v, d
         return (best,)
-    nsets = _neighbor_sets(g, ledger, verts)
+    charge(g, ledger, verts)
+    nsets = {v: g.raw_neighbor_set(v) for v in verts}
     best_subset: tuple[int, ...] | None = None
     best_size = -1
     for sub in combinations(verts, slack + 1):
@@ -129,24 +113,63 @@ def seg_degree(g: Graph, ledger: QueryLedger, inst: Instance, slack: int) -> int
     return len(seg_neighborhood(g, ledger, inst, slack))
 
 
-def _drop_index(bits: Sequence[int], idx: int) -> list[int]:
-    low = (1 << idx) - 1
-    out = []
-    for i, row in enumerate(bits):
-        if i == idx:
-            continue
-        out.append((row & low) | ((row >> (idx + 1)) << idx))
-    return out
+# Classification of a copy that no vertex removal maps to the level below.
+UNASSIGNABLE = -1
 
 
-def _assign_index(bits: Sequence[int], seg: Segmentation, level: int) -> int | None:
-    """Index of the smallest vertex whose removal leaves a copy of the level below."""
-    target = seg.level(level - 1)
-    for idx in range(len(bits)):
-        sub = _drop_index(bits, idx)
-        if _bits_connected(sub, level - 1) and _bits_isomorphic(sub, target):
+def _adjacency_word(g: Graph, verts: Sequence[int]) -> int:
+    """Induced adjacency of ``verts`` as a word: a leading 1, then one bit per pair.
+
+    Pairs run (1,0), (2,0), (2,1), (3,0), ...; the leading 1 makes the
+    word's length tell the tuple size, so words of different levels differ.
+    """
+    word = 1
+    for i in range(1, len(verts)):
+        nbrs = g.raw_neighbor_set(verts[i])
+        for w in verts[:i]:
+            word = (word << 1) | (w in nbrs)
+    return word
+
+
+def _classify_word(word: int, k: int, seg: Segmentation) -> int | None:
+    """Backtracking classification of a k-vertex adjacency word (the memo's miss path)."""
+    bits = [0] * k
+    pos = word.bit_length() - 2
+    for i in range(1, k):
+        for j in range(i):
+            if (word >> pos) & 1:
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+            pos -= 1
+    if not _bits_isomorphic(bits, seg.level(k)):
+        return None
+    target = seg.level(k - 1)
+    for idx in range(k):
+        low = (1 << idx) - 1
+        sub = [
+            (row & low) | ((row >> (idx + 1)) << idx)
+            for i, row in enumerate(bits)
+            if i != idx
+        ]
+        if _bits_connected(sub, k - 1) and _bits_isomorphic(sub, target):
             return idx
-    return None
+    return UNASSIGNABLE
+
+
+def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
+    """Classify a sorted tuple of at least three vertices against its level of ``seg``.
+
+    Returns the index of the smallest vertex whose removal leaves a
+    connected copy of the level below, None when the tuple is not a copy
+    of its level, and UNASSIGNABLE for a copy that no removal maps down.
+    Reads the graph unmetered; callers charge the ledger for ``verts``.
+    """
+    word = _adjacency_word(g, verts)
+    memo = seg.memo
+    if word in memo:
+        return memo[word]
+    cls = memo[word] = _classify_word(word, len(verts), seg)
+    return cls
 
 
 def assign(g: Graph, ledger: QueryLedger, inst: Instance, seg: Segmentation) -> Instance:
@@ -159,15 +182,13 @@ def assign(g: Graph, ledger: QueryLedger, inst: Instance, seg: Segmentation) -> 
     lvl = inst.level
     if lvl < 3:
         raise ValueError("assignment needs an instance of level 3 or higher")
-    bits = _local_bits(g, ledger, inst.vertices)
-    if not _bits_isomorphic(bits, seg.level(lvl)):
-        raise UnassignableInstanceError(
-            f"{inst.vertices} is not a copy of level {lvl}"
-        )
-    idx = _assign_index(bits, seg, lvl)
-    if idx is None:
-        raise UnassignableInstanceError(f"unassignable instance {inst.vertices}")
     verts = inst.vertices
+    charge(g, ledger, verts)
+    idx = classify(g, verts, seg)
+    if idx is None:
+        raise UnassignableInstanceError(f"{verts} is not a copy of level {lvl}")
+    if idx == UNASSIGNABLE:
+        raise UnassignableInstanceError(f"unassignable instance {verts}")
     return Instance(verts[:idx] + verts[idx + 1 :])
 
 
@@ -181,13 +202,9 @@ def check_extension(
     verts = parent.vertices
     if u in verts:
         return None
-    lvl = parent.level + 1
-    target = seg.level(lvl)
     merged = tuple(sorted(verts + (u,)))
-    bits = _local_bits(g, ledger, merged)
-    if not _bits_isomorphic(bits, target):
-        return None
-    idx = _assign_index(bits, seg, lvl)
-    if idx is None or merged[idx] != u:
+    charge(g, ledger, merged)
+    idx = classify(g, merged, seg)
+    if idx is None or idx == UNASSIGNABLE or merged[idx] != u:
         return None
     return Instance(merged)

@@ -137,9 +137,14 @@ class Pattern:
 
 
 class Segmentation:
-    """Insertion order of pattern vertices; level i is the first i of them."""
+    """Insertion order of pattern vertices; level i is the first i of them.
 
-    __slots__ = ("pattern", "order", "_levels")
+    ``memo`` maps the adjacency word of a sorted vertex tuple to its
+    classification against this order's levels; ``instances.classify``
+    fills it on first sight of each word.
+    """
+
+    __slots__ = ("pattern", "order", "_levels", "memo")
 
     def __init__(self, pattern: Pattern, order: Sequence[int]):
         k = pattern.size
@@ -159,6 +164,7 @@ class Segmentation:
                         bits[idx] |= 1 << pos[w]
             levels[i] = LevelGraph.from_bits(bits)
         self._levels = levels
+        self.memo: dict[int, int | None] = {}
 
     def level(self, i: int) -> LevelGraph:
         if i not in self._levels:

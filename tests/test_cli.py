@@ -53,6 +53,23 @@ class TestExact:
         assert "T=1\n" in out
         assert "level=4 copies=1 f_max=1" in out
 
+    def test_slack_override_applies_before_file_feasibility(self, tmp_path, capsys):
+        # The file alone is infeasible (slack 0 declared, 1 needed); --c 1
+        # must rescue it exactly as it would the builtin g45.
+        gf = tmp_path / "g.txt"
+        gf.write_text(BOWTIE_TXT + "0 3\n")
+        pf = tmp_path / "diamond0.pat"
+        pf.write_text(DIAMOND_PATTERN.replace("4 1", "4 0", 1))
+        common = ["exact", "--graph", str(gf), "--c", "1"]
+        assert main([*common, "--pattern", "g45"]) == 0
+        builtin = capsys.readouterr().out
+        assert main([*common, "--pattern-file", str(pf)]) == 0
+        from_file = capsys.readouterr().out
+        assert from_file.startswith("T=2\n")
+        assert from_file == builtin
+        assert main(["exact", "--graph", str(gf), "--pattern-file", str(pf)]) == 2
+        assert "needs slack 1, pattern declares 0" in capsys.readouterr().err
+
     def test_budget_exhaustion_reports_error(self, k4_file, capsys):
         code = main(
             ["exact", "--graph", k4_file, "--pattern", "g33", "--budget", "2"]

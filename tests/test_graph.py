@@ -1,14 +1,18 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crawlcount import (
     EdgeListParseError,
+    EstimateConfig,
     Graph,
     QueryLedger,
+    WalkConfig,
+    builtin_pattern,
     degree,
     edges_observed_fraction,
+    estimate_count,
     load_edge_list,
     neighbors,
 )
@@ -139,9 +143,9 @@ class TestLedger:
         g = util.bowtie()
         led = QueryLedger()
         neighbors(g, led, 2)
-        assert led.observed_edges == {(0, 2), (1, 2), (2, 3), (2, 4)}
+        assert edges_observed_fraction(led, g) == 4 / 6  # 0-2, 1-2, 2-3, 2-4
         neighbors(g, led, 0)
-        assert (0, 1) in led.observed_edges
+        assert edges_observed_fraction(led, g) == 5 / 6  # plus 0-1
 
     def test_observed_fraction(self):
         g = util.bowtie()
@@ -162,11 +166,29 @@ class TestLedger:
         g = util.bowtie()
         led = QueryLedger()
         prev_calls = 0
-        prev_edges = 0
+        prev_seen = 0.0
         for v in queries:
             neighbors(g, led, v)
             assert led.oracle_calls == prev_calls + 1
-            assert len(led.observed_edges) >= prev_edges
+            seen = edges_observed_fraction(led, g)
+            assert seen == util.brute_observed_edges(g, led.queried_vertices) / g.edge_count
+            assert seen >= prev_seen
             prev_calls = led.oracle_calls
-            prev_edges = len(led.observed_edges)
+            prev_seen = seen
         assert len(led.queried_vertices) <= led.oracle_calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 20), st.integers(0, 10_000))
+    def test_estimate_run_observed_fraction_matches_brute_force(self, corpus, pick, seed):
+        # A whole run, so the walk, the weights and the one-call charges of
+        # the extension trials all feed the ledger.
+        name, g = corpus[pick]
+        p, seg = builtin_pattern("g45")
+        cfg = EstimateConfig(
+            layer_sizes=[30, 30], walk=WalkConfig(length=20, burn_in=5), seed=seed
+        )
+        led = estimate_count(g, p, seg, cfg).ledger
+        assert len(led.queried_vertices) <= led.oracle_calls
+        assert edges_observed_fraction(led, g) == (
+            util.brute_observed_edges(g, led.queried_vertices) / g.edge_count
+        )

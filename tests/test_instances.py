@@ -1,18 +1,28 @@
+import io
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crawlcount import (
+    Graph,
     Instance,
     QueryLedger,
+    Segmentation,
     UnassignableInstanceError,
     assign,
+    builtin_names,
     builtin_pattern,
     check_extension,
     enumerate_instances,
+    neighbors,
+    parse_pattern,
     representative,
     seg_degree,
     seg_neighborhood,
 )
+from crawlcount.instances import UNASSIGNABLE, classify
+from crawlcount.patterns import _bits_connected, _bits_isomorphic
 
 import util
 
@@ -201,3 +211,92 @@ class TestCheckExtension:
                             assert got is not None and got.vertices == child
                         else:
                             assert got is None
+
+
+def _reference_class(bits, seg, k):
+    """Backtracking isomorphism test, then the removal scan by explicit relabeling."""
+    if not _bits_isomorphic(bits, seg.level(k)):
+        return None
+    for drop in range(k):
+        keep = [i for i in range(k) if i != drop]
+        sub = [
+            sum(((bits[a] >> b) & 1) << j for j, b in enumerate(keep)) for a in keep
+        ]
+        if _bits_connected(sub, k - 1) and _bits_isomorphic(sub, seg.level(k - 1)):
+            return drop
+    return UNASSIGNABLE
+
+
+class TestClassifyMemo:
+    @pytest.mark.parametrize("name", [*builtin_names(), "c4"])
+    def test_every_word_matches_backtracking(self, name):
+        if name == "c4":
+            _, seg = parse_pattern(io.StringIO("4 1\n0 1\n1 2\n2 3\n0 3\n"))
+        else:
+            _, seg = builtin_pattern(name)
+        words = 0
+        for k in range(3, seg.pattern.size + 1):
+            pairs = list(combinations(range(k), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if (mask >> i) & 1]
+                bits = [0] * k
+                for a, b in edges:
+                    bits[a] |= 1 << b
+                    bits[b] |= 1 << a
+                g = Graph(k, edges)
+                want = _reference_class(bits, seg, k)
+                assert classify(g, tuple(range(k)), seg) == want  # miss
+                assert classify(g, tuple(range(k)), seg) == want  # hit
+            words += 1 << len(pairs)
+        # one entry per distinct word, none shared between levels
+        assert len(seg.memo) == words
+
+    def test_orders_keep_their_own_memo(self):
+        # g45 misses edge 2-3: order 0,1,2,3 has a triangle at level 3,
+        # order 2,0,3,1 a path, so the same triangle word must part ways.
+        p, seg_a = builtin_pattern("g45")
+        seg_b = Segmentation(p, (2, 0, 3, 1))
+        tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        assert classify(tri, (0, 1, 2), seg_a) == 0
+        assert classify(tri, (0, 1, 2), seg_b) is None
+        assert seg_a.memo is not seg_b.memo
+        assert list(seg_a.memo.values()) == [0]
+        assert list(seg_b.memo.values()) == [None]
+
+    def test_assign_tells_non_copy_from_unassignable(self):
+        # order 0,2,1,3 of the 4-path 0-1-2-3 has a disconnected level 2,
+        # so a 3-path is a copy of level 3 that no removal maps down.
+        p = parse_pattern(io.StringIO("4 1\n0 1\n1 2\n2 3\n"), strict=False)[0]
+        seg = Segmentation(p, (0, 2, 1, 3))
+        path = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(UnassignableInstanceError, match="unassignable"):
+            assign(path, QueryLedger(), Instance((0, 1, 2)), seg)
+        tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(UnassignableInstanceError, match="not a copy"):
+            assign(tri, QueryLedger(), Instance((0, 1, 2)), seg)
+
+
+class TestHotPathLedger:
+    def test_check_extension_charges_like_per_vertex_queries(self, corpus):
+        for name, g in corpus[7:14]:
+            for pat in ("g33", "g45", "g59"):
+                p, seg = builtin_pattern(pat)
+                for parent in enumerate_instances(g, p, seg, p.size - 1)[:6]:
+                    for u in range(g.vertex_count):
+                        led = QueryLedger()
+                        check_extension(g, led, parent, u, seg)
+                        if u in parent.vertices:
+                            assert led == QueryLedger()
+                            continue
+                        assert led.oracle_calls == parent.level + 1
+                        ref = QueryLedger()
+                        for v in sorted(parent.vertices + (u,)):
+                            neighbors(g, ref, v)
+                        assert led == ref
+
+    def test_out_of_range_vertex_rejected(self, bowtie):
+        _, seg = builtin_pattern("g33")
+        with pytest.raises(ValueError):
+            check_extension(bowtie, QueryLedger(), Instance((0, 1)), 5, seg)
+        with pytest.raises(ValueError):
+            check_extension(bowtie, QueryLedger(), Instance((0, 1)), -1, seg)

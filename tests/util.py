@@ -187,6 +187,11 @@ def chain_walk_tables(g: Graph, seg: Segmentation) -> dict[int, dict[tuple[int, 
     return tables
 
 
+def brute_observed_edges(g: Graph, queried: set[int]) -> int:
+    """Edges with at least one queried endpoint, counted edge by edge."""
+    return sum(1 for u, v in g.edges() if u in queried or v in queried)
+
+
 def brute_representative(g: Graph, verts: tuple[int, ...], slack: int) -> tuple[int, ...]:
     """Independent argmin over (slack+1)-subsets, first minimum wins."""
     best = None

@@ -198,6 +198,36 @@ def _auto_layers(
     )
 
 
+def _component_count(g: Graph) -> int:
+    """Connected components with at least one edge, by unmetered search."""
+    adj = g.raw_adjacency()
+    seen: set[int] = set()
+    count = 0
+    for root, nbrs in enumerate(adj):
+        if not nbrs or root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        frontier = {root}
+        while frontier:
+            reached: set[int] = set()
+            for v in frontier:
+                reached.update(adj[v])
+            frontier = reached - seen
+            seen |= frontier
+    return count
+
+
+def _warn_if_disconnected(g: Graph) -> None:
+    count = _component_count(g)
+    if count > 1:
+        print(
+            f"warning: graph has {count} components with edges; the estimate "
+            "covers only the component the walk starts in",
+            file=sys.stderr,
+        )
+
+
 def run_experiment(
     spec: ExperimentSpec, g: Graph, p: Pattern, seg: Segmentation
 ) -> tuple[list[RunRecord], list[SummaryRecord]]:
@@ -324,6 +354,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
     p, seg = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
+    _warn_if_disconnected(g)
     layers = _layers(args, g, p)
     cfg = EstimateConfig(
         layer_sizes=layers,
@@ -345,6 +376,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
     p, seg = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
+    _warn_if_disconnected(g)
     spec = ExperimentSpec(
         repetitions=args.reps,
         walk_lengths=tuple(args.walk_len),

@@ -2,13 +2,16 @@
 
 The estimation code never sees the whole graph.  It reaches it through
 :func:`neighbors` and :func:`degree`, which charge every call to a
-:class:`QueryLedger`.  The ledger is how experiments report how much of
-the graph a run actually touched.
+:class:`QueryLedger`, or reads adjacency unmetered and charges the same
+queries in bulk: :func:`charge` for a vertex tuple, :func:`charge_steps`
+for a walk phase.  The ledger is how experiments report how much of the
+graph a run actually touched.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -34,24 +37,31 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        seen: set[tuple[int, int]] = set()
+        n = vertex_count
+        # Edges are deduplicated on the int key min*n + max, and every
+        # adjacency entry of vertex v is the one int object ids[v]: a graph
+        # holds n int objects, not one per edge end, which keeps set probes
+        # on identity and the collector's walk over the frozensets short.
+        seen: set[int] = set()
         for u, v in edges:
             if u == v:
                 continue
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={vertex_count}")
-            seen.add((u, v) if u < v else (v, u))
-        lists: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in seen:
-            lists[u].append(v)
-            lists[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(l)) for l in lists
-        )
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(l) for l in lists
-        )
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            seen.add(u * n + v if u < v else v * n + u)
+        ids = list(range(n))
+        lists: list[list[int]] = [[] for _ in range(n)]
+        for key in seen:
+            u, v = divmod(key, n)
+            lists[u].append(ids[v])
+            lists[v].append(ids[u])
         self._m = len(seen)
+        del seen
+        for l in lists:
+            l.sort()
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, lists))
+        del lists
+        self._adj_sets: tuple[frozenset[int], ...] = tuple(map(frozenset, self._adj))
 
     @property
     def vertex_count(self) -> int:
@@ -68,6 +78,14 @@ class Graph:
         that claims to crawl must go through :func:`neighbors` instead.
         """
         return self._adj[v]
+
+    def raw_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Unmetered adjacency of every vertex, indexed by id.
+
+        For crawlers that step many times and charge the ledger in bulk
+        (:func:`charge_steps`); the same reservation as :meth:`raw_neighbors`.
+        """
+        return self._adj
 
     def raw_degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -102,17 +120,15 @@ class QueryLedger:
     queried_vertices: set[int] = field(default_factory=set)
     oracle_calls: int = 0
 
-    def _record(self, v: int) -> None:
-        self.oracle_calls += 1
-        self.queried_vertices.add(v)
-
 
 def neighbors(g: Graph, ledger: QueryLedger, v: int) -> tuple[int, ...]:
     """One oracle query: the sorted neighbor list of ``v``."""
-    if not 0 <= v < g.vertex_count:
+    adj = g._adj
+    if not 0 <= v < len(adj):
         raise ValueError(f"vertex {v} out of range")
-    ledger._record(v)
-    return g.raw_neighbors(v)
+    ledger.oracle_calls += 1
+    ledger.queried_vertices.add(v)
+    return adj[v]
 
 
 def degree(g: Graph, ledger: QueryLedger, v: int) -> int:
@@ -126,10 +142,21 @@ def charge(g: Graph, ledger: QueryLedger, verts: Sequence[int]) -> None:
     ``verts`` must be sorted.  For callers that then read the adjacency
     among ``verts`` unmetered.
     """
-    if verts and (verts[0] < 0 or verts[-1] >= g.vertex_count):
+    if verts and (verts[0] < 0 or verts[-1] >= len(g._adj)):
         raise ValueError(f"vertex out of range in {tuple(verts)}")
     ledger.oracle_calls += len(verts)
     ledger.queried_vertices.update(verts)
+
+
+def charge_steps(ledger: QueryLedger, path: Sequence[int]) -> None:
+    """Charge one neighbors query per entry of ``path``, repeats included.
+
+    For walks that read :meth:`Graph.raw_adjacency` step by step and settle
+    the ledger once per phase.  Entries are not range-checked: a walk checks
+    its start and then only steps to neighbors.
+    """
+    ledger.oracle_calls += len(path)
+    ledger.queried_vertices.update(path)
 
 
 def edges_observed_fraction(ledger: QueryLedger, g: Graph) -> float:
@@ -154,11 +181,13 @@ def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:
     Lines starting with '#' are comments.  An optional first header line
     ``# n=<int>`` fixes the vertex count, which permits isolated ids;
     without it the count is max id + 1.  Duplicate edges and self-loops
-    are dropped silently.  A graph with no edges is rejected.
+    are dropped silently.  A graph with no edges is rejected.  Endpoints
+    are buffered as 64-bit machine integers, 16 bytes per edge, so ids must
+    lie below 2**63.
     """
     declared_n: int | None = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
+    ends = array("q")  # u0, v0, u1, v1, ...
+    push = ends.append
     saw_line = False
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -189,15 +218,18 @@ def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:
             raise EdgeListParseError(
                 f"line {lineno}: vertex id exceeds declared n={declared_n}"
             )
-        edges.append((u, v))
-        if u > max_id:
-            max_id = u
-        if v > max_id:
-            max_id = v
-    n = declared_n if declared_n is not None else max_id + 1
+        try:
+            push(u)
+            push(v)
+        except OverflowError:
+            raise EdgeListParseError(
+                f"line {lineno}: vertex id too large in {line!r}"
+            ) from None
+    n = declared_n if declared_n is not None else (max(ends) + 1 if ends else 0)
     if n <= 0:
         raise EdgeListParseError("edge list declares no vertices")
-    g = Graph(n, edges)
+    pairs = iter(ends)
+    g = Graph(n, zip(pairs, pairs))
     if g.edge_count == 0:
         raise EdgeListParseError("edge list contains no usable edges")
     return g

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import ge
 from typing import Sequence
 
-from .graph import Graph, QueryLedger, charge, degree, neighbors
+from .graph import Graph, QueryLedger, charge, neighbors
 from .patterns import Segmentation, _bits_connected, _bits_isomorphic
 
 
@@ -39,7 +40,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         vs = self.vertices
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
+        if any(map(ge, vs, vs[1:])):
             raise ValueError("instance vertices must be strictly increasing")
         if vs and vs[0] < 0:
             raise ValueError("vertex ids must be nonnegative")
@@ -62,15 +63,9 @@ def representative(
         raise ValueError(
             f"instance of size {len(verts)} has no representative at slack {slack}"
         )
-    if slack == 0:
-        best = verts[0]
-        best_d = degree(g, ledger, best)
-        for v in verts[1:]:
-            d = degree(g, ledger, v)
-            if d < best_d:
-                best, best_d = v, d
-        return (best,)
     charge(g, ledger, verts)
+    if slack == 0:
+        return (min(verts, key=g.raw_degree),)
     nsets = {v: g.raw_neighbor_set(v) for v in verts}
     best_subset: tuple[int, ...] | None = None
     best_size = -1
@@ -109,7 +104,8 @@ def seg_degree(g: Graph, ledger: QueryLedger, inst: Instance, slack: int) -> int
         verts = inst.vertices
         if not verts:
             raise ValueError("empty instance")
-        return min(degree(g, ledger, v) for v in verts)
+        charge(g, ledger, verts)
+        return min(map(g.raw_degree, verts))
     return len(seg_neighborhood(g, ledger, inst, slack))
 
 

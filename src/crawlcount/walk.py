@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
-from .graph import Graph, QueryLedger, neighbors
+from .graph import Graph, QueryLedger, charge_steps
 
 
 class CollisionShortfallError(RuntimeError):
@@ -50,13 +50,31 @@ class WalkConfig:
             raise ValueError("burn_in must be nonnegative")
 
 
+# Uniform redraws of an isolated start before the pick falls back to listing
+# the non-isolated ids; bounds the setup cost on a sparse, huge id space.
+_START_DRAWS = 32
+
+
 def _pick_start(g: Graph, rng: Random, start: int | None) -> int:
+    """``start`` if it has a neighbor, else a uniform non-isolated vertex.
+
+    Redraws uniformly up to ``_START_DRAWS`` times, then draws once from the
+    listed non-isolated ids; both routes give the same distribution.
+    """
     if g.edge_count == 0:
         raise ValueError("graph has no edges; every vertex is isolated")
-    v = start if start is not None else rng.randrange(g.vertex_count)
-    while g.raw_degree(v) == 0:
-        v = rng.randrange(g.vertex_count)
-    return v
+    n = g.vertex_count
+    if start is not None:
+        if not 0 <= start < n:
+            raise ValueError(f"vertex {start} out of range")
+        if g.raw_degree(start):
+            return start
+    for _ in range(_START_DRAWS):
+        v = rng.randrange(n)
+        if g.raw_degree(v):
+            return v
+    live = [v for v in range(n) if g.raw_degree(v)]
+    return live[rng.randrange(len(live))]
 
 
 def simple_random_walk(
@@ -66,26 +84,36 @@ def simple_random_walk(
 
     Every step issues exactly one neighbors query, so with ``lazy`` off the
     ledger grows by burn_in + length calls.  Isolated start vertices are
-    resampled before the walk begins (setup, not crawling).
+    resampled before the walk begins (setup, not crawling).  Steps read the
+    adjacency unmetered and the ledger is charged for them once, at the end.
     """
     if cfg.seed is None:
         raise ValueError("walk requires a concrete seed")
     rng = Random(cfg.seed)
+    randrange = rng.randrange
     burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(g.vertex_count)
+    adj = g.raw_adjacency()
     cur = _pick_start(g, rng, cfg.start)
+    path: list[int] = []  # the vertex each step queried
+    step = path.append
+    lazy, coin = cfg.lazy, rng.random
     for _ in range(burn):
-        nbrs = neighbors(g, ledger, cur)
-        if cfg.lazy and rng.random() < 0.5:
+        step(cur)
+        if lazy and coin() < 0.5:
             continue
-        cur = nbrs[rng.randrange(len(nbrs))]
+        nbrs = adj[cur]
+        cur = nbrs[randrange(len(nbrs))]
     edges: list[tuple[int, int]] = []
-    while len(edges) < cfg.length:
-        nbrs = neighbors(g, ledger, cur)
-        if cfg.lazy and rng.random() < 0.5:
+    length = cfg.length
+    while len(edges) < length:
+        step(cur)
+        if lazy and coin() < 0.5:
             continue
-        nxt = nbrs[rng.randrange(len(nbrs))]
+        nbrs = adj[cur]
+        nxt = nbrs[randrange(len(nbrs))]
         edges.append((cur, nxt) if cur < nxt else (nxt, cur))
         cur = nxt
+    charge_steps(ledger, path)
     return edges
 
 
@@ -121,11 +149,16 @@ def estimate_edge_count(
     if spacing < 1:
         raise ValueError("spacing must be at least 1")
     rng = Random(seed)
+    randrange = rng.randrange
     burn = burn_in if burn_in is not None else default_burn_in(g.vertex_count)
+    adj = g.raw_adjacency()
     cur = _pick_start(g, rng, start)
+    path: list[int] = []  # the vertex each step queried, charged once per round
+    step = path.append
     for _ in range(burn):
-        nbrs = neighbors(g, ledger, cur)
-        cur = nbrs[rng.randrange(len(nbrs))]
+        step(cur)
+        nbrs = adj[cur]
+        cur = nbrs[randrange(len(nbrs))]
 
     counts: Counter[tuple[int, int]] = Counter()
     taken = 0
@@ -135,12 +168,13 @@ def estimate_edge_count(
         attempts += 1
         while taken < target:
             for _ in range(spacing):
-                nbrs = neighbors(g, ledger, cur)
-                nxt = nbrs[rng.randrange(len(nbrs))]
-                edge = (cur, nxt) if cur < nxt else (nxt, cur)
-                cur = nxt
-            counts[edge] += 1
+                step(cur)
+                nbrs = adj[cur]
+                prev, cur = cur, nbrs[randrange(len(nbrs))]
+            counts[(prev, cur) if prev < cur else (cur, prev)] += 1
             taken += 1
+        charge_steps(ledger, path)
+        path.clear()
         collisions = sum(c * (c - 1) // 2 for c in counts.values())
         if collisions > 0:
             pairs = taken * (taken - 1) // 2

@@ -11,8 +11,16 @@ from crawlcount import (
     WalkConfig,
     builtin_pattern,
     estimate_count,
+    load_edge_list_path,
 )
-from crawlcount.cli import CSV_HEADER, SUMMARY_HEADER, main, summary_path
+from crawlcount.cli import (
+    CSV_HEADER,
+    SUMMARY_HEADER,
+    ExperimentSpec,
+    main,
+    run_experiment,
+    summary_path,
+)
 
 import util
 
@@ -20,6 +28,8 @@ BOWTIE_TXT = "# n=5\n0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
 K4_TXT = "# n=4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 FIVE_CYCLE_PATTERN = "5 2\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 DIAMOND_PATTERN = "4 1\norder 0 1 2 3\n0 1\n0 2\n0 3\n1 2\n1 3\n"
+# Two disjoint triangles and the isolated vertex 3.
+TWO_TRIANGLES_TXT = "# n=7\n0 1\n0 2\n1 2\n4 5\n4 6\n5 6\n"
 
 
 @pytest.fixture
@@ -317,6 +327,71 @@ class TestErrors:
         assert out.out == ""
         assert out.err.startswith("error:") and out.err.count("\n") == 1
         assert "slack" in out.err
+
+
+class TestDisconnectedWarning:
+    def write(self, tmp_path, text):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        return str(p)
+
+    def test_estimate_warns_once_and_keeps_the_csv(self, tmp_path, capsys):
+        path = self.write(tmp_path, TWO_TRIANGLES_TXT)
+        code = main([
+            "estimate", "--graph", path, "--pattern", "g33",
+            "--walk-len", "20", "--layers", "30", "--seed", "2",
+        ])
+        out = capsys.readouterr()
+        assert code == 0
+        assert out.err.startswith("warning: graph has 2 components with edges")
+        assert out.err.count("\n") == 1
+        assert "only the component the walk starts in" in out.err
+        p, seg = builtin_pattern("g33")
+        res = estimate_count(
+            load_edge_list_path(path),
+            p,
+            seg,
+            EstimateConfig(layer_sizes=(30,), walk=WalkConfig(length=20), seed=2),
+        )
+        assert out.out == (
+            ",".join(CSV_HEADER) + "\n"
+            f"0,2,20,{res.estimate:.6f},,,{res.oracle_calls},"
+            f"{res.edges_observed * 100:.4f},\n"
+        )
+
+    def test_experiment_warns_once_and_keeps_the_csv(self, tmp_path, capsys):
+        path = self.write(tmp_path, TWO_TRIANGLES_TXT)
+        out_csv = tmp_path / "runs.csv"
+        code = main([
+            "experiment", "--graph", path, "--pattern", "g33",
+            "--walk-len", "10,20", "--reps", "3", "--layers", "15",
+            "--seed", "5", "--out", str(out_csv),
+        ])
+        out = capsys.readouterr()
+        assert code == 0
+        assert out.err.startswith("warning:") and out.err.count("\n") == 1
+        p, seg = builtin_pattern("g33")
+        spec = ExperimentSpec(
+            repetitions=3, walk_lengths=(10, 20), layer_sizes=(15,), base_seed=5
+        )
+        records, _ = run_experiment(spec, load_edge_list_path(path), p, seg)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [CSV_HEADER] + [r.row() for r in records]
+        )
+        assert out_csv.read_text() == buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "text", [BOWTIE_TXT, "# n=9\n0 1\n0 2\n1 2\n"], ids=["bowtie", "isolated"]
+    )
+    def test_one_component_with_edges_is_silent(self, tmp_path, capsys, text):
+        path = self.write(tmp_path, text)
+        code = main([
+            "estimate", "--graph", path, "--pattern", "g33",
+            "--walk-len", "20", "--layers", "30", "--seed", "2",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestScriptEntry:

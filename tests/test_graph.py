@@ -1,7 +1,7 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crawlcount import (
     EdgeListParseError,
@@ -61,6 +61,43 @@ class TestGraphStore:
         assert sum(g.raw_degree(v) for v in range(n)) == 2 * g.edge_count
         assert len(seen) == g.edge_count
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 700).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+                st.lists(st.integers(0, n - 1), max_size=5),
+            )
+        )
+    )
+    @example((600, [(300, 400), (400, 500), (300, 500), (599, 300)], [400]))
+    def test_matches_dict_of_sets_with_one_int_per_id(self, spec):
+        n, pairs, loops = spec
+        # Duplicates, reversed pairs and self-loops, each entry a fresh int
+        # object (ids above 256 are not cached), as a parser would produce.
+        fresh = lambda x: int(str(x))
+        raw = [(fresh(u), fresh(v)) for u, v in pairs]
+        raw += [(fresh(v), fresh(u)) for u, v in pairs[::2]]
+        raw += [(fresh(v), fresh(v)) for v in loops]
+        raw += [(fresh(u), fresh(v)) for u, v in pairs[1::3]]
+        ref: dict[int, set[int]] = {v: set() for v in range(n)}
+        for u, v in raw:
+            if u != v:
+                ref[u].add(v)
+                ref[v].add(u)
+        g = Graph(n, raw)
+        for v in range(n):
+            assert g.raw_neighbors(v) == tuple(sorted(ref[v]))
+            assert g.raw_neighbor_set(v) == frozenset(ref[v])
+        assert g.edge_count == sum(map(len, ref.values())) // 2
+        assert g.edges() == sorted((u, v) for u in ref for v in ref[u] if u < v)
+        # One int object per vertex id across every tuple and frozenset, so
+        # at most n; the graph holds them all, so their ids are distinct.
+        entries = [w for v in range(n) for w in g.raw_neighbors(v)]
+        entries += [w for v in range(n) for w in g.raw_neighbor_set(v)]
+        assert len({id(w) for w in entries}) == len(set(entries)) <= n
+
     def test_has_edge_matches_neighbor_sets(self):
         g = util.bowtie()
         for a in range(5):
@@ -97,6 +134,10 @@ class TestLoader:
     def test_three_tokens_rejected(self):
         with pytest.raises(EdgeListParseError, match="line 1"):
             load_edge_list(io.StringIO("0 1 2\n"))
+
+    def test_id_beyond_machine_range_rejected(self):
+        with pytest.raises(EdgeListParseError, match="line 2: vertex id too large"):
+            load_edge_list(io.StringIO("0 1\n1 9223372036854775808\n"))
 
     def test_negative_id_rejected(self):
         with pytest.raises(EdgeListParseError):

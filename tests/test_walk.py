@@ -1,9 +1,11 @@
 from collections import Counter
+from random import Random
 
 import pytest
 
 from crawlcount import (
     CollisionShortfallError,
+    EdgeCountEstimate,
     Graph,
     QueryLedger,
     WalkConfig,
@@ -11,6 +13,7 @@ from crawlcount import (
     estimate_edge_count,
     simple_random_walk,
 )
+from crawlcount.walk import _pick_start
 
 import util
 
@@ -140,3 +143,131 @@ class TestEdgeCount:
         g = Graph(2, [(0, 1)])
         est = estimate_edge_count(g, QueryLedger(), samples=10, spacing=2, seed=0)
         assert est.edge_estimate == 1.0
+
+
+def with_isolated_vertices() -> Graph:
+    """A 4-cycle and a triangle among ids 0..19; the other 13 ids are isolated."""
+    return Graph(20, [(3, 7), (7, 11), (11, 15), (3, 15), (16, 17), (17, 18), (16, 18)])
+
+
+def graphs(corpus):
+    return corpus + [
+        ("isolated", with_isolated_vertices()),
+        ("pa300", util.pa_graph(300, 3, 5)),
+    ]
+
+
+def assert_same_ledger(got: QueryLedger, ref: QueryLedger) -> None:
+    assert got.oracle_calls == ref.oracle_calls
+    assert got.queried_vertices == ref.queried_vertices
+
+
+def assert_walk_matches(g: Graph, cfg: WalkConfig) -> None:
+    led, ref = QueryLedger(), QueryLedger()
+    assert simple_random_walk(g, led, cfg) == util.reference_walk(g, ref, cfg)
+    assert_same_ledger(led, ref)
+
+
+def assert_edge_count_matches(g: Graph, *args, **kwargs) -> EdgeCountEstimate | None:
+    """The same estimate or the same shortfall as the reference, and the same ledger."""
+    led, ref = QueryLedger(), QueryLedger()
+    try:
+        want = util.reference_edge_count(g, ref, *args, **kwargs)
+    except CollisionShortfallError:
+        with pytest.raises(CollisionShortfallError, match="no collisions"):
+            estimate_edge_count(g, led, *args, **kwargs)
+        want = None
+    else:
+        assert estimate_edge_count(g, led, *args, **kwargs) == want
+    assert_same_ledger(led, ref)
+    return want
+
+
+class TestStart:
+    def test_explicit_start_out_of_range_rejected(self, triangle):
+        for start in (3, 7, -1):
+            with pytest.raises(ValueError, match=f"vertex {start} out of range"):
+                simple_random_walk(
+                    triangle, QueryLedger(), WalkConfig(length=5, seed=0, start=start)
+                )
+            with pytest.raises(ValueError, match=f"vertex {start} out of range"):
+                estimate_edge_count(
+                    triangle, QueryLedger(), samples=5, spacing=1, seed=0, start=start
+                )
+
+    def test_draws_match_unbounded_loop_when_it_ends_sooner(self):
+        g = with_isolated_vertices()
+        for seed in range(300):
+            for start in (None, 0, 3, 19):
+                rng, ref = Random(seed), Random(seed)
+                assert _pick_start(g, rng, start) == util.reference_start(g, ref, start)
+                assert rng.getstate() == ref.getstate()
+
+    def test_redraws_are_bounded(self):
+        class CountingRandom(Random):
+            draws = 0
+
+            def randrange(self, *args):
+                self.draws += 1
+                return super().randrange(*args)
+
+        g = Graph(20_000, [(0, 1), (1, 2)])
+        fell_back = 0
+        for seed in range(40):
+            rng = CountingRandom(seed)
+            assert _pick_start(g, rng, 5) in (0, 1, 2)
+            assert rng.draws <= 33
+            fell_back += rng.draws == 33
+        assert fell_back > 30
+
+    def test_fallback_keeps_the_start_uniform(self):
+        # 10 of 1000 ids have neighbors, so about 72% of picks fall back.
+        g = Graph(1000, [(i, (i + 1) % 10) for i in range(10)])
+        freq = Counter(_pick_start(g, Random(seed), None) for seed in range(3000))
+        assert set(freq) == set(range(10))
+        assert all(218 <= c <= 382 for c in freq.values())  # 300 +- 5 sd
+
+
+class TestLedgerEquivalence:
+    """Bulk-charged walks against the per-step references in util."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_walk_matches_per_step_reference(self, corpus, lazy):
+        for _, g in graphs(corpus):
+            for seed in range(20):
+                burn_in = None if seed == 0 else seed % 7
+                assert_walk_matches(
+                    g, WalkConfig(length=1 + 3 * seed, seed=seed, burn_in=burn_in, lazy=lazy)
+                )
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_explicit_start_matches(self, corpus, lazy):
+        for _, g in graphs(corpus):
+            for start in range(g.vertex_count):
+                assert_walk_matches(
+                    g, WalkConfig(length=8, seed=start, burn_in=2, start=start, lazy=lazy)
+                )
+
+    def test_edge_count_matches(self, corpus):
+        for _, g in graphs(corpus):
+            for seed in range(8):
+                for samples, spacing in ((2, 1), (5, 3), (40, 2)):
+                    assert_edge_count_matches(
+                        g, samples, spacing, seed, burn_in=seed, max_attempts=12
+                    )
+
+    def test_doubling_rounds_match(self):
+        n = 400
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        rounds = [
+            assert_edge_count_matches(g, 4, 2, seed=seed, start=seed, max_attempts=12).attempts
+            for seed in range(10)
+        ]
+        assert max(rounds) > 1
+
+    def test_shortfall_leaves_the_same_ledger(self):
+        g = util.er_graph(1000, 0.01, seed=1)  # m = 4962: six samples rarely collide
+        outcomes = [
+            assert_edge_count_matches(g, 2, 2, seed=seed, max_attempts=2) for seed in range(12)
+        ]
+        assert outcomes.count(None) >= 10

@@ -11,7 +11,20 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
-from crawlcount import Graph, Instance, QueryLedger, Segmentation, assign
+from collections import Counter
+
+from crawlcount import (
+    CollisionShortfallError,
+    EdgeCountEstimate,
+    Graph,
+    Instance,
+    QueryLedger,
+    Segmentation,
+    WalkConfig,
+    assign,
+    default_burn_in,
+    neighbors,
+)
 
 # ---- named graphs ----
 
@@ -273,6 +286,81 @@ def exact_walk_expectation(
                 total += share * f2.get(e, 0)
         dist = step(dist)
     return Fraction(g.edge_count, length) * total
+
+
+def reference_start(g: Graph, rng: Random, start: int | None) -> int:
+    """Unbounded rejection loop: redraw uniformly until the vertex has a neighbor."""
+    if g.edge_count == 0:
+        raise ValueError("graph has no edges; every vertex is isolated")
+    v = start if start is not None else rng.randrange(g.vertex_count)
+    while g.raw_degree(v) == 0:
+        v = rng.randrange(g.vertex_count)
+    return v
+
+
+def reference_walk(g: Graph, ledger: QueryLedger, cfg: WalkConfig) -> list[tuple[int, int]]:
+    """The walk with one metered ``neighbors`` call per step, lazy steps included."""
+    rng = Random(cfg.seed)
+    burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(g.vertex_count)
+    cur = reference_start(g, rng, cfg.start)
+    for _ in range(burn):
+        nbrs = neighbors(g, ledger, cur)
+        if cfg.lazy and rng.random() < 0.5:
+            continue
+        cur = nbrs[rng.randrange(len(nbrs))]
+    edges: list[tuple[int, int]] = []
+    while len(edges) < cfg.length:
+        nbrs = neighbors(g, ledger, cur)
+        if cfg.lazy and rng.random() < 0.5:
+            continue
+        nxt = nbrs[rng.randrange(len(nbrs))]
+        edges.append((cur, nxt) if cur < nxt else (nxt, cur))
+        cur = nxt
+    return edges
+
+
+def reference_edge_count(
+    g: Graph,
+    ledger: QueryLedger,
+    samples: int,
+    spacing: int,
+    seed: int,
+    burn_in: int | None = None,
+    start: int | None = None,
+    max_attempts: int = 6,
+) -> EdgeCountEstimate:
+    """Collision edge count with one metered ``neighbors`` call per step."""
+    rng = Random(seed)
+    burn = burn_in if burn_in is not None else default_burn_in(g.vertex_count)
+    cur = reference_start(g, rng, start)
+    for _ in range(burn):
+        nbrs = neighbors(g, ledger, cur)
+        cur = nbrs[rng.randrange(len(nbrs))]
+    counts: Counter[tuple[int, int]] = Counter()
+    taken = 0
+    target = samples
+    attempts = 0
+    while True:
+        attempts += 1
+        while taken < target:
+            for _ in range(spacing):
+                nbrs = neighbors(g, ledger, cur)
+                nxt = nbrs[rng.randrange(len(nbrs))]
+                edge = (cur, nxt) if cur < nxt else (nxt, cur)
+                cur = nxt
+            counts[edge] += 1
+            taken += 1
+        collisions = sum(c * (c - 1) // 2 for c in counts.values())
+        if collisions > 0:
+            return EdgeCountEstimate(
+                edge_estimate=taken * (taken - 1) // 2 / collisions,
+                samples_used=taken,
+                collisions=collisions,
+                attempts=attempts,
+            )
+        if attempts >= max_attempts:
+            raise CollisionShortfallError(f"no collisions after {attempts} rounds")
+        target *= 2
 
 
 def acceptance_corpus() -> list[tuple[str, Graph]]:

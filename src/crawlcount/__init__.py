@@ -21,13 +21,11 @@ from .estimator import (
     niceness_report,
     recommend_sample_sizes,
     scaling_constant,
-    weighted_sample,
 )
 from .graph import (
     EdgeListParseError,
     Graph,
     QueryLedger,
-    degree,
     edges_observed_fraction,
     load_edge_list,
     load_edge_list_path,
@@ -35,8 +33,6 @@ from .graph import (
 )
 from .instances import (
     Instance,
-    UnassignableInstanceError,
-    assign,
     check_extension,
     representative,
     seg_degree,
@@ -62,7 +58,6 @@ from .patterns import (
     auto_segment,
     builtin_names,
     builtin_pattern,
-    induced_isomorphic,
     load_pattern_path,
     parse_pattern,
     require_feasible,

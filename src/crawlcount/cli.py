@@ -12,7 +12,7 @@ import csv
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .estimator import (
@@ -34,7 +34,7 @@ from .patterns import (
     Segmentation,
     builtin_names,
     builtin_pattern,
-    parse_pattern,
+    load_pattern_path,
     require_feasible,
     validate_segmentation,
 )
@@ -146,30 +146,22 @@ def _record_from_result(
     )
 
 
-def _read_pattern_file(path: str) -> tuple[Pattern, Segmentation]:
-    """Load a pattern file unchecked; callers apply overrides, then judge feasibility."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pattern(fh, strict=False)
+def _pattern_args(args: argparse.Namespace) -> tuple[Pattern, Segmentation]:
+    """The pattern the flags name, with the ``--c`` and ``--order`` overrides applied.
 
-
-def _resolve_pattern(
-    name: str | None,
-    path: str | None,
-    slack_override: int | None,
-    order_override: tuple[int, ...] | None,
-) -> tuple[Pattern, Segmentation]:
+    Feasibility is left to the caller: ``validate`` reports it, the other
+    commands stop on :func:`require_feasible`.
+    """
+    name, path = args.pattern, args.pattern_file
+    order = None if args.order is None else tuple(int(t) for t in args.order.split(","))
     if (name is None) == (path is None):
         raise ValueError("give exactly one of a builtin pattern name or a pattern file")
-    if name is not None:
-        p, seg = builtin_pattern(name)
-    else:
-        p, seg = _read_pattern_file(path)
-    if slack_override is not None and slack_override != p.slack:
-        p = Pattern(p.size, p.edges, slack=slack_override)
+    p, seg = builtin_pattern(name) if name is not None else load_pattern_path(path)
+    if args.c is not None and args.c != p.slack:
+        p = Pattern(p.size, p.edges, slack=args.c)
         seg = Segmentation(p, seg.order)
-    if order_override is not None:
-        seg = Segmentation(p, order_override)
-    require_feasible(p, seg)
+    if order is not None:
+        seg = Segmentation(p, order)
     return p, seg
 
 
@@ -234,6 +226,8 @@ def run_experiment(
     """Execute the sweep; returns per-run rows and per-walk-length medians."""
     if not spec.walk_lengths:
         raise ValueError("experiment needs at least one walk length")
+    if spec.repetitions < 1:
+        raise ValueError("experiment needs at least one repetition")
     if spec.layer_sizes is None:
         raise ValueError("experiment needs explicit layer sizes")
     exact: float | None = spec.exact_total
@@ -313,7 +307,8 @@ def summary_path(out_path: str) -> str:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
-    p, seg = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
+    p, seg = _pattern_args(args)
+    require_feasible(p, seg)
     profile = count_profile(g, p, seg, budget=args.budget)
     print(f"T={profile.total}")
     for i in range(2, p.size + 1):
@@ -326,15 +321,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.pattern is not None:
-        p, seg = builtin_pattern(args.pattern)
-        label = args.pattern
-    else:
-        p, seg = _read_pattern_file(args.pattern_file)
-        label = args.pattern_file
-    if args.c is not None:
-        p = Pattern(p.size, p.edges, slack=args.c)
-        seg = Segmentation(p, seg.order)
+    p, seg = _pattern_args(args)
+    label = args.pattern if args.pattern is not None else args.pattern_file
     report = validate_segmentation(p, seg)
     print(f"pattern={label} size={p.size} edges={len(p.edges)} declared_slack={p.slack}")
     print("order=" + ",".join(str(v) for v in seg.order))
@@ -344,16 +332,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"verdict=disconnected-levels-{levels}")
         return 1
     print(f"min_slack={report.min_slack}")
-    if report.min_slack <= p.slack:
-        print("verdict=ok")
-        return 0
-    print(f"verdict=needs-slack-{report.min_slack}")
-    return 1
+    if report.min_slack > p.slack:
+        print(f"verdict=needs-slack-{report.min_slack}")
+        return 1
+    try:
+        require_feasible(p, seg)
+    except ValueError:
+        # Connected levels and enough declared slack: what is left is a
+        # slack the sampler cannot reach.
+        print(f"verdict=unsupported-slack-{p.slack}")
+        return 1
+    print("verdict=ok")
+    return 0
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
-    p, seg = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
+    p, seg = _pattern_args(args)
+    require_feasible(p, seg)
     _warn_if_disconnected(g)
     layers = _layers(args, g, p)
     cfg = EstimateConfig(
@@ -375,7 +371,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
-    p, seg = _resolve_pattern(args.pattern, args.pattern_file, args.c, _order(args))
+    p, seg = _pattern_args(args)
+    require_feasible(p, seg)
     _warn_if_disconnected(g)
     spec = ExperimentSpec(
         repetitions=args.reps,
@@ -419,12 +416,6 @@ def cmd_edgecount(args: argparse.Namespace) -> int:
 
 
 # ---- argument plumbing ----
-
-
-def _order(args: argparse.Namespace) -> tuple[int, ...] | None:
-    if getattr(args, "order", None) is None:
-        return None
-    return tuple(int(t) for t in args.order.split(","))
 
 
 def _layers(args: argparse.Namespace, g: Graph, p: Pattern) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from typing import Sequence
 from .graph import Graph, QueryLedger, edges_observed_fraction
 from .instances import Instance, check_extension, seg_degree, seg_neighborhood
 from .patterns import Pattern, Segmentation, require_feasible
-from .walk import WalkConfig, default_burn_in, estimate_edge_count, simple_random_walk
+from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
 
 class DegenerateLayerError(ValueError):
@@ -64,15 +64,11 @@ class LayerState:
 
 
 def _sample_index(layer: LayerState, rng: Random) -> int:
+    """Draw a member index with probability proportional to its weight."""
     if layer.total_degree <= 0:
         raise DegenerateLayerError(f"degenerate layer at level {layer.level}")
     x = rng.randrange(layer.total_degree)
     return bisect_right(layer.prefix_weights, x)
-
-
-def weighted_sample(layer: LayerState, rng: Random) -> Instance:
-    """Draw a member with probability proportional to its weight."""
-    return layer.members[_sample_index(layer, rng)]
 
 
 @dataclass
@@ -80,14 +76,12 @@ class EstimateConfig:
     """Knobs for one estimation run.
 
     ``layer_sizes`` lists the trial counts l_3..l_k, so its length must be
-    pattern size minus 2.  ``epsilon`` feeds sample-size recommendations
-    and niceness reports only; the estimator itself never reads it.
+    pattern size minus 2.
     """
 
     layer_sizes: Sequence[int]
     walk: WalkConfig
     edge_count_mode: str = "exact-m"
-    epsilon: float = 0.5
     seed: int = 0
     edge_count_samples: int | None = None
     edge_count_gap: int = 10

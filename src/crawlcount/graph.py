@@ -1,11 +1,11 @@
 """Immutable undirected graph plus the metered neighborhood oracle.
 
 The estimation code never sees the whole graph.  It reaches it through
-:func:`neighbors` and :func:`degree`, which charge every call to a
-:class:`QueryLedger`, or reads adjacency unmetered and charges the same
-queries in bulk: :func:`charge` for a vertex tuple, :func:`charge_steps`
-for a walk phase.  The ledger is how experiments report how much of the
-graph a run actually touched.
+:func:`neighbors`, which charges every call to a :class:`QueryLedger`, or
+reads adjacency unmetered and charges the same queries in bulk:
+:func:`charge` for a vertex tuple, :func:`charge_steps` for a walk phase.
+The ledger is how experiments report how much of the graph a run
+actually touched.
 """
 
 from __future__ import annotations
@@ -71,19 +71,12 @@ class Graph:
     def edge_count(self) -> int:
         return self._m
 
-    def raw_neighbors(self, v: int) -> tuple[int, ...]:
-        """Unmetered adjacency access.
-
-        Reserved for exact verification and internal bookkeeping; anything
-        that claims to crawl must go through :func:`neighbors` instead.
-        """
-        return self._adj[v]
-
     def raw_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Unmetered adjacency of every vertex, indexed by id.
 
-        For crawlers that step many times and charge the ledger in bulk
-        (:func:`charge_steps`); the same reservation as :meth:`raw_neighbors`.
+        Reserved for exact verification, internal bookkeeping and crawlers
+        that charge the ledger in bulk (:func:`charge`, :func:`charge_steps`);
+        anything else that claims to crawl goes through :func:`neighbors`.
         """
         return self._adj
 
@@ -93,9 +86,6 @@ class Graph:
     def raw_neighbor_set(self, v: int) -> frozenset[int]:
         """Unmetered frozenset view of the adjacency of ``v``."""
         return self._adj_sets[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (min, max) pairs, sorted."""
@@ -129,11 +119,6 @@ def neighbors(g: Graph, ledger: QueryLedger, v: int) -> tuple[int, ...]:
     ledger.oracle_calls += 1
     ledger.queried_vertices.add(v)
     return adj[v]
-
-
-def degree(g: Graph, ledger: QueryLedger, v: int) -> int:
-    """Degree of ``v``, charged exactly like a neighbors query."""
-    return len(neighbors(g, ledger, v))
 
 
 def charge(g: Graph, ledger: QueryLedger, verts: Sequence[int]) -> None:

@@ -24,14 +24,6 @@ from .graph import Graph, QueryLedger, charge, neighbors
 from .patterns import Segmentation, _bits_connected, _bits_isomorphic
 
 
-class UnassignableInstanceError(RuntimeError):
-    """No vertex removal leads back to the previous level.
-
-    Cannot happen for instances produced by accepted extensions; seeing it
-    means the caller handed in something that is not a copy of its level.
-    """
-
-
 @dataclass(frozen=True, slots=True)
 class Instance:
     """A strictly increasing tuple of host-graph vertices."""
@@ -109,10 +101,6 @@ def seg_degree(g: Graph, ledger: QueryLedger, inst: Instance, slack: int) -> int
     return len(seg_neighborhood(g, ledger, inst, slack))
 
 
-# Classification of a copy that no vertex removal maps to the level below.
-UNASSIGNABLE = -1
-
-
 def _adjacency_word(g: Graph, verts: Sequence[int]) -> int:
     """Induced adjacency of ``verts`` as a word: a leading 1, then one bit per pair.
 
@@ -149,16 +137,18 @@ def _classify_word(word: int, k: int, seg: Segmentation) -> int | None:
         ]
         if _bits_connected(sub, k - 1) and _bits_isomorphic(sub, target):
             return idx
-    return UNASSIGNABLE
+    return None
 
 
 def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
     """Classify a sorted tuple of at least three vertices against its level of ``seg``.
 
     Returns the index of the smallest vertex whose removal leaves a
-    connected copy of the level below, None when the tuple is not a copy
-    of its level, and UNASSIGNABLE for a copy that no removal maps down.
-    Reads the graph unmetered; callers charge the ledger for ``verts``.
+    connected copy of the level below (the copy's assignment to its
+    parent), or None when the tuple is not a copy of its level.  Under a
+    feasible order every copy has such a vertex: removing the one that
+    plays the order's last vertex leaves the level below.  Reads the graph
+    unmetered; callers charge the ledger for ``verts``.
     """
     word = _adjacency_word(g, verts)
     memo = seg.memo
@@ -166,26 +156,6 @@ def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
         return memo[word]
     cls = memo[word] = _classify_word(word, len(verts), seg)
     return cls
-
-
-def assign(g: Graph, ledger: QueryLedger, inst: Instance, seg: Segmentation) -> Instance:
-    """Map a level-i copy to its unique parent at level i-1.
-
-    Removes the smallest vertex whose removal leaves a connected copy of
-    the previous level.  Vertices are scanned in increasing id order, so
-    the result is deterministic.
-    """
-    lvl = inst.level
-    if lvl < 3:
-        raise ValueError("assignment needs an instance of level 3 or higher")
-    verts = inst.vertices
-    charge(g, ledger, verts)
-    idx = classify(g, verts, seg)
-    if idx is None:
-        raise UnassignableInstanceError(f"{verts} is not a copy of level {lvl}")
-    if idx == UNASSIGNABLE:
-        raise UnassignableInstanceError(f"unassignable instance {verts}")
-    return Instance(verts[:idx] + verts[idx + 1 :])
 
 
 def check_extension(
@@ -201,6 +171,6 @@ def check_extension(
     merged = tuple(sorted(verts + (u,)))
     charge(g, ledger, merged)
     idx = classify(g, merged, seg)
-    if idx is None or idx == UNASSIGNABLE or merged[idx] != u:
+    if idx is None or merged[idx] != u:
         return None
     return Instance(merged)

@@ -139,8 +139,9 @@ def degeneracy(g: Graph) -> DegeneracyResult:
     value upper-bounds arboricity, so it is the plug-in for density-based
     bounds when the true arboricity is out of reach.
     """
-    n = g.vertex_count
-    deg = [g.raw_degree(v) for v in range(n)]
+    adj = g.raw_adjacency()
+    n = len(adj)
+    deg = [len(nbrs) for nbrs in adj]
     removed = [False] * n
     heap = [(deg[v], v) for v in range(n)]
     heapify(heap)
@@ -154,7 +155,7 @@ def degeneracy(g: Graph) -> DegeneracyResult:
         order.append(v)
         if d > value:
             value = d
-        for w in g.raw_neighbors(v):
+        for w in adj[v]:
             if not removed[w]:
                 deg[w] -= 1
                 heappush(heap, (deg[w], w))

@@ -98,7 +98,7 @@ def _bits_isomorphic(cand: Sequence[int], target: LevelGraph) -> bool:
 class Pattern:
     """Connected pattern graph with a declared density slack."""
 
-    __slots__ = ("size", "slack", "edges", "bits", "_level_graph")
+    __slots__ = ("size", "slack", "edges", "bits")
 
     def __init__(self, size: int, edges: Iterable[tuple[int, int]], slack: int = 0):
         if not 3 <= size <= 8:
@@ -122,15 +122,6 @@ class Pattern:
         self.slack = slack
         self.edges = frozenset(eset)
         self.bits = tuple(bits)
-        self._level_graph = LevelGraph.from_bits(bits)
-
-    def degree(self, v: int) -> int:
-        return self.bits[v].bit_count()
-
-    @property
-    def level_graph(self) -> LevelGraph:
-        """The whole pattern as a :class:`LevelGraph`."""
-        return self._level_graph
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Pattern(size={self.size}, edges={len(self.edges)}, slack={self.slack})"
@@ -195,19 +186,15 @@ def validate_segmentation(pattern: Pattern, seg: Segmentation) -> SegmentationRe
     """Report the minimal feasible slack and any disconnected levels."""
     if seg.pattern is not pattern and seg.pattern.bits != pattern.bits:
         raise ValueError("segmentation belongs to a different pattern")
-    bad: list[int] = []
-    worst = 0
-    for i in range(2, pattern.size + 1):
-        lg = seg.level(i)
-        if not _bits_connected(lg.bits, lg.size):
-            bad.append(i)
-            continue
-        deficit = (i - 1) - min(lg.degrees)
-        if deficit > worst:
-            worst = deficit
-    if bad:
-        return SegmentationReport(min_slack=None, disconnected_levels=tuple(bad))
-    return SegmentationReport(min_slack=worst, disconnected_levels=())
+    slack = _order_slack(pattern.bits, seg.order)
+    if slack is not None:
+        return SegmentationReport(min_slack=slack, disconnected_levels=())
+    bad = tuple(
+        i
+        for i in range(2, pattern.size + 1)
+        if not _bits_connected(seg.level(i).bits, i)
+    )
+    return SegmentationReport(min_slack=None, disconnected_levels=bad)
 
 
 def require_feasible(pattern: Pattern, seg: Segmentation) -> None:
@@ -282,35 +269,6 @@ def auto_segment(pattern: Pattern) -> Segmentation:
     return Segmentation(pattern, best_order)
 
 
-def induced_isomorphic(adj: Sequence[Sequence[int]], target: LevelGraph | Pattern) -> bool:
-    """True when the given adjacency matrix matches the target up to relabeling.
-
-    Edges and non-edges both have to agree.  A degree-multiset mismatch
-    short-circuits before any permutation is tried.
-    """
-    if isinstance(target, Pattern):
-        target = target.level_graph
-    k = len(adj)
-    if k != target.size:
-        raise ValueError(
-            f"dimension mismatch: adjacency is {k}x{k}, target has {target.size} vertices"
-        )
-    bits = [0] * k
-    for i, row in enumerate(adj):
-        if len(row) != k:
-            raise ValueError("adjacency matrix must be square")
-        for j, val in enumerate(row):
-            if val:
-                bits[i] |= 1 << j
-    for i in range(k):
-        if (bits[i] >> i) & 1:
-            raise ValueError("adjacency matrix may not have self-loops")
-        for j in range(i):
-            if ((bits[i] >> j) & 1) != ((bits[j] >> i) & 1):
-                raise ValueError("adjacency matrix must be symmetric")
-    return _bits_isomorphic(bits, target)
-
-
 _BUILTINS: dict[str, tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]] = {
     # name: (size, slack, edges, order)
     "g33": (3, 0, ((0, 1), (0, 2), (1, 2)), (0, 1, 2)),
@@ -350,17 +308,14 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
-def parse_pattern(
-    source: Iterable[str] | IO[str], strict: bool = True
-) -> tuple[Pattern, Segmentation]:
+def parse_pattern(source: Iterable[str] | IO[str]) -> tuple[Pattern, Segmentation]:
     """Read a pattern file.
 
     Line 1 is ``k c``.  Line 2 may be ``order v_1 ... v_k``; if absent the
     order is chosen by :func:`auto_segment`.  Every other line is one edge
     ``a b`` on 0-based vertex ids.  '#' lines and blank lines are skipped.
-    With ``strict`` set (the default) a pattern that fails
-    :func:`require_feasible` is rejected; validators pass ``strict=False`` to
-    inspect it anyway.
+    Feasibility is not checked here: the estimator and the exact side call
+    :func:`require_feasible` themselves, after any slack or order override.
     """
     lines = []
     for raw in source:
@@ -392,8 +347,6 @@ def parse_pattern(
         edges.append((int(parts[0]), int(parts[1])))
     p = Pattern(size, edges, slack=slack)
     seg = Segmentation(p, order) if order is not None else auto_segment(p)
-    if strict:
-        require_feasible(p, seg)
     return p, seg
 
 

@@ -103,12 +103,13 @@ class TestValidate:
         assert "verdict=needs-slack-1" in out
 
     def test_pattern_file_five_cycle(self, tmp_path, capsys):
+        # C5 needs slack 2 and declares it, which the sampler cannot reach
         pf = tmp_path / "c5.pat"
         pf.write_text(FIVE_CYCLE_PATTERN)
-        assert main(["validate", "--pattern-file", str(pf)]) == 0
+        assert main(["validate", "--pattern-file", str(pf)]) == 1
         out = capsys.readouterr().out
         assert "min_slack=2" in out
-        assert "verdict=ok" in out
+        assert out.endswith("verdict=unsupported-slack-2\n")
 
     def test_disconnected_order_reported(self, tmp_path, capsys):
         pf = tmp_path / "path.pat"
@@ -117,6 +118,50 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "min_slack=none" in out
         assert "verdict=disconnected-levels-2" in out
+
+    def test_order_override_is_honoured(self, capsys):
+        assert main(["validate", "--pattern", "g45", "--order", "2,0,3,1"]) == 0
+        assert capsys.readouterr().out == (
+            "pattern=g45 size=4 edges=5 declared_slack=1\n"
+            "order=2,0,3,1\n"
+            "min_slack=1\n"
+            "verdict=ok\n"
+        )
+        # g45 lacks the edge 2-3, so an order starting 2,3 has a bare level 2
+        assert main(["validate", "--pattern", "g45", "--order", "2,3,0,1"]) == 1
+        out = capsys.readouterr().out
+        assert "order=2,3,0,1\n" in out
+        assert out.endswith("verdict=disconnected-levels-2\n")
+
+    @pytest.mark.parametrize("order", ["0,0,1,2", "0,1,2", "0,1,2,4"])
+    def test_non_permutation_order_is_one_error_line(self, order, capsys):
+        assert main(["validate", "--pattern", "g45", "--order", order]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and out.err.count("\n") == 1
+        assert "permutation" in out.err
+
+    def test_slack_two_is_unsupported(self, capsys):
+        # g45 needs only slack 1, but a declared 2 is out of the sampler's reach
+        assert main(["validate", "--pattern", "g45", "--c", "2"]) == 1
+        assert capsys.readouterr().out == (
+            "pattern=g45 size=4 edges=5 declared_slack=2\n"
+            "order=0,1,2,3\n"
+            "min_slack=1\n"
+            "verdict=unsupported-slack-2\n"
+        )
+
+    def test_disconnected_and_short_slack_verdicts_come_first(self, tmp_path, capsys):
+        # Both patterns declare slack 2, which is unsupported; the older
+        # verdicts still take precedence.
+        c5 = tmp_path / "c5.pat"
+        c5.write_text(FIVE_CYCLE_PATTERN)
+        assert main(["validate", "--pattern-file", str(c5), "--order", "0,2,1,3,4"]) == 1
+        assert capsys.readouterr().out.endswith("verdict=disconnected-levels-2\n")
+        star = tmp_path / "star.pat"
+        star.write_text("5 2\n0 1\n0 2\n0 3\n0 4\n")
+        assert main(["validate", "--pattern-file", str(star)]) == 1
+        assert capsys.readouterr().out.endswith("min_slack=3\nverdict=needs-slack-3\n")
 
 
 class TestEstimate:
@@ -253,6 +298,20 @@ class TestExperiment:
         capsys.readouterr()
         rows = list(csv.reader(io.StringIO(out_csv.read_text())))
         assert rows[1][4] == "2.000000"  # two diamonds in that graph
+
+
+    def test_zero_reps_is_one_error_line(self, bowtie_file, tmp_path, capsys):
+        out_csv = tmp_path / "z.csv"
+        args = [
+            "experiment", "--graph", bowtie_file, "--pattern", "g33",
+            "--walk-len", "20", "--reps", "0", "--layers", "20",
+            "--out", str(out_csv),
+        ]
+        assert main(args) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: experiment needs at least one repetition\n"
+        assert not out_csv.exists()
 
 
 class TestEdgecount:

@@ -9,8 +9,6 @@ from crawlcount import (
     Instance,
     QueryLedger,
     Segmentation,
-    UnassignableInstanceError,
-    assign,
     builtin_names,
     builtin_pattern,
     check_extension,
@@ -21,7 +19,7 @@ from crawlcount import (
     seg_degree,
     seg_neighborhood,
 )
-from crawlcount.instances import UNASSIGNABLE, classify
+from crawlcount.instances import classify
 from crawlcount.patterns import _bits_connected, _bits_isomorphic
 
 import util
@@ -95,7 +93,7 @@ class TestSegNeighborhood:
         rep = util.brute_representative(bowtie_plus, inst.vertices, 1)
         want = set()
         for v in rep:
-            want |= set(bowtie_plus.raw_neighbors(v))
+            want |= bowtie_plus.raw_neighbor_set(v)
         assert hood == tuple(sorted(want))
 
     def test_degree_equals_len_of_neighborhood(self, bowtie):
@@ -119,45 +117,30 @@ class TestSegNeighborhood:
 
 
 class TestAssign:
+    """The assignment rule lives in :func:`classify`: the index it returns
+    is the vertex whose removal maps a copy to its parent."""
+
     def test_bowtie_triangle_drops_smallest(self, bowtie):
         p, seg = builtin_pattern("g33")
-        led = QueryLedger()
-        assert assign(bowtie, led, Instance((0, 1, 2)), seg).vertices == (1, 2)
-        assert assign(bowtie, led, Instance((2, 3, 4)), seg).vertices == (3, 4)
+        assert classify(bowtie, (0, 1, 2), seg) == 0  # parent (1, 2)
+        assert classify(bowtie, (2, 3, 4), seg) == 0  # parent (3, 4)
 
     def test_diamond_removal_must_keep_a_triangle(self, bowtie_plus):
         # {0,1,2,3}: dropping 0 leaves path 1-2-3, so 1 goes instead
         p, seg = builtin_pattern("g45")
-        led = QueryLedger()
-        got = assign(bowtie_plus, led, Instance((0, 1, 2, 3)), seg)
-        assert got.vertices == (0, 2, 3)
-
-    def test_level_too_small(self, triangle):
-        _, seg = builtin_pattern("g33")
-        led = QueryLedger()
-        with pytest.raises(ValueError):
-            assign(triangle, led, Instance((0, 1)), seg)
-
-    def test_non_copy_raises(self, c5):
-        _, seg = builtin_pattern("g33")
-        led = QueryLedger()
-        with pytest.raises(UnassignableInstanceError):
-            assign(c5, led, Instance((0, 1, 2)), seg)  # path, not triangle
+        assert classify(bowtie_plus, (0, 1, 2, 3), seg) == 1
 
     def test_parent_is_always_a_copy_of_previous_level(self, corpus):
         for name, g in corpus[:8]:
             for pat in ("g33", "g45"):
                 p, seg = builtin_pattern(pat)
                 for inst in enumerate_instances(g, p, seg, p.size):
-                    led = QueryLedger()
-                    parent = assign(g, led, inst, seg)
-                    assert set(parent.vertices) < set(inst.vertices)
-                    mat = util.naive_matrix(g, parent.vertices)
-                    lg = seg.level(p.size - 1)
-                    tgt = [
-                        [(lg.bits[i] >> j) & 1 for j in range(lg.size)]
-                        for i in range(lg.size)
-                    ]
+                    verts = inst.vertices
+                    idx = classify(g, verts, seg)
+                    parent = verts[:idx] + verts[idx + 1 :]
+                    assert parent == util.naive_assign(g, verts, seg)
+                    mat = util.naive_matrix(g, parent)
+                    tgt = util.level_matrix(seg, p.size - 1)
                     assert util.matrices_isomorphic(mat, tgt)
 
 
@@ -189,16 +172,13 @@ class TestCheckExtension:
     def test_each_copy_accepted_from_exactly_one_parent(self, corpus):
         """Partition property behind unbiasedness: for every level-i copy h,
         exactly one (parent, u) pair passes the extension check, and that
-        parent is assign(h)."""
+        parent is the naive reference's assignment of h."""
         for name, g in corpus[:8]:
             p, seg = builtin_pattern("g33")
-            copies = enumerate_instances(g, p, seg, 3)
+            copies = util.naive_copies(g, util.level_matrix(seg, 3))
             parents = enumerate_instances(g, p, seg, 2)
             scratch = QueryLedger()
-            assigned = {
-                inst.vertices: assign(g, scratch, inst, seg).vertices
-                for inst in copies
-            }
+            assigned = {verts: util.naive_assign(g, verts, seg) for verts in copies}
             for child, par in assigned.items():
                 for parent in parents:
                     for u in child:
@@ -224,7 +204,7 @@ def _reference_class(bits, seg, k):
         ]
         if _bits_connected(sub, k - 1) and _bits_isomorphic(sub, seg.level(k - 1)):
             return drop
-    return UNASSIGNABLE
+    return None
 
 
 class TestClassifyMemo:
@@ -262,18 +242,6 @@ class TestClassifyMemo:
         assert seg_a.memo is not seg_b.memo
         assert list(seg_a.memo.values()) == [0]
         assert list(seg_b.memo.values()) == [None]
-
-    def test_assign_tells_non_copy_from_unassignable(self):
-        # order 0,2,1,3 of the 4-path 0-1-2-3 has a disconnected level 2,
-        # so a 3-path is a copy of level 3 that no removal maps down.
-        p = parse_pattern(io.StringIO("4 1\n0 1\n1 2\n2 3\n"), strict=False)[0]
-        seg = Segmentation(p, (0, 2, 1, 3))
-        path = Graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(UnassignableInstanceError, match="unassignable"):
-            assign(path, QueryLedger(), Instance((0, 1, 2)), seg)
-        tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        with pytest.raises(UnassignableInstanceError, match="not a copy"):
-            assign(tri, QueryLedger(), Instance((0, 1, 2)), seg)
 
 
 class TestHotPathLedger:

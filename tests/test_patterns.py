@@ -10,11 +10,11 @@ from crawlcount import (
     auto_segment,
     builtin_names,
     builtin_pattern,
-    induced_isomorphic,
     parse_pattern,
     require_feasible,
     validate_segmentation,
 )
+from crawlcount.patterns import LevelGraph, _bits_isomorphic
 
 import util
 
@@ -163,30 +163,21 @@ def all_graphs_on(k):
         yield [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
 
 
+def adjacency_bits(adj):
+    return [sum(val << j for j, val in enumerate(row)) for row in adj]
+
+
 class TestInducedIsomorphic:
     def test_agrees_with_permutation_scan_on_4_vertex_graphs(self):
         p, _ = builtin_pattern("g45")
         target = [[1 if (a, b) in p.edges or (b, a) in p.edges else 0 for b in range(4)] for a in range(4)]
+        whole = LevelGraph.from_bits(p.bits)
         for edges in all_graphs_on(4):
             adj = [[0] * 4 for _ in range(4)]
             for a, b in edges:
                 adj[a][b] = adj[b][a] = 1
-            assert induced_isomorphic(adj, p) == util.matrices_isomorphic(adj, target)
-
-    def test_dimension_mismatch_raises(self):
-        p, _ = builtin_pattern("g33")
-        with pytest.raises(ValueError, match="dimension"):
-            induced_isomorphic([[0, 1], [1, 0]], p)
-
-    def test_asymmetric_matrix_rejected(self):
-        p, _ = builtin_pattern("g33")
-        with pytest.raises(ValueError, match="symmetric"):
-            induced_isomorphic([[0, 1, 0], [0, 0, 1], [0, 1, 0]], p)
-
-    def test_self_loop_rejected(self):
-        p, _ = builtin_pattern("g33")
-        with pytest.raises(ValueError, match="self-loops"):
-            induced_isomorphic([[1, 1, 1], [1, 0, 1], [1, 1, 0]], p)
+            got = _bits_isomorphic(adjacency_bits(adj), whole)
+            assert got == util.matrices_isomorphic(adj, target)
 
     @given(st.integers(0, 63), st.permutations(range(4)))
     def test_invariant_under_relabeling(self, mask, perm):
@@ -196,8 +187,11 @@ class TestInducedIsomorphic:
         for a, b in edges:
             adj[a][b] = adj[b][a] = 1
         shuffled = [[adj[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
-        p, _ = builtin_pattern("g46")
-        assert induced_isomorphic(adj, p) == induced_isomorphic(shuffled, p)
+        p, _ = builtin_pattern("g45")
+        whole = LevelGraph.from_bits(p.bits)
+        assert _bits_isomorphic(adjacency_bits(adj), whole) == _bits_isomorphic(
+            adjacency_bits(shuffled), whole
+        )
 
 
 class TestParsePattern:
@@ -222,11 +216,12 @@ class TestParsePattern:
         # five-cycle declared with slack 0 cannot work
         text = "5 0\n0 1\n1 2\n2 3\n3 4\n0 4\n"
         with pytest.raises(ValueError, match="slack"):
-            parse_pattern(io.StringIO(text))
+            require_feasible(*parse_pattern(io.StringIO(text)))
 
     def test_lenient_mode_parses_anyway(self):
+        # parsing never judges feasibility; require_feasible does
         text = "5 0\n0 1\n1 2\n2 3\n3 4\n0 4\n"
-        p, seg = parse_pattern(io.StringIO(text), strict=False)
+        p, seg = parse_pattern(io.StringIO(text))
         assert validate_segmentation(p, seg).min_slack == 2
 
     def test_bad_header(self):

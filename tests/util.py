@@ -17,11 +17,9 @@ from crawlcount import (
     CollisionShortfallError,
     EdgeCountEstimate,
     Graph,
-    Instance,
     QueryLedger,
     Segmentation,
     WalkConfig,
-    assign,
     default_burn_in,
     neighbors,
 )
@@ -127,7 +125,7 @@ def is_connected(g: Graph) -> bool:
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in g.raw_neighbors(v):
+        for w in g.raw_adjacency()[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -139,7 +137,7 @@ def is_connected(g: Graph) -> bool:
 
 def naive_matrix(g: Graph, verts: tuple[int, ...]) -> list[list[int]]:
     return [
-        [1 if a != b and g.has_edge(a, b) else 0 for b in verts] for a in verts
+        [1 if b in g.raw_neighbor_set(a) else 0 for b in verts] for a in verts
     ]
 
 
@@ -161,7 +159,7 @@ def set_connected(g: Graph, verts: tuple[int, ...]) -> bool:
     stack = [verts[0]]
     while stack:
         v = stack.pop()
-        for w in g.raw_neighbors(v):
+        for w in g.raw_adjacency()[v]:
             if w in vs and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -186,17 +184,27 @@ def level_matrix(seg: Segmentation, level: int) -> list[list[int]]:
     return [[(row >> j) & 1 for j in range(lg.size)] for row in lg.bits]
 
 
+def naive_assign(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> tuple[int, ...] | None:
+    """Parent of a copy: drop the smallest vertex whose removal leaves a
+    connected copy of the level below, by permutation scan; None if none does."""
+    target = level_matrix(seg, len(verts) - 1)
+    for drop in verts:
+        rest = tuple(v for v in verts if v != drop)
+        if set_connected(g, rest) and matrices_isomorphic(naive_matrix(g, rest), target):
+            return rest
+    return None
+
+
 def chain_walk_tables(g: Graph, seg: Segmentation) -> dict[int, dict[tuple[int, ...], int]]:
-    """Chain tallies by walking ``assign`` down from every naive full-size copy."""
+    """Chain tallies by walking :func:`naive_assign` down from every naive full-size copy."""
     k = seg.pattern.size
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in range(2, k + 1)}
-    ledger = QueryLedger()
     for verts in naive_copies(g, level_matrix(seg, k)):
-        cur = Instance(verts)
+        cur = verts
         tables[k][verts] = tables[k].get(verts, 0) + 1
         for lvl in range(k, 2, -1):
-            cur = assign(g, ledger, cur, seg)
-            tables[lvl - 1][cur.vertices] = tables[lvl - 1].get(cur.vertices, 0) + 1
+            cur = naive_assign(g, cur, seg)
+            tables[lvl - 1][cur] = tables[lvl - 1].get(cur, 0) + 1
     return tables
 
 
@@ -212,7 +220,7 @@ def brute_representative(g: Graph, verts: tuple[int, ...], slack: int) -> tuple[
     for sub in combinations(sorted(verts), slack + 1):
         hood = set()
         for v in sub:
-            hood |= set(g.raw_neighbors(v))
+            hood |= set(g.raw_adjacency()[v])
         if best_size is None or len(hood) < best_size:
             best = sub
             best_size = len(hood)
@@ -223,7 +231,7 @@ def brute_seg_degree(g: Graph, verts: tuple[int, ...], slack: int) -> int:
     rep = brute_representative(g, verts, slack)
     hood = set()
     for v in rep:
-        hood |= set(g.raw_neighbors(v))
+        hood |= set(g.raw_adjacency()[v])
     return len(hood)
 
 
@@ -269,7 +277,7 @@ def exact_walk_expectation(
             if d[v] == 0:
                 continue
             share = d[v] / g.raw_degree(v)
-            for w in g.raw_neighbors(v):
+            for w in g.raw_adjacency()[v]:
                 out[w] += share
         return out
 
@@ -281,7 +289,7 @@ def exact_walk_expectation(
             if dist[v] == 0:
                 continue
             share = dist[v] / g.raw_degree(v)
-            for w in g.raw_neighbors(v):
+            for w in g.raw_adjacency()[v]:
                 e = (v, w) if v < w else (w, v)
                 total += share * f2.get(e, 0)
         dist = step(dist)

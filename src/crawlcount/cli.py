@@ -306,9 +306,9 @@ def summary_path(out_path: str) -> str:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    g = load_edge_list_path(args.graph)
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
+    g = load_edge_list_path(args.graph)
     profile = count_profile(g, p, seg, budget=args.budget)
     print(f"T={profile.total}")
     for i in range(2, p.size + 1):
@@ -347,9 +347,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    g = load_edge_list_path(args.graph)
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
+    g = load_edge_list_path(args.graph)
     _warn_if_disconnected(g)
     layers = _layers(args, g, p)
     cfg = EstimateConfig(
@@ -370,9 +370,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    g = load_edge_list_path(args.graph)
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
+    g = load_edge_list_path(args.graph)
     _warn_if_disconnected(g)
     spec = ExperimentSpec(
         repetitions=args.reps,

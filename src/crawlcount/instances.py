@@ -6,11 +6,15 @@ of a decision shows up in the ledger.
 
 Whether a sorted vertex tuple is a copy of its segmentation level, and
 which vertex its assignment removes, depends only on the tuple's induced
-adjacency.  :func:`classify` reads that adjacency as one integer word and
-keeps the answer in the segmentation's memo, so the backtracking
-isomorphism test and the removal scan run once per distinct word, not once
-per trial.  The memo belongs to one :class:`Segmentation`; it holds at most
-one entry per classified tuple and never more than the distinct words seen.
+adjacency.  Accepted patterns are cliques minus a matching, and under a
+feasible order so is each level i, missing ``seg.missing[i]`` pairs.  A
+tuple is therefore a copy of level i exactly when no vertex lies in two of
+its missing pairs and it misses that many pairs; its assignment removes the
+smallest vertex lying in ``missing[i] - missing[i-1]`` missing pairs.
+:func:`classify` reads the adjacency as one integer word, counts its bits
+once per distinct word, and keeps the answer in the segmentation's memo.
+The memo belongs to one :class:`Segmentation`; it holds at most one entry
+per classified tuple and never more than the distinct words seen.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from operator import ge
 from typing import Sequence
 
 from .graph import Graph, QueryLedger, charge, neighbors
-from .patterns import Segmentation, _bits_connected, _bits_isomorphic
+from .patterns import Segmentation
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,28 +120,31 @@ def _adjacency_word(g: Graph, verts: Sequence[int]) -> int:
 
 
 def _classify_word(word: int, k: int, seg: Segmentation) -> int | None:
-    """Backtracking classification of a k-vertex adjacency word (the memo's miss path)."""
-    bits = [0] * k
+    """Classify a k-vertex adjacency word by counting its missing pairs (the memo's miss path).
+
+    Removing a vertex that lies in a missing pair leaves one pair fewer,
+    removing any other leaves them all, hence the rule for the assigned
+    vertex.  Raises ValueError unless the order needs slack at most 1, the
+    condition under which every level is a clique minus a matching.
+    """
+    if seg.min_slack is None or seg.min_slack > 1:
+        raise ValueError(
+            f"extensions are classified only under an order of slack at most 1, not {seg.order}"
+        )
+    want = seg.missing[k]
+    if k * (k - 1) // 2 + 1 - word.bit_count() != want:
+        return None
+    absent = [0] * k
     pos = word.bit_length() - 2
     for i in range(1, k):
         for j in range(i):
-            if (word >> pos) & 1:
-                bits[i] |= 1 << j
-                bits[j] |= 1 << i
+            if not (word >> pos) & 1:
+                absent[i] += 1
+                absent[j] += 1
             pos -= 1
-    if not _bits_isomorphic(bits, seg.level(k)):
+    if max(absent) > 1:
         return None
-    target = seg.level(k - 1)
-    for idx in range(k):
-        low = (1 << idx) - 1
-        sub = [
-            (row & low) | ((row >> (idx + 1)) << idx)
-            for i, row in enumerate(bits)
-            if i != idx
-        ]
-        if _bits_connected(sub, k - 1) and _bits_isomorphic(sub, target):
-            return idx
-    return None
+    return absent.index(want - seg.missing[k - 1])
 
 
 def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
@@ -148,7 +155,8 @@ def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
     parent), or None when the tuple is not a copy of its level.  Under a
     feasible order every copy has such a vertex: removing the one that
     plays the order's last vertex leaves the level below.  Reads the graph
-    unmetered; callers charge the ledger for ``verts``.
+    unmetered; callers charge the ledger for ``verts``.  A word not yet in
+    the memo raises ValueError when the order needs slack 2 or more.
     """
     word = _adjacency_word(g, verts)
     memo = seg.memo

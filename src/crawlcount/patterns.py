@@ -5,7 +5,11 @@ with a slack value c.  A segmentation is an insertion order of the pattern
 vertices; the prefix of the first i vertices is called level i.  The order
 is feasible for slack c when every level is connected and every vertex of
 level i has at least i-1-c neighbors inside that level.  Cliques work with
-c = 0, a clique missing one edge with c = 1, and so on.
+c = 0, a clique missing one edge with c = 1, and so on.  The sampler
+reaches slack at most 1, and the patterns with such an order are exactly
+the k-cliques minus a matching (21 for k = 3..8): the full level already
+demands degree at least k-2, and conversely every level of an order that
+starts with an edge is a smaller clique minus a matching.
 """
 
 from __future__ import annotations
@@ -24,18 +28,6 @@ class LevelGraph:
 
     size: int
     bits: tuple[int, ...]
-    degrees: tuple[int, ...]
-    degree_multiset: tuple[int, ...]
-
-    @staticmethod
-    def from_bits(bits: Sequence[int]) -> "LevelGraph":
-        degs = tuple(b.bit_count() for b in bits)
-        return LevelGraph(
-            size=len(bits),
-            bits=tuple(bits),
-            degrees=degs,
-            degree_multiset=tuple(sorted(degs)),
-        )
 
 
 def _bits_connected(bits: Sequence[int], size: int) -> bool:
@@ -56,43 +48,6 @@ def _bits_connected(bits: Sequence[int], size: int) -> bool:
         frontier = nxt & ~seen
         seen |= frontier
     return seen == full
-
-
-def _bits_isomorphic(cand: Sequence[int], target: LevelGraph) -> bool:
-    """Exact induced-subgraph equality up to relabeling, by backtracking.
-
-    Degree multisets act as a cheap prefilter; the search then demands that
-    edges and non-edges both match.
-    """
-    k = target.size
-    cdegs = [b.bit_count() for b in cand]
-    if sorted(cdegs) != list(target.degree_multiset):
-        return False
-    tbits = target.bits
-    tdegs = target.degrees
-    perm = [0] * k
-
-    def place(i: int, used: int) -> bool:
-        if i == k:
-            return True
-        row = cand[i]
-        for t in range(k):
-            bit = 1 << t
-            if used & bit or tdegs[t] != cdegs[i]:
-                continue
-            trow = tbits[t]
-            ok = True
-            for j in range(i):
-                if ((row >> j) & 1) != ((trow >> perm[j]) & 1):
-                    ok = False
-                    break
-            if ok:
-                perm[i] = t
-                if place(i + 1, used | bit):
-                    return True
-        return False
-
-    return place(0, 0)
 
 
 class Pattern:
@@ -130,12 +85,15 @@ class Pattern:
 class Segmentation:
     """Insertion order of pattern vertices; level i is the first i of them.
 
-    ``memo`` maps the adjacency word of a sorted vertex tuple to its
-    classification against this order's levels; ``instances.classify``
-    fills it on first sight of each word.
+    ``min_slack`` is the smallest slack the order supports, or None when
+    some level is disconnected; it is derived once, here.  ``missing[i]``
+    counts the vertex pairs absent from level i.  ``memo`` maps the
+    adjacency word of a sorted vertex tuple to its classification against
+    this order's levels; ``instances.classify`` fills it on first sight of
+    each word.
     """
 
-    __slots__ = ("pattern", "order", "_levels", "memo")
+    __slots__ = ("pattern", "order", "_levels", "min_slack", "missing", "memo")
 
     def __init__(self, pattern: Pattern, order: Sequence[int]):
         k = pattern.size
@@ -144,6 +102,7 @@ class Segmentation:
         self.pattern = pattern
         self.order = tuple(order)
         levels: dict[int, LevelGraph] = {}
+        missing = [0, 0]
         for i in range(2, k + 1):
             chosen = self.order[:i]
             pos = {v: idx for idx, v in enumerate(chosen)}
@@ -153,8 +112,11 @@ class Segmentation:
                 for w in chosen:
                     if (row >> w) & 1:
                         bits[idx] |= 1 << pos[w]
-            levels[i] = LevelGraph.from_bits(bits)
+            levels[i] = LevelGraph(i, tuple(bits))
+            missing.append(i * (i - 1) // 2 - sum(b.bit_count() for b in bits) // 2)
         self._levels = levels
+        self.min_slack = _order_slack(pattern.bits, self.order)
+        self.missing = tuple(missing)
         self.memo: dict[int, int | None] = {}
 
     def level(self, i: int) -> LevelGraph:
@@ -186,9 +148,8 @@ def validate_segmentation(pattern: Pattern, seg: Segmentation) -> SegmentationRe
     """Report the minimal feasible slack and any disconnected levels."""
     if seg.pattern is not pattern and seg.pattern.bits != pattern.bits:
         raise ValueError("segmentation belongs to a different pattern")
-    slack = _order_slack(pattern.bits, seg.order)
-    if slack is not None:
-        return SegmentationReport(min_slack=slack, disconnected_levels=())
+    if seg.min_slack is not None:
+        return SegmentationReport(min_slack=seg.min_slack, disconnected_levels=())
     bad = tuple(
         i
         for i in range(2, pattern.size + 1)
@@ -250,11 +211,20 @@ def _order_slack(pbits: Sequence[int], order: Sequence[int]) -> int | None:
 
 
 def auto_segment(pattern: Pattern) -> Segmentation:
-    """Exhaustively pick the order minimizing the needed slack.
+    """The order needing the least slack; ties go to the lexicographically smallest.
 
-    Ties go to the lexicographically smallest order; permutations are
-    visited in lexicographic order so the first strict improvement wins.
+    A pattern whose complement is a matching (the k-clique minus a matching,
+    the only shapes with an order of slack at most 1) is served in closed
+    form: every order that starts with an edge needs slack 0 for the clique
+    and 1 otherwise, so the answer is the identity when vertices 0 and 1
+    are adjacent, else 0, 2, 1, 3, ....  Any other pattern gets an
+    exhaustive search over permutations in lexicographic order, where the
+    first strict improvement wins.
     """
+    k = pattern.size
+    if all(row.bit_count() >= k - 2 for row in pattern.bits):
+        first = (0, 1) if pattern.bits[0] & 2 else (0, 2, 1)
+        return Segmentation(pattern, first + tuple(range(len(first), k)))
     best_order: tuple[int, ...] | None = None
     best_slack: int | None = None
     for order in permutations(range(pattern.size)):

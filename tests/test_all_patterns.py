@@ -1,15 +1,23 @@
-"""Every pattern the loader accepts on 3 to 5 vertices, not only the builtins.
+"""Every pattern the loader accepts, not only the builtins.
 
-The connected graphs on 3-5 vertices come from the networkx graph atlas
-(one per isomorphism class, 29 in all).  A pattern is accepted when its
-``auto_segment`` order needs slack at most 1; 8 of the 29 are.  For each
-one the layer expansion must count exactly what a subset scan counts, and
-a seeded estimator mean must land within 3 standard errors of the truth.
+A pattern is accepted when some insertion order needs slack at most 1.
+Those are exactly the k-cliques minus a matching: the last level is the
+whole pattern, so every vertex needs degree k-2 or more, and conversely
+any order that starts with an edge works.  The connected graphs on 3-7
+vertices come from the networkx graph atlas (one per isomorphism class,
+994 in all); 2, 3, 3, 4 and 4 of them are accepted for k = 3..7.  The
+atlas stops at 7, so the five 8-vertex ones (K8 minus 0..4 disjoint
+pairs) are built here, for 21 in all.  For each one the layer expansion
+must count exactly what a subset scan counts, a seeded estimator mean
+must land within 3 standard errors of the truth, and every classified
+adjacency word must agree with the backtracking reference.
 """
 
 import math
 import statistics
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations
+from random import Random
 
 import networkx as nx
 import pytest
@@ -23,7 +31,7 @@ from crawlcount import (
     auto_segment,
     estimate_count,
     exact_count,
-    validate_segmentation,
+    require_feasible,
 )
 from crawlcount.instances import classify
 from crawlcount.patterns import _order_slack
@@ -33,28 +41,50 @@ import util
 CONNECTED = [
     (idx, h)
     for idx, h in enumerate(nx.graph_atlas_g())
-    if 3 <= h.number_of_nodes() <= 5 and nx.is_connected(h)
+    if 3 <= h.number_of_nodes() <= 7 and nx.is_connected(h)
 ]
 
 
 def _accepted():
     out = []
     for idx, h in CONNECTED:
-        p = Pattern(h.number_of_nodes(), h.edges(), slack=0)
-        need = validate_segmentation(p, auto_segment(p)).min_slack
-        if need <= 1:
-            p = Pattern(p.size, p.edges, slack=need)
-            out.append((f"atlas{idx}", p, auto_segment(p)))
-    return out
+        if util.first_order_within_slack_one(h.number_of_nodes(), h.edges()) is not None:
+            out.append((f"atlas{idx}", h.number_of_nodes(), list(h.edges())))
+    for s in range(5):
+        gone = {(2 * j, 2 * j + 1) for j in range(s)}
+        edges = [e for e in combinations(range(8), 2) if e not in gone]
+        out.append((f"k8minus{s}", 8, edges))
+    accepted = []
+    for name, size, edges in out:
+        seg = auto_segment(Pattern(size, edges))
+        p = Pattern(size, edges, slack=seg.min_slack)
+        accepted.append((name, p, Segmentation(p, seg.order)))
+    return accepted
 
 
 ACCEPTED = _accepted()
 IDS = [name for name, _, _ in ACCEPTED]
 
 
-def test_sweep_covers_eight_of_twenty_nine():
-    assert len(CONNECTED) == 29
-    assert len(ACCEPTED) == 8
+def test_accepted_exactly_when_complement_is_a_matching():
+    assert len(CONNECTED) == 994
+    sizes = [p.size for _, p, _ in ACCEPTED]
+    assert [sizes.count(k) for k in range(3, 9)] == [2, 3, 3, 4, 4, 5]
+    for idx, h in CONNECTED:
+        k = h.number_of_nodes()
+        matching = min(d for _, d in h.degree()) >= k - 2
+        assert (f"atlas{idx}" in IDS) == matching, idx
+        if not matching and k <= 6:
+            # the loader searches every order and still needs slack 2 or more
+            # (at k = 7 that search costs 5040 orders per graph, so it is skipped)
+            p = Pattern(k, h.edges(), slack=1)
+            with pytest.raises(ValueError, match="slack"):
+                require_feasible(p, auto_segment(p))
+    for _, p, seg in ACCEPTED:
+        # the closed-form order is the lexicographically first feasible one
+        assert seg.order == util.first_order_within_slack_one(p.size, p.edges)
+        require_feasible(p, seg)
+        assert p.slack == (0 if len(p.edges) == p.size * (p.size - 1) // 2 else 1)
     # every builtin shape is among them: triangle, diamond, K4, K5 - e, K5
     shapes = {(p.size, len(p.edges)) for _, p, _ in ACCEPTED}
     assert {(3, 3), (4, 5), (4, 6), (5, 9), (5, 10)} <= shapes
@@ -62,36 +92,40 @@ def test_sweep_covers_eight_of_twenty_nine():
 
 @pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_exact_count_matches_naive_subset_scan(name, p, seg):
-    for seed in range(4):
-        g = util.er_graph(9, 0.55, seed)
+    n, density, seeds = (9, 0.55, 4) if p.size <= 5 else (13, 0.85, 2)
+    for seed in range(seeds):
+        g = util.er_graph(n, density, seed)
         want = util.naive_copies(g, util.level_matrix(seg, p.size))
         assert exact_count(g, p) == len(want), seed
 
 
-# Connected ER(15, 0.65) where every accepted pattern has T > 0 (the
-# 5-clique the fewest, 27); runs, walk and layer sizes were fixed once.
-MEAN_GRAPH = util.connected_er_graph(15, 0.65, 1)
-MEAN_RUNS = 1500
+# Connected ER(18, 0.8) where every accepted pattern has T > 0 (K8 minus a
+# perfect matching the fewest, 52); runs, walk and layer sizes were fixed
+# once.  Patterns on 6 or more vertices get fewer runs of longer layers:
+# with 30 trials most of their runs end in an empty layer, and the rare
+# survivors carry so much weight that a few hundred runs say little.
+MEAN_GRAPH = util.connected_er_graph(18, 0.8, 1)
 
 
 @pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_estimator_mean_within_three_se(name, p, seg):
     t = exact_count(MEAN_GRAPH, p)
     assert t > 0
+    runs, layer = (1000, 30) if p.size <= 5 else (100, 150)
     ests = [
         estimate_count(
             MEAN_GRAPH,
             p,
             seg,
             EstimateConfig(
-                layer_sizes=[30] * (p.size - 2),
+                layer_sizes=[layer] * (p.size - 2),
                 walk=WalkConfig(length=30, burn_in=20),
                 seed=i,
             ),
         ).estimate
-        for i in range(MEAN_RUNS)
+        for i in range(runs)
     ]
-    se = statistics.stdev(ests) / math.sqrt(MEAN_RUNS)
+    se = statistics.stdev(ests) / math.sqrt(runs)
     assert abs(statistics.fmean(ests) - t) <= 3 * se, (t, statistics.fmean(ests), se)
 
 
@@ -100,8 +134,10 @@ def test_every_copy_is_assignable_under_every_feasible_order():
     classifies to a parent: dropping the vertex that plays the order's last
     vertex always leaves the level below, so no copy is unreachable."""
     orders = copies = 0
-    for _, h in CONNECTED:
-        p = Pattern(h.number_of_nodes(), h.edges(), slack=1)
+    for _, acc, _ in ACCEPTED:
+        if acc.size > 5:
+            continue
+        p = Pattern(acc.size, acc.edges, slack=1)
         for order in permutations(range(p.size)):
             need = _order_slack(p.bits, order)
             if need is None or need > 1:
@@ -121,3 +157,75 @@ def test_every_copy_is_assignable_under_every_feasible_order():
                     assert classify(Graph(k, edges), tuple(range(k)), seg) is not None
     assert orders == 394
     assert copies > 0
+
+
+def _graph_and_bits(k, edges):
+    bits = [0] * k
+    for a, b in edges:
+        bits[a] |= 1 << b
+        bits[b] |= 1 << a
+    return Graph(k, edges), bits
+
+
+@cache
+def _words(k):
+    """Tuples of k vertices to classify, as (graph, neighbor bitmasks).
+
+    Up to 5 vertices that is every graph on them; above, 40 seeded random
+    graphs and 40 cliques minus a random matching, one extra missing pair
+    in every third, so that copies and near misses both come up."""
+    pairs = list(combinations(range(k), 2))
+    if k <= 5:
+        return [
+            _graph_and_bits(k, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for mask in range(1 << len(pairs))
+        ]
+    rng = Random(k)
+    out = []
+    for _ in range(40):
+        out.append(_graph_and_bits(k, [e for e in pairs if rng.random() < 0.5]))
+    for j in range(40):
+        perm = rng.sample(range(k), k)
+        gone = {tuple(sorted(perm[2 * i : 2 * i + 2])) for i in range(rng.randrange(k // 2 + 1))}
+        if j % 3 == 0:
+            gone.add(tuple(sorted(rng.sample(range(k), 2))))
+        out.append(_graph_and_bits(k, [e for e in pairs if e not in gone]))
+    return out
+
+
+@pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
+def test_classification_matches_backtracking_reference(name, p, seg):
+    """The memo's bit-counting rule against the backtracking reference, under
+    every feasible order at 3 and 4 vertices and under the automatic order
+    plus five seeded feasible ones above."""
+    if p.size <= 4:
+        orders = [o for o in permutations(range(p.size)) if _order_slack(p.bits, o) in (0, 1)]
+    else:
+        rng = Random(p.size * 10 + len(p.edges))
+        orders = {seg.order}
+        while len(orders) < 6:
+            order = tuple(rng.sample(range(p.size), p.size))
+            if _order_slack(p.bits, order) in (0, 1):
+                orders.add(order)
+    accepted = 0
+    for order in orders:
+        s = Segmentation(p, order)
+        for k in range(3, p.size + 1):
+            for g, bits in _words(k):
+                want = util.reference_class(bits, s, k)
+                assert classify(g, tuple(range(k)), s) == want, (order, bits)  # miss
+                assert classify(g, tuple(range(k)), s) == want  # hit
+                accepted += want is not None
+    assert accepted > 0
+
+
+def test_infeasible_order_refuses_to_classify():
+    # path 0-1-2-3 in the order 0, 2, 1, 3: level 2 has no edge
+    p = Pattern(4, [(0, 1), (1, 2), (2, 3)], slack=1)
+    seg = Segmentation(p, (0, 2, 1, 3))
+    with pytest.raises(ValueError, match="slack at most 1"):
+        classify(util.triangle(), (0, 1, 2), seg)
+    # the five-cycle's best order needs slack 2
+    wide = Pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], slack=2)
+    with pytest.raises(ValueError, match="slack at most 1"):
+        classify(util.k4(), (0, 1, 2, 3), auto_segment(wide))

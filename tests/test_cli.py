@@ -353,6 +353,21 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["exact"],
+            ["estimate", "--walk-len", "20", "--layers", "10"],
+            ["experiment", "--walk-len", "20", "--layers", "10", "--out", "never.csv"],
+        ],
+    )
+    def test_pattern_error_wins_over_a_missing_graph(self, extra, capsys):
+        # the pattern is checked before the graph is loaded
+        code = main(extra + ["--graph", "/nonexistent/g.txt", "--pattern", "g33", "--c", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: slack >= 2") and err.count("\n") == 1
+
     def test_wrong_layer_count(self, bowtie_file, capsys):
         code = main(
             ["estimate", "--graph", bowtie_file, "--pattern", "g46",

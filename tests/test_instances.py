@@ -20,7 +20,6 @@ from crawlcount import (
     seg_neighborhood,
 )
 from crawlcount.instances import classify
-from crawlcount.patterns import _bits_connected, _bits_isomorphic
 
 import util
 
@@ -193,20 +192,6 @@ class TestCheckExtension:
                             assert got is None
 
 
-def _reference_class(bits, seg, k):
-    """Backtracking isomorphism test, then the removal scan by explicit relabeling."""
-    if not _bits_isomorphic(bits, seg.level(k)):
-        return None
-    for drop in range(k):
-        keep = [i for i in range(k) if i != drop]
-        sub = [
-            sum(((bits[a] >> b) & 1) << j for j, b in enumerate(keep)) for a in keep
-        ]
-        if _bits_connected(sub, k - 1) and _bits_isomorphic(sub, seg.level(k - 1)):
-            return drop
-    return None
-
-
 class TestClassifyMemo:
     @pytest.mark.parametrize("name", [*builtin_names(), "c4"])
     def test_every_word_matches_backtracking(self, name):
@@ -224,7 +209,7 @@ class TestClassifyMemo:
                     bits[a] |= 1 << b
                     bits[b] |= 1 << a
                 g = Graph(k, edges)
-                want = _reference_class(bits, seg, k)
+                want = util.reference_class(bits, seg, k)
                 assert classify(g, tuple(range(k)), seg) == want  # miss
                 assert classify(g, tuple(range(k)), seg) == want  # hit
             words += 1 << len(pairs)

@@ -14,7 +14,6 @@ from crawlcount import (
     require_feasible,
     validate_segmentation,
 )
-from crawlcount.patterns import LevelGraph, _bits_isomorphic
 
 import util
 
@@ -85,9 +84,9 @@ class TestSegmentation:
 
     def test_levels_shrink_correctly(self):
         p, seg = builtin_pattern("g45")
-        assert sum(seg.level(4).degrees) == 2 * 5
-        assert sum(seg.level(3).degrees) == 2 * 3
-        assert sum(seg.level(2).degrees) == 2 * 1
+        for i, edges in ((4, 5), (3, 3), (2, 1)):
+            assert sum(row.bit_count() for row in seg.level(i).bits) == 2 * edges
+            assert seg.missing[i] == i * (i - 1) // 2 - edges
 
     def test_disconnected_level_named_in_report(self):
         # path 0-1-2-3 inserted as 0, 2: level 2 has no edge
@@ -156,6 +155,14 @@ class TestAutoSegment:
         p, _ = builtin_pattern("g510")
         assert auto_segment(p).order == (0, 1, 2, 3, 4)
 
+    def test_clique_minus_matching_starts_with_an_edge(self):
+        # 0 and 1 are apart, so the first order starting with an edge is 0, 2, 1, ...
+        p = Pattern(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+        seg = auto_segment(p)
+        assert seg.order == (0, 2, 1, 3, 4)
+        assert seg.min_slack == 1
+        assert seg.missing == (0, 0, 0, 1, 1, 1)
+
 
 def all_graphs_on(k):
     pairs = list(combinations(range(k), 2))
@@ -168,15 +175,16 @@ def adjacency_bits(adj):
 
 
 class TestInducedIsomorphic:
+    """The backtracking reference in ``util`` that classification is checked against."""
+
     def test_agrees_with_permutation_scan_on_4_vertex_graphs(self):
         p, _ = builtin_pattern("g45")
         target = [[1 if (a, b) in p.edges or (b, a) in p.edges else 0 for b in range(4)] for a in range(4)]
-        whole = LevelGraph.from_bits(p.bits)
         for edges in all_graphs_on(4):
             adj = [[0] * 4 for _ in range(4)]
             for a, b in edges:
                 adj[a][b] = adj[b][a] = 1
-            got = _bits_isomorphic(adjacency_bits(adj), whole)
+            got = util.bits_isomorphic(adjacency_bits(adj), p.bits)
             assert got == util.matrices_isomorphic(adj, target)
 
     @given(st.integers(0, 63), st.permutations(range(4)))
@@ -188,9 +196,8 @@ class TestInducedIsomorphic:
             adj[a][b] = adj[b][a] = 1
         shuffled = [[adj[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
         p, _ = builtin_pattern("g45")
-        whole = LevelGraph.from_bits(p.bits)
-        assert _bits_isomorphic(adjacency_bits(adj), whole) == _bits_isomorphic(
-            adjacency_bits(shuffled), whole
+        assert util.bits_isomorphic(adjacency_bits(adj), p.bits) == util.bits_isomorphic(
+            adjacency_bits(shuffled), p.bits
         )
 
 

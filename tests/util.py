@@ -1,8 +1,10 @@
 """Shared graphs and independent reference implementations for tests.
 
 The reference implementations here are deliberately naive (subset scans,
-permutation checks, fraction-exact chain algebra) so that package code is
-verified against something that cannot share its bugs.
+permutation checks, backtracking isomorphism, fraction-exact chain
+algebra) so that package code is verified against something that cannot
+share its bugs.  :func:`reference_class`, built on the backtracking
+isomorphism test, is the reference for the package's missing-pair count.
 """
 
 from __future__ import annotations
@@ -153,6 +155,90 @@ def matrices_isomorphic(a: list[list[int]], b: list[list[int]]) -> bool:
     return False
 
 
+def bits_isomorphic(cand: list[int], target: tuple[int, ...]) -> bool:
+    """Induced-subgraph equality of two neighbor-bitmask graphs up to
+    relabeling, by backtracking that pairs vertices of equal degree and
+    demands that edges and non-edges both match."""
+    k = len(target)
+    if len(cand) != k:
+        return False
+    cdegs = [b.bit_count() for b in cand]
+    tdegs = [b.bit_count() for b in target]
+    if sorted(cdegs) != sorted(tdegs):
+        return False
+    perm = [0] * k
+
+    def place(i: int, used: int) -> bool:
+        if i == k:
+            return True
+        for t in range(k):
+            if used >> t & 1 or tdegs[t] != cdegs[i]:
+                continue
+            if all((cand[i] >> j & 1) == (target[t] >> perm[j] & 1) for j in range(i)):
+                perm[i] = t
+                if place(i + 1, used | 1 << t):
+                    return True
+        return False
+
+    return place(0, 0)
+
+
+def bits_connected(bits: list[int]) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b in range(len(bits)):
+            if bits[a] >> b & 1 and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(bits)
+
+
+def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
+    """What ``classify`` must return for a k-vertex tuple with these neighbor
+    bitmasks: the backtracking isomorphism test against level k, then the
+    first local vertex whose removal leaves a connected copy of level k-1."""
+    if not bits_isomorphic(bits, seg.level(k).bits):
+        return None
+    for drop in range(k):
+        keep = [i for i in range(k) if i != drop]
+        sub = [
+            sum(((bits[a] >> b) & 1) << j for j, b in enumerate(keep)) for a in keep
+        ]
+        if bits_connected(sub) and bits_isomorphic(sub, seg.level(k - 1).bits):
+            return drop
+    return None
+
+
+def first_order_within_slack_one(size: int, edges) -> tuple[int, ...] | None:
+    """Lexicographically first insertion order needing slack at most 1, or
+    None: a pruned search whose every prefix must be connected (each new
+    vertex has an earlier neighbor) and give each member at least i-2
+    neighbors inside the first i vertices."""
+    adj = [set() for _ in range(size)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    if any(len(nbrs) < size - 2 for nbrs in adj):
+        return None  # the last level is the whole pattern, whatever the order
+
+    def extend(prefix: list[int]) -> tuple[int, ...] | None:
+        if len(prefix) == size:
+            return tuple(prefix)
+        for v in range(size):
+            if v in prefix or (prefix and not adj[v] & set(prefix)):
+                continue
+            chosen = set(prefix) | {v}
+            if all(len(adj[a] & chosen) >= len(chosen) - 2 for a in chosen):
+                found = extend(prefix + [v])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
 def set_connected(g: Graph, verts: tuple[int, ...]) -> bool:
     vs = set(verts)
     seen = {verts[0]}
@@ -169,11 +255,13 @@ def set_connected(g: Graph, verts: tuple[int, ...]) -> bool:
 def naive_copies(g: Graph, target_matrix: list[list[int]]) -> list[tuple[int, ...]]:
     """All connected induced copies of the target, by scanning every subset."""
     k = len(target_matrix)
+    target = [sum(val << j for j, val in enumerate(row)) for row in target_matrix]
     found = []
     for verts in combinations(range(g.vertex_count), k):
         if not set_connected(g, verts):
             continue
-        if matrices_isomorphic(naive_matrix(g, verts), target_matrix):
+        bits = [sum(val << j for j, val in enumerate(row)) for row in naive_matrix(g, verts)]
+        if bits_isomorphic(bits, target):
             found.append(verts)
     return found
 

@@ -51,7 +51,6 @@ from .oracle import (
     seg_degree_total,
 )
 from .patterns import (
-    LevelGraph,
     Pattern,
     Segmentation,
     SegmentationReport,

@@ -15,19 +15,7 @@ starts with an edge is a smaller clique minus a matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import IO, Iterable, Sequence
-
-
-@dataclass(frozen=True)
-class LevelGraph:
-    """Adjacency of one segmentation level, on local indices 0..size-1.
-
-    ``bits[i]`` is the neighbor bitmask of local vertex i.
-    """
-
-    size: int
-    bits: tuple[int, ...]
 
 
 def _bits_connected(bits: Sequence[int], size: int) -> bool:
@@ -86,11 +74,12 @@ class Segmentation:
     """Insertion order of pattern vertices; level i is the first i of them.
 
     ``min_slack`` is the smallest slack the order supports, or None when
-    some level is disconnected; it is derived once, here.  ``missing[i]``
-    counts the vertex pairs absent from level i.  ``memo`` maps the
-    adjacency word of a sorted vertex tuple to its classification against
-    this order's levels; ``instances.classify`` fills it on first sight of
-    each word.
+    some level is disconnected; it is derived once, here.  ``level(i)`` is
+    level i's adjacency on local indices 0..i-1, one neighbor bitmask per
+    vertex, and ``missing[i]`` counts the vertex pairs absent from it.
+    ``memo`` maps the adjacency word of a sorted vertex tuple to its
+    classification against this order's levels; ``instances.classify``
+    fills it on first sight of each word.
     """
 
     __slots__ = ("pattern", "order", "_levels", "min_slack", "missing", "memo")
@@ -101,7 +90,7 @@ class Segmentation:
             raise ValueError("order must be a permutation of the pattern vertices")
         self.pattern = pattern
         self.order = tuple(order)
-        levels: dict[int, LevelGraph] = {}
+        levels: dict[int, tuple[int, ...]] = {}
         missing = [0, 0]
         for i in range(2, k + 1):
             chosen = self.order[:i]
@@ -112,14 +101,14 @@ class Segmentation:
                 for w in chosen:
                     if (row >> w) & 1:
                         bits[idx] |= 1 << pos[w]
-            levels[i] = LevelGraph(i, tuple(bits))
+            levels[i] = tuple(bits)
             missing.append(i * (i - 1) // 2 - sum(b.bit_count() for b in bits) // 2)
         self._levels = levels
         self.min_slack = _order_slack(pattern.bits, self.order)
         self.missing = tuple(missing)
         self.memo: dict[int, int | None] = {}
 
-    def level(self, i: int) -> LevelGraph:
+    def level(self, i: int) -> tuple[int, ...]:
         if i not in self._levels:
             raise ValueError(f"level {i} outside 2..{self.pattern.size}")
         return self._levels[i]
@@ -153,7 +142,7 @@ def validate_segmentation(pattern: Pattern, seg: Segmentation) -> SegmentationRe
     bad = tuple(
         i
         for i in range(2, pattern.size + 1)
-        if not _bits_connected(seg.level(i).bits, i)
+        if not _bits_connected(seg.level(i), i)
     )
     return SegmentationReport(min_slack=None, disconnected_levels=bad)
 
@@ -182,61 +171,38 @@ def require_feasible(pattern: Pattern, seg: Segmentation) -> None:
 
 
 def _order_slack(pbits: Sequence[int], order: Sequence[int]) -> int | None:
-    """Minimal slack of one order, or None if some prefix is disconnected.
+    """Minimal slack of one order, or None if some level is disconnected.
 
-    A prefix chain is fully connected exactly when each added vertex has a
-    neighbor among the earlier ones, so one incremental pass suffices.
+    The levels are all connected exactly when each added vertex has a
+    neighbor among the earlier ones.  Every such order then needs the same
+    slack, k-1 minus the pattern's minimum degree: the last level is the
+    whole pattern, and a vertex of level i misses at most k-i of its
+    neighbors there, so no earlier level falls further short.
     """
-    k = len(order)
     mask = 1 << order[0]
-    local_deg = {order[0]: 0}
-    worst = 0
-    for i in range(1, k):
-        v = order[i]
-        row = pbits[v] & mask
-        if row == 0:
+    for v in order[1:]:
+        if pbits[v] & mask == 0:
             return None
         mask |= 1 << v
-        local_deg[v] = row.bit_count()
-        w = row
-        while w:
-            low = w & -w
-            local_deg[low.bit_length() - 1] += 1
-            w ^= low
-        level = i + 1
-        deficit = (level - 1) - min(local_deg[u] for u in order[: i + 1])
-        if deficit > worst:
-            worst = deficit
-    return worst
+    return len(order) - 1 - min(row.bit_count() for row in pbits)
 
 
 def auto_segment(pattern: Pattern) -> Segmentation:
-    """The order needing the least slack; ties go to the lexicographically smallest.
+    """The lexicographically smallest order with every level connected.
 
-    A pattern whose complement is a matching (the k-clique minus a matching,
-    the only shapes with an order of slack at most 1) is served in closed
-    form: every order that starts with an edge needs slack 0 for the clique
-    and 1 otherwise, so the answer is the identity when vertices 0 and 1
-    are adjacent, else 0, 2, 1, 3, ....  Any other pattern gets an
-    exhaustive search over permutations in lexicographic order, where the
-    first strict improvement wins.
+    All connected orders need the same slack (see :func:`_order_slack`), so
+    this is also the smallest among those of least slack.  Each step takes
+    the smallest vertex adjacent to the ones already placed; a connected
+    pattern always has one.  For a clique minus a matching that is the
+    identity when vertices 0 and 1 are adjacent, else 0, 2, 1, 3, ....
     """
-    k = pattern.size
-    if all(row.bit_count() >= k - 2 for row in pattern.bits):
-        first = (0, 1) if pattern.bits[0] & 2 else (0, 2, 1)
-        return Segmentation(pattern, first + tuple(range(len(first), k)))
-    best_order: tuple[int, ...] | None = None
-    best_slack: int | None = None
-    for order in permutations(range(pattern.size)):
-        s = _order_slack(pattern.bits, order)
-        if s is None:
-            continue
-        if best_slack is None or s < best_slack:
-            best_slack = s
-            best_order = order
-    if best_order is None:
-        raise ValueError("pattern admits no connected insertion order")
-    return Segmentation(pattern, best_order)
+    order = [0]
+    mask = 1
+    while len(order) < pattern.size:
+        v = next(w for w in range(pattern.size) if not mask >> w & 1 and pattern.bits[w] & mask)
+        order.append(v)
+        mask |= 1 << v
+    return Segmentation(pattern, order)
 
 
 _BUILTINS: dict[str, tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]] = {

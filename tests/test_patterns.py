@@ -1,6 +1,8 @@
 import io
 from itertools import combinations, permutations
+from random import Random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from crawlcount import (
     require_feasible,
     validate_segmentation,
 )
+from crawlcount.patterns import _order_slack
 
 import util
 
@@ -85,7 +88,7 @@ class TestSegmentation:
     def test_levels_shrink_correctly(self):
         p, seg = builtin_pattern("g45")
         for i, edges in ((4, 5), (3, 3), (2, 1)):
-            assert sum(row.bit_count() for row in seg.level(i).bits) == 2 * edges
+            assert sum(row.bit_count() for row in seg.level(i)) == 2 * edges
             assert seg.missing[i] == i * (i - 1) // 2 - edges
 
     def test_disconnected_level_named_in_report(self):
@@ -155,6 +158,35 @@ class TestAutoSegment:
         p, _ = builtin_pattern("g510")
         assert auto_segment(p).order == (0, 1, 2, 3, 4)
 
+    def test_first_connected_order_has_least_slack(self):
+        """On every connected graph on 3-5 vertices, under its atlas labels and
+        a seeded relabelling, every connected order needs k-1 minus the
+        minimum degree, and the automatic order is the lexicographically
+        first connected one, all recomputed from scratch."""
+        rng = Random(5)
+        for h in nx.graph_atlas_g():
+            k = h.number_of_nodes()
+            if not (3 <= k <= 5 and nx.is_connected(h)):
+                continue
+            perm = rng.sample(range(k), k)
+            for edges in (list(h.edges()), [(perm[a], perm[b]) for a, b in h.edges()]):
+                p = Pattern(k, edges)
+                want = k - 1 - min(d for _, d in h.degree())
+                needs = {o: util.brute_min_slack(k, edges, o) for o in permutations(range(k))}
+                assert {s for s in needs.values() if s is not None} == {want}
+                seg = auto_segment(p)
+                assert seg.order == next(o for o, s in needs.items() if s is not None)
+                assert seg.min_slack == want
+                for order, need in needs.items():
+                    assert _order_slack(p.bits, order) == need
+
+    def test_k8_minus_a_path_needs_slack_two(self):
+        # 0-1 and 1-2 are gone, so 1 waits until 3 is placed
+        p = Pattern(8, [e for e in combinations(range(8), 2) if e not in {(0, 1), (1, 2)}])
+        seg = auto_segment(p)
+        assert seg.order == (0, 2, 3, 1, 4, 5, 6, 7)
+        assert seg.min_slack == 2
+
     def test_clique_minus_matching_starts_with_an_edge(self):
         # 0 and 1 are apart, so the first order starting with an edge is 0, 2, 1, ...
         p = Pattern(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
@@ -174,6 +206,27 @@ def adjacency_bits(adj):
     return [sum(val << j for j, val in enumerate(row)) for row in adj]
 
 
+def adjacency_matrix(k, edges):
+    adj = [[0] * k for _ in range(k)]
+    for a, b in edges:
+        adj[a][b] = adj[b][a] = 1
+    return adj
+
+
+def degree_preserving_swap(edges, rng):
+    """Replace edges a-b and c-d by a-d and c-b when both are absent, which
+    keeps every degree; None when 50 draws find no such pair."""
+    eset = {tuple(sorted(e)) for e in edges}
+    for _ in range(50):
+        if len(eset) < 2:
+            return None
+        (a, b), (c, d) = rng.sample(sorted(eset), 2)
+        new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and not new & eset:
+            return sorted(eset - {(a, b), (c, d)} | new)
+    return None
+
+
 class TestInducedIsomorphic:
     """The backtracking reference in ``util`` that classification is checked against."""
 
@@ -186,6 +239,48 @@ class TestInducedIsomorphic:
                 adj[a][b] = adj[b][a] = 1
             got = util.bits_isomorphic(adjacency_bits(adj), p.bits)
             assert got == util.matrices_isomorphic(adj, target)
+
+    def test_agrees_with_permutation_scan_on_5_vertex_graphs(self):
+        """Every labelled graph on 5 vertices against each of the 34
+        isomorphism classes there; classes with another degree sequence
+        cannot match, so only those with the same one go through the scan."""
+        classes = []
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == 5:
+                tadj = adjacency_matrix(5, h.edges())
+                classes.append((tadj, adjacency_bits(tadj), sorted(map(sum, tadj))))
+        assert len(classes) == 34
+        for edges in all_graphs_on(5):
+            adj = adjacency_matrix(5, edges)
+            bits = adjacency_bits(adj)
+            degrees = sorted(map(sum, adj))
+            matches = 0
+            for tadj, tbits, tdegrees in classes:
+                got = util.bits_isomorphic(bits, tbits)
+                if tdegrees == degrees:
+                    assert got == util.matrices_isomorphic(adj, tadj), (edges, tadj)
+                else:
+                    assert not got
+                matches += got
+            assert matches == 1, edges
+
+    @pytest.mark.parametrize("k,trials", [(6, 40), (7, 20), (8, 6)])
+    def test_agrees_with_permutation_scan_on_sampled_larger_graphs(self, k, trials):
+        """Seeded graphs against a relabelled copy and a relabelled
+        degree-preserving swap, where degrees alone cannot decide."""
+        rng = Random(k)
+        pairs = list(combinations(range(k), 2))
+        for _ in range(trials):
+            edges = [e for e in pairs if rng.random() < 0.5]
+            tadj = adjacency_matrix(k, edges)
+            perm = rng.sample(range(k), k)
+            others = [edges, degree_preserving_swap(edges, rng)]
+            for other in others:
+                if other is None:
+                    continue
+                adj = adjacency_matrix(k, [(perm[a], perm[b]) for a, b in other])
+                got = util.bits_isomorphic(adjacency_bits(adj), adjacency_bits(tadj))
+                assert got == util.matrices_isomorphic(adj, tadj), (edges, other)
 
     @given(st.integers(0, 63), st.permutations(range(4)))
     def test_invariant_under_relabeling(self, mask, perm):

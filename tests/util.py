@@ -199,14 +199,14 @@ def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
     """What ``classify`` must return for a k-vertex tuple with these neighbor
     bitmasks: the backtracking isomorphism test against level k, then the
     first local vertex whose removal leaves a connected copy of level k-1."""
-    if not bits_isomorphic(bits, seg.level(k).bits):
+    if not bits_isomorphic(bits, seg.level(k)):
         return None
     for drop in range(k):
         keep = [i for i in range(k) if i != drop]
         sub = [
             sum(((bits[a] >> b) & 1) << j for j, b in enumerate(keep)) for a in keep
         ]
-        if bits_connected(sub) and bits_isomorphic(sub, seg.level(k - 1).bits):
+        if bits_connected(sub) and bits_isomorphic(sub, seg.level(k - 1)):
             return drop
     return None
 
@@ -268,8 +268,7 @@ def naive_copies(g: Graph, target_matrix: list[list[int]]) -> list[tuple[int, ..
 
 def level_matrix(seg: Segmentation, level: int) -> list[list[int]]:
     """Adjacency matrix of one segmentation level, for :func:`naive_copies`."""
-    lg = seg.level(level)
-    return [[(row >> j) & 1 for j in range(lg.size)] for row in lg.bits]
+    return [[(row >> j) & 1 for j in range(level)] for row in seg.level(level)]
 
 
 def naive_assign(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> tuple[int, ...] | None:

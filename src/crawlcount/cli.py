@@ -21,7 +21,7 @@ from .estimator import (
     estimate_count,
     recommend_sample_sizes,
 )
-from .graph import Graph, load_edge_list_path
+from .graph import Graph, QueryLedger, load_edge_list_path
 from .oracle import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
@@ -395,8 +395,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_edgecount(args: argparse.Namespace) -> int:
     g = load_edge_list_path(args.graph)
-    from .graph import QueryLedger
-
+    _warn_if_disconnected(g)
     ledger = QueryLedger()
     est = estimate_edge_count(
         g,

@@ -31,6 +31,10 @@ from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
 
+EDGE_COUNT_MIN_SAMPLES = 200  # estimated-m walks max(this, ceil(10 sqrt n)) samples
+EDGE_COUNT_GAP = 10  # walk steps between consecutive edge-count samples
+
+
 class DegenerateLayerError(ValueError):
     """Sampling from a layer with zero total weight."""
 
@@ -83,8 +87,6 @@ class EstimateConfig:
     walk: WalkConfig
     edge_count_mode: str = "exact-m"
     seed: int = 0
-    edge_count_samples: int | None = None
-    edge_count_gap: int = 10
 
     def __post_init__(self) -> None:
         if self.edge_count_mode not in ("exact-m", "estimated-m"):
@@ -309,13 +311,8 @@ def estimate_count(
     if cfg.edge_count_mode == "exact-m":
         edge_total: float = float(g.edge_count)
     else:
-        n = g.vertex_count
-        samples = cfg.edge_count_samples
-        if samples is None:
-            samples = max(200, math.ceil(10 * math.sqrt(n)))
-        est = estimate_edge_count(
-            g, ledger, samples, cfg.edge_count_gap, seed=edge_seed
-        )
+        samples = max(EDGE_COUNT_MIN_SAMPLES, math.ceil(10 * math.sqrt(g.vertex_count)))
+        est = estimate_edge_count(g, ledger, samples, EDGE_COUNT_GAP, seed=edge_seed)
         edge_total = est.edge_estimate
 
     build = build_layers(g, pattern, seg, cfg, ledger=ledger)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -86,14 +85,6 @@ class Graph:
     def raw_neighbor_set(self, v: int) -> frozenset[int]:
         """Unmetered frozenset view of the adjacency of ``v``."""
         return self._adj_sets[v]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (min, max) pairs, sorted."""
-        out = []
-        for u, nbrs in enumerate(self._adj):
-            i = bisect_left(nbrs, u)
-            out.extend((u, w) for w in nbrs[i:])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"

@@ -1,18 +1,26 @@
-"""Exact ground truth: copy enumeration, chain counts, degeneracy, bounds.
+"""Exact ground truth: copy tallies, degeneracy, bounds.
 
 Everything here may read the graph without metering; it exists to verify
 what the sampling estimator only approximates.  Copies are found by the
-sampler's own structure: level 2 is the edge set, and level i holds every
-accepted extension of a level-(i-1) copy by a vertex of its representative
+sampler's own structure: level 2 is the edge set, and the children of a
+level-i copy are the accepted extensions by vertices of its representative
 neighborhood.  Each copy is reached exactly once, from its assigned parent,
 so the work is one extension check per (copy, neighborhood vertex) pair:
 the sum of seg-degrees over every level below the top one.  The work
-budget counts those checks.  Completeness needs a feasible order at slack at most 1, so
-patterns that fail :func:`require_feasible` are rejected here as well.
+budget counts those checks.  Completeness needs a feasible order at slack
+at most 1, so patterns that fail :func:`require_feasible` are rejected here
+as well.
+
+Copies are tallied depth first, edge by edge: each returns its chain
+count, the number of full-size copies whose assignment chain passes
+through it, and only counts above 0 are kept.  No level is listed whole;
+beyond those tables a count holds one path of at most seven copies and
+the scratch ledger's set of queried vertices, O(n).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -28,37 +36,51 @@ class EnumerationBudgetError(RuntimeError):
 DEFAULT_BUDGET = 100_000_000
 
 
-def _expand(
+def _tally(
     g: Graph, pattern: Pattern, seg: Segmentation, top: int, budget: int
-) -> list[list[tuple[Instance, int]]]:
-    """Copies of levels 2..top, each with the index of its parent one level down.
+) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]]]:
+    """Copy counts and chain-count tables of levels 2..top.
 
-    ``result[i - 2]`` lists level i.  Level 2 is the sorted edge set (no
-    parent, index -1); level i keeps parent order, then neighborhood order.
-    Raises before a parent's checks would take the total past ``budget``.
+    A level-``top`` copy's chain count is 1, a lower copy's the sum over
+    its children.  Tables hold counts above 0 only.  Raises as soon as the
+    extension checks pass ``budget``.
     """
     require_feasible(pattern, seg)
     if not 2 <= top <= pattern.size:
         raise ValueError(f"level {top} outside 2..{pattern.size}")
     scratch = QueryLedger()
-    levels = [[(Instance(e), -1) for e in g.edges()]]
+    counts = dict.fromkeys(range(2, top + 1), 0)
+    tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     checks = 0
-    for _ in range(3, top + 1):
-        found = []
-        for idx, (parent, _) in enumerate(levels[-1]):
-            hood = seg_neighborhood(g, scratch, parent, pattern.slack)
+
+    def grow(copy: Instance) -> int:
+        nonlocal checks
+        level = len(copy.vertices)
+        counts[level] += 1
+        if level == top:
+            chains = 1
+        else:
+            hood = seg_neighborhood(g, scratch, copy, pattern.slack)
             checks += len(hood)
             if checks > budget:
                 raise EnumerationBudgetError(
                     f"enumeration exceeded {budget} extension checks; "
                     "use a smaller graph or raise the budget"
                 )
+            chains = 0
             for u in hood:
-                child = check_extension(g, scratch, parent, u, seg)
+                child = check_extension(g, scratch, copy, u, seg)
                 if child is not None:
-                    found.append((child, idx))
-        levels.append(found)
-    return levels
+                    chains += grow(child)
+        if chains:
+            tables[level][copy.vertices] = chains
+        return chains
+
+    for u, nbrs in enumerate(g.raw_adjacency()):
+        for v in nbrs[bisect_right(nbrs, u) :]:
+            grow(Instance((u, v)))
+    del grow  # grow's closure refers to grow: free it now, not at a collection
+    return counts, tables
 
 
 def enumerate_instances(
@@ -69,14 +91,13 @@ def enumerate_instances(
     budget: int = DEFAULT_BUDGET,
 ) -> list[Instance]:
     """All copies of the given segmentation level, sorted by vertex tuple."""
-    found = [inst for inst, _ in _expand(g, pattern, seg, level, budget)[-1]]
-    found.sort(key=lambda inst: inst.vertices)
-    return found
+    _, tables = _tally(g, pattern, seg, level, budget)
+    return [Instance(vs) for vs in sorted(tables[level])]
 
 
 def exact_count(g: Graph, pattern: Pattern, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of copies of the pattern in the graph."""
-    return len(_expand(g, pattern, auto_segment(pattern), pattern.size, budget)[-1])
+    return count_profile(g, pattern, auto_segment(pattern), budget).total
 
 
 @dataclass
@@ -98,20 +119,10 @@ class CountProfile:
 def count_profile(
     g: Graph, pattern: Pattern, seg: Segmentation, budget: int = DEFAULT_BUDGET
 ) -> CountProfile:
-    """Enumerate every copy and add its chain tally to each ancestor by parent link."""
+    """Tally every copy's chain count depth first; see :func:`_tally`."""
     k = pattern.size
-    levels = _expand(g, pattern, seg, k, budget)
-    total = len(levels[-1])
-    f_tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in range(2, k)}
-    f_tables[k] = {inst.vertices: 1 for inst, _ in levels[-1]}
-    chains = [1] * total
-    for i in range(k, 2, -1):
-        below = levels[i - 3]
-        up = [0] * len(below)
-        for (_, parent), w in zip(levels[i - 2], chains):
-            up[parent] += w
-        f_tables[i - 1] = {below[j][0].vertices: w for j, w in enumerate(up) if w}
-        chains = up
+    counts, f_tables = _tally(g, pattern, seg, k, budget)
+    total = counts[k]
     for i in range(2, k + 1):
         assert sum(f_tables[i].values()) == total, "chain tallies must sum to total"
     f_max_per_level = {
@@ -119,7 +130,7 @@ def count_profile(
     }
     return CountProfile(
         total=total,
-        per_level_counts={i: len(levels[i - 2]) for i in range(2, k + 1)},
+        per_level_counts=counts,
         f_tables=f_tables,
         f_max_per_level=f_max_per_level,
         f_max=max(f_max_per_level.values()) if f_max_per_level else 0,

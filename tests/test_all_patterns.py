@@ -19,7 +19,6 @@ from functools import cache
 from itertools import combinations, permutations
 from random import Random
 
-import networkx as nx
 import pytest
 
 from crawlcount import (
@@ -38,31 +37,8 @@ from crawlcount.patterns import _order_slack
 
 import util
 
-CONNECTED = [
-    (idx, h)
-    for idx, h in enumerate(nx.graph_atlas_g())
-    if 3 <= h.number_of_nodes() <= 7 and nx.is_connected(h)
-]
-
-
-def _accepted():
-    out = []
-    for idx, h in CONNECTED:
-        if util.first_order_within_slack_one(h.number_of_nodes(), h.edges()) is not None:
-            out.append((f"atlas{idx}", h.number_of_nodes(), list(h.edges())))
-    for s in range(5):
-        gone = {(2 * j, 2 * j + 1) for j in range(s)}
-        edges = [e for e in combinations(range(8), 2) if e not in gone]
-        out.append((f"k8minus{s}", 8, edges))
-    accepted = []
-    for name, size, edges in out:
-        seg = auto_segment(Pattern(size, edges))
-        p = Pattern(size, edges, slack=seg.min_slack)
-        accepted.append((name, p, Segmentation(p, seg.order)))
-    return accepted
-
-
-ACCEPTED = _accepted()
+CONNECTED = util.connected_atlas()
+ACCEPTED = util.accepted_patterns()
 IDS = [name for name, _, _ in ACCEPTED]
 
 

@@ -8,9 +8,11 @@ import pytest
 
 from crawlcount import (
     EstimateConfig,
+    QueryLedger,
     WalkConfig,
     builtin_pattern,
     estimate_count,
+    estimate_edge_count,
     load_edge_list_path,
 )
 from crawlcount.cli import (
@@ -454,6 +456,24 @@ class TestDisconnectedWarning:
             [CSV_HEADER] + [r.row() for r in records]
         )
         assert out_csv.read_text() == buf.getvalue()
+
+    def test_edgecount_warns_once_and_keeps_stdout(self, tmp_path, capsys):
+        # the walk sees one triangle, so m_hat lands near 3, not m_true=6
+        path = self.write(tmp_path, TWO_TRIANGLES_TXT)
+        code = main(["edgecount", "--graph", path, "--seed", "4"])
+        out = capsys.readouterr()
+        assert code == 0
+        assert out.err.startswith("warning: graph has 2 components with edges")
+        assert out.err.count("\n") == 1
+        ledger = QueryLedger()
+        est = estimate_edge_count(
+            load_edge_list_path(path), ledger, samples=600, spacing=10, seed=4
+        )
+        assert out.out == (
+            f"m_true=6\nm_hat={est.edge_estimate:.6f}\nsamples={est.samples_used}\n"
+            f"collisions={est.collisions}\nattempts={est.attempts}\n"
+            f"oracle_calls={ledger.oracle_calls}\n"
+        )
 
     @pytest.mark.parametrize(
         "text", [BOWTIE_TXT, "# n=9\n0 1\n0 2\n1 2\n"], ids=["bowtie", "isolated"]

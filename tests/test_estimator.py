@@ -322,8 +322,7 @@ class TestEstimateCount:
 
     def test_estimated_m_mode(self, k4):
         p, seg = builtin_pattern("g33")
-        cfg = self.cfg([60], seed=3, edge_count_mode="estimated-m",
-                       edge_count_samples=400, edge_count_gap=8)
+        cfg = self.cfg([60], seed=3, edge_count_mode="estimated-m")
         res = estimate_count(k4, p, seg, cfg)
         assert 5.0 <= res.edge_total_used <= 7.2
         again = estimate_count(k4, p, seg, cfg)

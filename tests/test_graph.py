@@ -90,18 +90,12 @@ class TestGraphStore:
             assert g.raw_adjacency()[v] == tuple(sorted(ref[v]))
             assert g.raw_neighbor_set(v) == frozenset(ref[v])
         assert g.edge_count == sum(map(len, ref.values())) // 2
-        assert g.edges() == sorted((u, v) for u in ref for v in ref[u] if u < v)
+        assert util.edges(g) == sorted((u, v) for u in ref for v in ref[u] if u < v)
         # One int object per vertex id across every tuple and frozenset, so
         # at most n; the graph holds them all, so their ids are distinct.
         entries = [w for v in range(n) for w in g.raw_adjacency()[v]]
         entries += [w for v in range(n) for w in g.raw_neighbor_set(v)]
         assert len({id(w) for w in entries}) == len(set(entries)) <= n
-
-    def test_edges_sorted_canonical(self):
-        g = util.bowtie()
-        es = g.edges()
-        assert es == sorted(es)
-        assert all(a < b for a, b in es)
 
 
 class TestLoader:

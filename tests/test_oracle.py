@@ -1,4 +1,6 @@
+import gc
 import io
+import tracemalloc
 from math import comb
 
 import networkx as nx
@@ -24,16 +26,17 @@ import util
 
 TRIANGLE_M = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
-# Every builtin plus one loader-accepted slack-1 pattern that is no
-# clique minus edges: the 4-cycle, in the order the loader picks.
+# Every builtin, the 4-cycle in the order the loader picks, and every
+# loader-accepted pattern on at most 5 vertices with its automatic order.
 PATTERNS = [(name, *builtin_pattern(name)) for name in builtin_names()]
 PATTERNS.append(("c4", *parse_pattern(io.StringIO("4 1\n0 1\n1 2\n2 3\n0 3\n"))))
+PATTERNS += [t for t in util.accepted_patterns() if t[1].size <= 5]
 
 
 def nx_of(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.vertex_count))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(util.edges(g))
     return h
 
 
@@ -59,7 +62,7 @@ class TestEnumeration:
     def test_level_two_is_edge_set(self, bowtie):
         p, seg = builtin_pattern("g33")
         insts = enumerate_instances(bowtie, p, seg, 2)
-        assert [i.vertices for i in insts] == bowtie.edges()
+        assert [i.vertices for i in insts] == util.edges(bowtie)
 
     def test_sorted_and_unique(self, corpus):
         p, seg = builtin_pattern("g33")
@@ -95,10 +98,12 @@ class TestEnumeration:
     def test_every_level_matches_naive_subset_scan(self, name, p, seg):
         for seed in range(4):
             g = util.er_graph(9, 0.55, seed)
+            counts = count_profile(g, p, seg).per_level_counts
             for lvl in range(2, p.size + 1):
                 want = util.naive_copies(g, util.level_matrix(seg, lvl))
                 got = [i.vertices for i in enumerate_instances(g, p, seg, lvl)]
                 assert got == want, (seed, lvl)
+                assert counts[lvl] == len(want), (seed, lvl)
             assert exact_count(g, p) == len(want), seed
 
     def test_underdeclared_slack_rejected(self, bowtie_plus):
@@ -157,6 +162,34 @@ class TestCountProfile:
         assert all(v == 1 for v in prof.f_tables[4].values())
         assert sum(prof.f_tables[2].values()) == 5
         assert prof.f_max_per_level[4] == 1
+
+    def test_memory_stays_flat_without_copies(self):
+        # K_{40,40}: 1600 edges, 64000 extension checks, no triangle.  The
+        # tally keeps no copy whose count is 0, so all that grows is the
+        # scratch ledger's set of 80 queried vertices.
+        g = Graph(80, [(a, 40 + b) for a in range(40) for b in range(40)])
+        p, seg = builtin_pattern("g33")
+        assert count_profile(g, p, seg).total == 0  # fills the classification memo
+        tracemalloc.start()
+        try:
+            prof = count_profile(g, p, seg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.per_level_counts == {2: 1600, 3: 0}
+        assert peak < 64 * 1024, peak
+
+    def test_leaves_no_reference_cycle(self, bowtie_plus):
+        # garbage in a cycle would keep the tables alive until a collection
+        p, seg = builtin_pattern("g45")
+        gc.collect()
+        gc.disable()
+        try:
+            assert count_profile(bowtie_plus, p, seg).total == 2
+            assert exact_count(bowtie_plus, p) == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_zero_copy_graph(self, c5):
         p, seg = builtin_pattern("g33")

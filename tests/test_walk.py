@@ -93,7 +93,7 @@ class TestWalk:
             k4, QueryLedger(), WalkConfig(length=20_000, seed=11, burn_in=50)
         )
         freq = Counter(walk)
-        assert set(freq) == set(k4.edges())
+        assert set(freq) == set(util.edges(k4))
         for e, cnt in freq.items():
             assert abs(cnt / 20_000 - 1 / 6) < 0.02
 

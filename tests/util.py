@@ -10,18 +10,23 @@ isomorphism test, is the reference for the package's missing-pair count.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from random import Random
 
 from collections import Counter
 
+import networkx as nx
+
 from crawlcount import (
     CollisionShortfallError,
     EdgeCountEstimate,
     Graph,
+    Pattern,
     QueryLedger,
     Segmentation,
     WalkConfig,
+    auto_segment,
     default_burn_in,
     neighbors,
 )
@@ -137,6 +142,11 @@ def is_connected(g: Graph) -> bool:
 # ---- naive reference implementations ----
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """All edges as (min, max) pairs, sorted."""
+    return [(u, v) for u, nbrs in enumerate(g.raw_adjacency()) for v in nbrs if u < v]
+
+
 def naive_matrix(g: Graph, verts: tuple[int, ...]) -> list[list[int]]:
     return [
         [1 if b in g.raw_neighbor_set(a) else 0 for b in verts] for a in verts
@@ -239,6 +249,37 @@ def first_order_within_slack_one(size: int, edges) -> tuple[int, ...] | None:
     return extend([])
 
 
+@cache
+def connected_atlas() -> list:
+    """(atlas index, graph) for every connected 3- to 7-vertex graph of the networkx atlas."""
+    return [
+        (idx, h)
+        for idx, h in enumerate(nx.graph_atlas_g())
+        if 3 <= h.number_of_nodes() <= 7 and nx.is_connected(h)
+    ]
+
+
+@cache
+def accepted_patterns() -> list[tuple[str, Pattern, Segmentation]]:
+    """Every loader-accepted pattern on 3 to 8 vertices, one per isomorphism
+    class, with its automatic order: the atlas graphs that have an order of
+    slack at most 1, then K8 minus 0..4 disjoint pairs."""
+    out = []
+    for idx, h in connected_atlas():
+        if first_order_within_slack_one(h.number_of_nodes(), h.edges()) is not None:
+            out.append((f"atlas{idx}", h.number_of_nodes(), list(h.edges())))
+    for s in range(5):
+        gone = {(2 * j, 2 * j + 1) for j in range(s)}
+        kept = [e for e in combinations(range(8), 2) if e not in gone]
+        out.append((f"k8minus{s}", 8, kept))
+    accepted = []
+    for name, size, pairs in out:
+        seg = auto_segment(Pattern(size, pairs))
+        p = Pattern(size, pairs, slack=seg.min_slack)
+        accepted.append((name, p, Segmentation(p, seg.order)))
+    return accepted
+
+
 def set_connected(g: Graph, verts: tuple[int, ...]) -> bool:
     vs = set(verts)
     seen = {verts[0]}
@@ -297,7 +338,7 @@ def chain_walk_tables(g: Graph, seg: Segmentation) -> dict[int, dict[tuple[int, 
 
 def brute_observed_edges(g: Graph, queried: set[int]) -> int:
     """Edges with at least one queried endpoint, counted edge by edge."""
-    return sum(1 for u, v in g.edges() if u in queried or v in queried)
+    return sum(1 for u, v in edges(g) if u in queried or v in queried)
 
 
 def brute_representative(g: Graph, verts: tuple[int, ...], slack: int) -> tuple[int, ...]:

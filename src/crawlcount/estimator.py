@@ -95,23 +95,6 @@ class EstimateConfig:
             raise ValueError("every layer size must be at least 1")
 
 
-def _derive_seeds(cfg: EstimateConfig) -> tuple[int, int, int]:
-    root = Random(cfg.seed)
-    walk_seed = root.getrandbits(63)
-    trial_seed = root.getrandbits(63)
-    edge_seed = root.getrandbits(63)
-    return walk_seed, trial_seed, edge_seed
-
-
-def _check_setup(g: Graph, pattern: Pattern, seg: Segmentation, cfg: EstimateConfig) -> None:
-    if len(cfg.layer_sizes) != pattern.size - 2:
-        raise ValueError(
-            f"pattern of size {pattern.size} needs {pattern.size - 2} layer sizes "
-            f"(l_3..l_{pattern.size}), got {len(cfg.layer_sizes)}"
-        )
-    require_feasible(pattern, seg)
-
-
 def _member_degrees(
     g: Graph, ledger: QueryLedger, members: Sequence[Instance], slack: int
 ) -> list[int]:
@@ -177,8 +160,9 @@ def final_level_successes(
 
 @dataclass
 class LayerBuild:
-    """Everything a build produced: layers 2..k-1, final successes, ledger."""
+    """Everything a build produced: edge total, layers 2..k-1, final successes, ledger."""
 
+    edge_total: float
     layers: list[LayerState]
     successes: int
     final_trials: int
@@ -191,22 +175,34 @@ class LayerBuild:
 
 
 def build_layers(
-    g: Graph,
-    pattern: Pattern,
-    seg: Segmentation,
-    cfg: EstimateConfig,
-    ledger: QueryLedger | None = None,
+    g: Graph, pattern: Pattern, seg: Segmentation, cfg: EstimateConfig
 ) -> LayerBuild:
-    """Walk, then grow layers 3..k-1, then run the final counting loop.
+    """Edge total, walk, layers 3..k-1, then the final counting loop, on one ledger.
 
-    A layer that ends up empty stops the build with zero successes and a
-    warning; that outcome is a legitimate sample, not an error.
+    The edge total is ``g.edge_count`` under exact-m; under estimated-m it
+    is a collision count charged to the ledger ahead of the walk.  A layer
+    that ends up empty stops the build with zero successes and a warning;
+    that outcome is a legitimate sample, not an error.
     """
-    _check_setup(g, pattern, seg, cfg)
-    if ledger is None:
-        ledger = QueryLedger()
+    if len(cfg.layer_sizes) != pattern.size - 2:
+        raise ValueError(
+            f"pattern of size {pattern.size} needs {pattern.size - 2} layer sizes "
+            f"(l_3..l_{pattern.size}), got {len(cfg.layer_sizes)}"
+        )
+    require_feasible(pattern, seg)
+    ledger = QueryLedger()
+    root = Random(cfg.seed)
+    walk_seed = root.getrandbits(63)
+    trial_seed = root.getrandbits(63)
+    edge_seed = root.getrandbits(63)
+    if cfg.edge_count_mode == "exact-m":
+        edge_total: float = float(g.edge_count)
+    else:
+        samples = max(EDGE_COUNT_MIN_SAMPLES, math.ceil(10 * math.sqrt(g.vertex_count)))
+        edge_total = estimate_edge_count(
+            g, ledger, samples, EDGE_COUNT_GAP, seed=edge_seed
+        ).edge_estimate
     k = pattern.size
-    walk_seed, trial_seed, _ = _derive_seeds(cfg)
     wcfg = cfg.walk if cfg.walk.seed is not None else replace(cfg.walk, seed=walk_seed)
     edges = simple_random_walk(g, ledger, wcfg)
     rng = Random(trial_seed)
@@ -220,7 +216,7 @@ def build_layers(
         cur = layers[-1]
         if cur.total_degree <= 0:
             warnings.append(f"degenerate layer at level {cur.level}")
-            return LayerBuild(layers, 0, final_trials, ledger, warnings)
+            return LayerBuild(edge_total, layers, 0, final_trials, ledger, warnings)
         members: list[Instance] = []
         for _ in range(trials):
             got = _trial(g, ledger, cur, seg, rng, hood_cache)
@@ -232,11 +228,11 @@ def build_layers(
     last = layers[-1]
     if last.total_degree <= 0:
         warnings.append(f"degenerate layer at level {last.level}")
-        return LayerBuild(layers, 0, final_trials, ledger, warnings)
+        return LayerBuild(edge_total, layers, 0, final_trials, ledger, warnings)
     successes = final_level_successes(
         g, ledger, last, seg, final_trials, rng, hood_cache
     )
-    return LayerBuild(layers, successes, final_trials, ledger, warnings)
+    return LayerBuild(edge_total, layers, successes, final_trials, ledger, warnings)
 
 
 def scaling_constant(
@@ -305,17 +301,7 @@ def estimate_count(
     g: Graph, pattern: Pattern, seg: Segmentation, cfg: EstimateConfig
 ) -> EstimateResult:
     """One full estimation run: walk, layers, final loop, normalization."""
-    _check_setup(g, pattern, seg, cfg)
-    ledger = QueryLedger()
-    _, _, edge_seed = _derive_seeds(cfg)
-    if cfg.edge_count_mode == "exact-m":
-        edge_total: float = float(g.edge_count)
-    else:
-        samples = max(EDGE_COUNT_MIN_SAMPLES, math.ceil(10 * math.sqrt(g.vertex_count)))
-        est = estimate_edge_count(g, ledger, samples, EDGE_COUNT_GAP, seed=edge_seed)
-        edge_total = est.edge_estimate
-
-    build = build_layers(g, pattern, seg, cfg, ledger=ledger)
+    build = build_layers(g, pattern, seg, cfg)
     k = pattern.size
     diags = [
         LayerDiagnostic(
@@ -334,7 +320,7 @@ def estimate_count(
     else:
         degrees = [ls.total_degree for ls in build.layers]
         sizes = list(cfg.layer_sizes[: k - 3])
-        c_k = scaling_constant(k, edge_total, cfg.walk.length, sizes, degrees)
+        c_k = scaling_constant(k, build.edge_total, cfg.walk.length, sizes, degrees)
         scaling = float(c_k)
         estimate = float(Fraction(build.successes) * c_k / build.final_trials)
     diags.append(
@@ -354,12 +340,12 @@ def estimate_count(
         scaling=scaling,
         final_trials=build.final_trials,
         walk_length=cfg.walk.length,
-        edge_total_used=edge_total,
+        edge_total_used=build.edge_total,
         per_layer=diags,
-        oracle_calls=ledger.oracle_calls,
-        edges_observed=edges_observed_fraction(ledger, g),
+        oracle_calls=build.ledger.oracle_calls,
+        edges_observed=edges_observed_fraction(build.ledger, g),
         warnings=warnings,
-        ledger=ledger,
+        ledger=build.ledger,
     )
 
 

@@ -159,7 +159,9 @@ def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:
     without it the count is max id + 1.  Duplicate edges and self-loops
     are dropped silently.  A graph with no edges is rejected.  Endpoints
     are buffered as 64-bit machine integers, 16 bytes per edge, so ids must
-    lie below 2**63.
+    lie below 2**63.  A graph costs a few hundred bytes per id, so a vertex
+    count above max(2**20, 4 * endpoints read) is refused before anything
+    is allocated for it.
     """
     declared_n: int | None = None
     ends = array("q")  # u0, v0, u1, v1, ...
@@ -204,6 +206,11 @@ def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:
     n = declared_n if declared_n is not None else (max(ends) + 1 if ends else 0)
     if n <= 0:
         raise EdgeListParseError("edge list declares no vertices")
+    if n > max(1 << 20, 4 * len(ends)):
+        raise EdgeListParseError(
+            f"vertex count {n} exceeds max(2**20, 4 x {len(ends)} endpoints); "
+            "renumber the ids densely from 0"
+        )
     pairs = iter(ends)
     g = Graph(n, zip(pairs, pairs))
     if g.edge_count == 0:

@@ -11,10 +11,9 @@ feasible order so is each level i, missing ``seg.missing[i]`` pairs.  A
 tuple is therefore a copy of level i exactly when no vertex lies in two of
 its missing pairs and it misses that many pairs; its assignment removes the
 smallest vertex lying in ``missing[i] - missing[i-1]`` missing pairs.
-:func:`classify` reads the adjacency as one integer word, counts its bits
-once per distinct word, and keeps the answer in the segmentation's memo.
-The memo belongs to one :class:`Segmentation`; it holds at most one entry
-per classified tuple and never more than the distinct words seen.
+:func:`classify` applies that rule in one pass over the tuple's pairs,
+reading the graph's neighbor sets directly; it keeps no state between
+calls.
 """
 
 from __future__ import annotations
@@ -105,48 +104,6 @@ def seg_degree(g: Graph, ledger: QueryLedger, inst: Instance, slack: int) -> int
     return len(seg_neighborhood(g, ledger, inst, slack))
 
 
-def _adjacency_word(g: Graph, verts: Sequence[int]) -> int:
-    """Induced adjacency of ``verts`` as a word: a leading 1, then one bit per pair.
-
-    Pairs run (1,0), (2,0), (2,1), (3,0), ...; the leading 1 makes the
-    word's length tell the tuple size, so words of different levels differ.
-    """
-    word = 1
-    for i in range(1, len(verts)):
-        nbrs = g.raw_neighbor_set(verts[i])
-        for w in verts[:i]:
-            word = (word << 1) | (w in nbrs)
-    return word
-
-
-def _classify_word(word: int, k: int, seg: Segmentation) -> int | None:
-    """Classify a k-vertex adjacency word by counting its missing pairs (the memo's miss path).
-
-    Removing a vertex that lies in a missing pair leaves one pair fewer,
-    removing any other leaves them all, hence the rule for the assigned
-    vertex.  Raises ValueError unless the order needs slack at most 1, the
-    condition under which every level is a clique minus a matching.
-    """
-    if seg.min_slack is None or seg.min_slack > 1:
-        raise ValueError(
-            f"extensions are classified only under an order of slack at most 1, not {seg.order}"
-        )
-    want = seg.missing[k]
-    if k * (k - 1) // 2 + 1 - word.bit_count() != want:
-        return None
-    absent = [0] * k
-    pos = word.bit_length() - 2
-    for i in range(1, k):
-        for j in range(i):
-            if not (word >> pos) & 1:
-                absent[i] += 1
-                absent[j] += 1
-            pos -= 1
-    if max(absent) > 1:
-        return None
-    return absent.index(want - seg.missing[k - 1])
-
-
 def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
     """Classify a sorted tuple of at least three vertices against its level of ``seg``.
 
@@ -154,16 +111,36 @@ def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
     connected copy of the level below (the copy's assignment to its
     parent), or None when the tuple is not a copy of its level.  Under a
     feasible order every copy has such a vertex: removing the one that
-    plays the order's last vertex leaves the level below.  Reads the graph
-    unmetered; callers charge the ledger for ``verts``.  A word not yet in
-    the memo raises ValueError when the order needs slack 2 or more.
+    plays the order's last vertex leaves the level below.  Removing a
+    vertex that lies in a missing pair leaves one pair fewer, removing any
+    other leaves them all, hence the rule for the assigned vertex.  Reads
+    the graph unmetered; callers charge the ledger for ``verts``.  Raises
+    ValueError unless the order needs slack at most 1, the condition under
+    which every level is a clique minus a matching.
     """
-    word = _adjacency_word(g, verts)
-    memo = seg.memo
-    if word in memo:
-        return memo[word]
-    cls = memo[word] = _classify_word(word, len(verts), seg)
-    return cls
+    if seg.min_slack is None or seg.min_slack > 1:
+        raise ValueError(
+            f"extensions are classified only under an order of slack at most 1, not {seg.order}"
+        )
+    k = len(verts)
+    want = seg.missing[k]
+    covered = count = 0  # bit i of covered: vertex i lies in a missing pair
+    for i in range(1, k):
+        nbrs = g.raw_neighbor_set(verts[i])
+        for j in range(i):
+            if verts[j] in nbrs:
+                continue
+            pair = 1 << i | 1 << j
+            if count == want or covered & pair:
+                return None
+            count += 1
+            covered |= pair
+    if count != want:
+        return None
+    # the first vertex in a missing pair if level k has one more than level
+    # k-1, else the first vertex in none (there is one: the order's last)
+    marks = covered if want > seg.missing[k - 1] else ~covered
+    return (marks & -marks).bit_length() - 1
 
 
 def check_extension(

@@ -77,12 +77,11 @@ class Segmentation:
     some level is disconnected; it is derived once, here.  ``level(i)`` is
     level i's adjacency on local indices 0..i-1, one neighbor bitmask per
     vertex, and ``missing[i]`` counts the vertex pairs absent from it.
-    ``memo`` maps the adjacency word of a sorted vertex tuple to its
-    classification against this order's levels; ``instances.classify``
-    fills it on first sight of each word.
+    Nothing changes after construction, so one object can serve any number
+    of graphs and runs.
     """
 
-    __slots__ = ("pattern", "order", "_levels", "min_slack", "missing", "memo")
+    __slots__ = ("pattern", "order", "_levels", "min_slack", "missing")
 
     def __init__(self, pattern: Pattern, order: Sequence[int]):
         k = pattern.size
@@ -106,7 +105,6 @@ class Segmentation:
         self._levels = levels
         self.min_slack = _order_slack(pattern.bits, self.order)
         self.missing = tuple(missing)
-        self.memo: dict[int, int | None] = {}
 
     def level(self, i: int) -> tuple[int, ...]:
         if i not in self._levels:

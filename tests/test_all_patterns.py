@@ -177,7 +177,7 @@ _REFERENCE: dict = {}
 
 @pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_classification_matches_backtracking_reference(name, p, seg):
-    """The memo's bit-counting rule against the backtracking reference, under
+    """The missing-pair counting rule against the backtracking reference, under
     every feasible order up to 5 vertices and under the automatic order plus
     five seeded feasible ones above."""
     if p.size <= 5:
@@ -198,10 +198,27 @@ def test_classification_matches_backtracking_reference(name, p, seg):
                 if key not in _REFERENCE:
                     _REFERENCE[key] = util.reference_class(bits, s, k)
                 want = _REFERENCE[key]
-                assert classify(g, tuple(range(k)), s) == want, (order, bits)  # miss
-                assert classify(g, tuple(range(k)), s) == want  # hit
+                assert classify(g, tuple(range(k)), s) == want, (order, bits)
                 accepted += want is not None
     assert accepted > 0
+
+
+LARGE = [(name, p, seg) for name, p, seg in ACCEPTED if p.size >= 6]
+
+
+@pytest.mark.parametrize("name,p,seg", LARGE, ids=[name for name, _, _ in LARGE])
+def test_classification_near_every_level_at_six_to_eight(name, p, seg):
+    """Under the automatic order, every tuple that misses at most one pair
+    more than its level (K_k minus s_k pairs) agrees with the backtracking
+    reference: all copies, all near misses, and every way to add one pair
+    too many."""
+    for k in range(3, p.size + 1):
+        pairs = list(combinations(range(k), 2))
+        for gone in range(seg.missing[k] + 2):
+            for absent in combinations(pairs, gone):
+                g, bits = _graph_and_bits(k, [e for e in pairs if e not in absent])
+                want = util.reference_class(bits, seg, k)
+                assert classify(g, tuple(range(k)), seg) == want, (k, absent)
 
 
 def test_infeasible_order_refuses_to_classify():

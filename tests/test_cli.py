@@ -394,6 +394,14 @@ class TestErrors:
         assert code == 2
         assert "slack" in capsys.readouterr().err
 
+    def test_sparse_id_space_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sparse.txt"
+        path.write_text("0 100000000\n")
+        assert main(["exact", "--graph", str(path), "--pattern", "g33"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: vertex count 100000001") and out.err.count("\n") == 1
+
     def test_slack_two_stops_exact_with_one_error_line(self, bowtie_file, capsys):
         code = main(
             ["exact", "--graph", bowtie_file, "--pattern", "g33", "--c", "2"]

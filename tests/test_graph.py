@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -137,6 +138,23 @@ class TestLoader:
     def test_edgeless_input_rejected(self):
         with pytest.raises(EdgeListParseError):
             load_edge_list(io.StringIO("# n=4\n"))
+
+    def test_sparse_id_space_refused_before_allocating(self):
+        # one edge claims 10**8 ids, which a Graph would need tens of GB for
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListParseError, match="renumber"):
+                load_edge_list(io.StringIO("0 100000000\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("text", ["0 1048576\n", "# n=1048577\n0 1\n"])
+    def test_id_space_floor_is_two_to_the_twenty(self, text):
+        # n = 2**20 + 1 with 2 endpoints: past the floor, by max id or by header
+        with pytest.raises(EdgeListParseError, match="vertex count 1048577"):
+            load_edge_list(io.StringIO(text))
 
     def test_comment_lines_skipped(self):
         g = load_edge_list(io.StringIO("# n=3\n# a note\n0 1\n# more\n1 2\n"))

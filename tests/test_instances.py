@@ -192,14 +192,13 @@ class TestCheckExtension:
                             assert got is None
 
 
-class TestClassifyMemo:
+class TestClassify:
     @pytest.mark.parametrize("name", [*builtin_names(), "c4"])
     def test_every_word_matches_backtracking(self, name):
         if name == "c4":
             _, seg = parse_pattern(io.StringIO("4 1\n0 1\n1 2\n2 3\n0 3\n"))
         else:
             _, seg = builtin_pattern(name)
-        words = 0
         for k in range(3, seg.pattern.size + 1):
             pairs = list(combinations(range(k), 2))
             for mask in range(1 << len(pairs)):
@@ -209,24 +208,16 @@ class TestClassifyMemo:
                     bits[a] |= 1 << b
                     bits[b] |= 1 << a
                 g = Graph(k, edges)
-                want = util.reference_class(bits, seg, k)
-                assert classify(g, tuple(range(k)), seg) == want  # miss
-                assert classify(g, tuple(range(k)), seg) == want  # hit
-            words += 1 << len(pairs)
-        # one entry per distinct word, none shared between levels
-        assert len(seg.memo) == words
+                assert classify(g, tuple(range(k)), seg) == util.reference_class(bits, seg, k)
 
-    def test_orders_keep_their_own_memo(self):
+    def test_orders_classify_the_same_tuple_apart(self):
         # g45 misses edge 2-3: order 0,1,2,3 has a triangle at level 3,
-        # order 2,0,3,1 a path, so the same triangle word must part ways.
+        # order 2,0,3,1 a path, so the same triangle must part ways.
         p, seg_a = builtin_pattern("g45")
         seg_b = Segmentation(p, (2, 0, 3, 1))
         tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
         assert classify(tri, (0, 1, 2), seg_a) == 0
         assert classify(tri, (0, 1, 2), seg_b) is None
-        assert seg_a.memo is not seg_b.memo
-        assert list(seg_a.memo.values()) == [0]
-        assert list(seg_b.memo.values()) == [None]
 
 
 class TestHotPathLedger:

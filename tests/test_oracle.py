@@ -169,7 +169,8 @@ class TestCountProfile:
         # scratch ledger's set of 80 queried vertices.
         g = Graph(80, [(a, 40 + b) for a in range(40) for b in range(40)])
         p, seg = builtin_pattern("g33")
-        assert count_profile(g, p, seg).total == 0  # fills the classification memo
+        # warm-up, so that the traced count sees only its own working set
+        assert count_profile(g, p, seg).total == 0
         tracemalloc.start()
         try:
             prof = count_profile(g, p, seg)

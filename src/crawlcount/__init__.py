@@ -35,7 +35,6 @@ from .instances import (
     Instance,
     check_extension,
     representative,
-    seg_degree,
     seg_neighborhood,
 )
 from .oracle import (

@@ -1,12 +1,14 @@
 """Layered sampling estimator for pattern counts over the metered oracle.
 
 The sampler materializes a chain of layers.  Level 2 is the multiset of
-edges collected by a random walk.  Each next level is filled by repeated
-trials: pick a member with probability proportional to its weight (the
-size of its representative neighborhood), pick a uniform vertex from that
-neighborhood, and keep the grown instance only if it is a copy of the next
-level whose assignment maps back to the sampled member.  The last level is
-never stored; its trials only count successes Y.
+edges collected by a random walk.  A layer holds each member's
+representative neighborhood, fetched once per distinct member when the
+layer is built; its size is the member's weight.  Each next level is
+filled by one extension loop: pick a member with probability proportional
+to its weight, pick a uniform vertex from its stored neighborhood, and
+keep the grown instance only if it is a copy of the next level whose
+assignment maps back to the sampled member.  The last level runs the same
+loop but is never stored; its trials only count successes Y.
 
 Every accepted instance at a given level is reachable by exactly one
 (member, vertex) pair, so a single trial lands on any fixed copy with
@@ -26,7 +28,7 @@ from random import Random
 from typing import Sequence
 
 from .graph import Graph, QueryLedger, edges_observed_fraction
-from .instances import Instance, check_extension, seg_degree, seg_neighborhood
+from .instances import Instance, check_extension, seg_neighborhood
 from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
@@ -41,27 +43,38 @@ class DegenerateLayerError(ValueError):
 
 @dataclass
 class LayerState:
-    """One materialized layer: members with cached weights and prefix sums."""
+    """One materialized layer: members, their representative neighborhoods, prefix weights.
+
+    ``hoods[i]`` is member i's representative neighborhood, whose size is
+    the member's sampling weight; repeated members share one tuple.
+    """
 
     level: int
     members: list[Instance]
-    member_degrees: list[int]
-    total_degree: int
-    prefix_weights: list[int]
+    hoods: list[tuple[int, ...]]
     trials: int
+    prefix_weights: list[int] = field(init=False)
+    total_degree: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.prefix_weights = list(accumulate(map(len, self.hoods)))
+        self.total_degree = self.prefix_weights[-1] if self.prefix_weights else 0
 
     @staticmethod
-    def build(level: int, members: list[Instance], degrees: list[int], trials: int) -> "LayerState":
-        prefix = list(accumulate(degrees))
-        total = prefix[-1] if prefix else 0
-        return LayerState(
-            level=level,
-            members=members,
-            member_degrees=degrees,
-            total_degree=total,
-            prefix_weights=prefix,
-            trials=trials,
-        )
+    def build(
+        g: Graph,
+        ledger: QueryLedger,
+        level: int,
+        members: list[Instance],
+        trials: int,
+        slack: int,
+    ) -> "LayerState":
+        """The layer of ``members``, fetching each distinct member's neighborhood once."""
+        fetched: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for m in members:
+            if m.vertices not in fetched:
+                fetched[m.vertices] = seg_neighborhood(g, ledger, m, slack)
+        return LayerState(level, members, [fetched[m.vertices] for m in members], trials)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -95,48 +108,36 @@ class EstimateConfig:
             raise ValueError("every layer size must be at least 1")
 
 
-def _member_degrees(
-    g: Graph, ledger: QueryLedger, members: Sequence[Instance], slack: int
-) -> list[int]:
-    """Sampling weight of each member; repeated members reuse the first lookup."""
-    cache: dict[tuple[int, ...], int] = {}
-    degrees = []
-    for inst in members:
-        d = cache.get(inst.vertices)
-        if d is None:
-            d = seg_degree(g, ledger, inst, slack)
-            cache[inst.vertices] = d
-        degrees.append(d)
-    return degrees
-
-
 def initial_layer(
     g: Graph, ledger: QueryLedger, edges: Sequence[tuple[int, int]], slack: int
 ) -> LayerState:
     """Wrap walk edges (a multiset, order preserved) as the level-2 layer."""
-    members = [Instance(e) for e in edges]
-    degrees = _member_degrees(g, ledger, members, slack)
-    return LayerState.build(2, members, degrees, trials=len(members))
+    return LayerState.build(g, ledger, 2, [Instance(e) for e in edges], len(edges), slack)
 
 
-def _trial(
+def _extend(
     g: Graph,
     ledger: QueryLedger,
     layer: LayerState,
     seg: Segmentation,
+    trials: int,
     rng: Random,
-    hood_cache: dict[tuple[int, ...], tuple[int, ...]],
-) -> Instance | None:
-    """One extension trial; returns the accepted instance or None."""
-    idx = _sample_index(layer, rng)
-    member = layer.members[idx]
-    hood = hood_cache.get(member.vertices)
-    if hood is None:
-        hood = seg_neighborhood(g, ledger, member, seg.pattern.slack)
-        hood_cache[member.vertices] = hood
-    assert len(hood) == layer.member_degrees[idx]
-    u = hood[rng.randrange(len(hood))]
-    return check_extension(g, ledger, member, u, seg)
+) -> list[Instance]:
+    """Run ``trials`` extension trials against ``layer``; the accepted instances in order.
+
+    A trial draws a member by weight and a uniform vertex of its
+    representative neighborhood, and keeps the grown instance if
+    :func:`check_extension` accepts it.
+    """
+    accepted = []
+    for _ in range(trials):
+        idx = _sample_index(layer, rng)
+        hood = layer.hoods[idx]
+        u = hood[rng.randrange(len(hood))]
+        got = check_extension(g, ledger, layer.members[idx], u, seg)
+        if got is not None:
+            accepted.append(got)
+    return accepted
 
 
 def final_level_successes(
@@ -146,16 +147,9 @@ def final_level_successes(
     seg: Segmentation,
     trials: int,
     rng: Random,
-    hood_cache: dict[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> int:
     """Run the last-level loop against a frozen layer and count successes."""
-    if hood_cache is None:
-        hood_cache = {}
-    hits = 0
-    for _ in range(trials):
-        if _trial(g, ledger, layer, seg, rng, hood_cache) is not None:
-            hits += 1
-    return hits
+    return len(_extend(g, ledger, layer, seg, trials, rng))
 
 
 @dataclass
@@ -206,33 +200,21 @@ def build_layers(
     wcfg = cfg.walk if cfg.walk.seed is not None else replace(cfg.walk, seed=walk_seed)
     edges = simple_random_walk(g, ledger, wcfg)
     rng = Random(trial_seed)
-    hood_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     layers = [initial_layer(g, ledger, edges, pattern.slack)]
     warnings: list[str] = []
-    final_trials = cfg.layer_sizes[-1]
-    for level in range(3, k):
-        trials = cfg.layer_sizes[level - 3]
+    successes = 0
+    for level, trials in enumerate(cfg.layer_sizes, start=3):
         cur = layers[-1]
         if cur.total_degree <= 0:
             warnings.append(f"degenerate layer at level {cur.level}")
-            return LayerBuild(edge_total, layers, 0, final_trials, ledger, warnings)
-        members: list[Instance] = []
-        for _ in range(trials):
-            got = _trial(g, ledger, cur, seg, rng, hood_cache)
-            if got is not None:
-                members.append(got)
-        degrees = _member_degrees(g, ledger, members, pattern.slack)
-        layers.append(LayerState.build(level, members, degrees, trials=trials))
-
-    last = layers[-1]
-    if last.total_degree <= 0:
-        warnings.append(f"degenerate layer at level {last.level}")
-        return LayerBuild(edge_total, layers, 0, final_trials, ledger, warnings)
-    successes = final_level_successes(
-        g, ledger, last, seg, final_trials, rng, hood_cache
-    )
-    return LayerBuild(edge_total, layers, successes, final_trials, ledger, warnings)
+            break
+        if level == k:
+            successes = final_level_successes(g, ledger, cur, seg, trials, rng)
+        else:
+            members = _extend(g, ledger, cur, seg, trials, rng)
+            layers.append(LayerState.build(g, ledger, level, members, trials, pattern.slack))
+    return LayerBuild(edge_total, layers, successes, cfg.layer_sizes[-1], ledger, warnings)
 
 
 def scaling_constant(

@@ -1,8 +1,11 @@
 """Vertex-set instances and the operations the layered sampler needs.
 
 Everything here reaches the host graph through the metered oracle: each
-helper queries every vertex whose neighborhood it relies on, so the cost
-of a decision shows up in the ledger.
+helper charges one neighbors query per vertex of the tuple it decides on
+(:func:`representative` and :func:`seg_neighborhood` the instance,
+:func:`check_extension` the instance plus the candidate), then reads those
+vertices' adjacency unmetered, so the cost of a decision shows up in the
+ledger once per vertex.
 
 Whether a sorted vertex tuple is a copy of its segmentation level, and
 which vertex its assignment removes, depends only on the tuple's induced
@@ -23,7 +26,7 @@ from itertools import combinations
 from operator import ge
 from typing import Sequence
 
-from .graph import Graph, QueryLedger, charge, neighbors
+from .graph import Graph, QueryLedger, charge
 from .patterns import Segmentation
 
 
@@ -80,28 +83,17 @@ def seg_neighborhood(
 ) -> tuple[int, ...]:
     """Sorted union of the neighbor lists of the representative subset.
 
+    Its size is the instance's sampling weight.  Charges one neighbors
+    query per instance vertex, through :func:`representative`, and reads
+    the representative's lists unmetered: they are among those queries.
     Instance members are not excluded; extension checks reject them later,
     which keeps every trial's landing probability at exactly one over the
     size of this set.
     """
     rep = representative(g, ledger, inst, slack)
     if len(rep) == 1:
-        return neighbors(g, ledger, rep[0])
-    hood: set[int] = set()
-    for v in rep:
-        hood |= set(neighbors(g, ledger, v))
-    return tuple(sorted(hood))
-
-
-def seg_degree(g: Graph, ledger: QueryLedger, inst: Instance, slack: int) -> int:
-    """Size of the representative neighborhood; the sampling weight."""
-    if slack == 0:
-        verts = inst.vertices
-        if not verts:
-            raise ValueError("empty instance")
-        charge(g, ledger, verts)
-        return min(map(g.raw_degree, verts))
-    return len(seg_neighborhood(g, ledger, inst, slack))
+        return g.raw_adjacency()[rep[0]]
+    return tuple(sorted(set().union(*map(g.raw_neighbor_set, rep))))
 
 
 def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .graph import Graph, QueryLedger
-from .instances import Instance, check_extension, seg_degree, seg_neighborhood
+from .instances import Instance, check_extension, seg_neighborhood
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -183,7 +183,7 @@ def seg_degree_total(
     """Sum of sampling weights over every copy of the given level."""
     scratch = QueryLedger()
     return sum(
-        seg_degree(g, scratch, inst, pattern.slack)
+        len(seg_neighborhood(g, scratch, inst, pattern.slack))
         for inst in enumerate_instances(g, pattern, seg, level, budget=budget)
     )
 

@@ -148,6 +148,8 @@ def estimate_edge_count(
         raise ValueError("need at least 2 samples")
     if spacing < 1:
         raise ValueError("spacing must be at least 1")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     rng = Random(seed)
     randrange = rng.randrange
     burn = burn_in if burn_in is not None else default_burn_in(g.vertex_count)

@@ -30,7 +30,7 @@ from crawlcount import (
     final_level_successes,
     representative,
     scaling_constant,
-    seg_degree,
+    seg_neighborhood,
     simple_random_walk,
 )
 from crawlcount.cli import main, summary_path
@@ -114,7 +114,7 @@ def test_c03_representative_matches_exhaustive_argmin(corpus):
                         ok = False
                         bad = (gname, name, lvl, inst.vertices, got, want)
                     wdeg = util.brute_seg_degree(g, inst.vertices, p.slack)
-                    if seg_degree(g, led, inst, p.slack) != wdeg:
+                    if len(seg_neighborhood(g, led, inst, p.slack)) != wdeg:
                         ok = False
                         bad = (gname, name, lvl, inst.vertices, "degree")
                     checked += 1

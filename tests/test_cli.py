@@ -394,6 +394,20 @@ class TestErrors:
         assert code == 2
         assert "slack" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["estimate", "--pattern", "g33", "--walk-len", "20", "--layers", "10"],
+            ["edgecount", "--samples", "50"],
+        ],
+    )
+    def test_negative_burn_in_is_one_error_line(self, extra, bowtie_file, capsys):
+        code = main(extra + ["--graph", bowtie_file, "--burn-in", "-3"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: burn_in must be nonnegative\n"
+
     def test_sparse_id_space_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "sparse.txt"
         path.write_text("0 100000000\n")

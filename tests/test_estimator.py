@@ -33,27 +33,28 @@ import util
 class TestLayerState:
     def test_build_prefix_sums(self):
         members = [Instance((0, 1)), Instance((1, 2)), Instance((0, 2))]
-        layer = LayerState.build(2, members, [1, 3, 2], trials=3)
+        layer = LayerState(2, members, [(2,), (0, 3, 4), (1, 3)], trials=3)
+        assert [len(h) for h in layer.hoods] == [1, 3, 2]
         assert layer.total_degree == 6
         assert layer.prefix_weights == [1, 4, 6]
         assert len(layer) == 3
 
     def test_empty_layer_is_degenerate(self):
-        layer = LayerState.build(3, [], [], trials=10)
+        layer = LayerState(3, [], [], trials=10)
         assert layer.total_degree == 0
         with pytest.raises(DegenerateLayerError):
             _sample_index(layer, Random(0))
 
     def test_weighted_sample_distribution(self):
         members = [Instance((0, 1)), Instance((1, 2))]
-        layer = LayerState.build(2, members, [1, 3], trials=2)
+        layer = LayerState(2, members, [(2,), (0, 3, 4)], trials=2)
         rng = Random(42)
         hits = sum(1 for _ in range(20_000) if _sample_index(layer, rng) == 1)
         assert abs(hits / 20_000 - 0.75) < 0.02
 
     def test_zero_weight_member_never_drawn(self):
         members = [Instance((0, 1)), Instance((1, 2))]
-        layer = LayerState.build(2, members, [0, 5], trials=2)
+        layer = LayerState(2, members, [(), (0, 3, 4, 5, 6)], trials=2)
         rng = Random(7)
         assert all(_sample_index(layer, rng) == 1 for _ in range(200))
 
@@ -146,13 +147,15 @@ class TestInitialLayer:
         led = QueryLedger()
         edges = simple_random_walk(bowtie, led, WalkConfig(length=30, seed=5))
         layer = initial_layer(bowtie, led, edges, slack=0)
-        assert layer.member_degrees == [2] * 30
+        assert [len(h) for h in layer.hoods] == [2] * 30
         assert layer.total_degree == 60
 
     def test_repeat_edges_share_weight(self, k4):
         led = QueryLedger()
         layer = initial_layer(k4, led, [(0, 1), (0, 1), (2, 3)], slack=0)
-        assert layer.member_degrees == [3, 3, 3]
+        assert [len(h) for h in layer.hoods] == [3, 3, 3]
+        assert layer.hoods[0] is layer.hoods[1]
+        assert led.oracle_calls == 4  # two distinct edges, two vertices each
 
 
 def accepted_extension_count(g, inst, seg, slack):
@@ -276,6 +279,51 @@ class TestBuildLayers:
         a = final_level_successes(bowtie, led, layer, seg, 200, Random(4))
         b = final_level_successes(bowtie, led, layer, seg, 200, Random(4))
         assert a == b
+
+
+class TestOneFetchPerMember:
+    """A run fetches each distinct member's neighborhood once, and its ledger
+    is the walk, the fetches and the charged extension checks, nothing else."""
+
+    @pytest.mark.parametrize(
+        "pat,sizes",
+        [("g33", [200]), ("g46", [150, 200]), ("g59", [150, 150, 200])],
+    )
+    def test_each_member_fetched_once_and_ledger_adds_up(self, pat, sizes, monkeypatch):
+        import crawlcount.estimator as est
+
+        g = util.connected_er_graph(40, 0.5, 3)
+        p, seg = builtin_pattern(pat)
+        fetched, checked = [], []
+        fetch, check = est.seg_neighborhood, est.check_extension
+
+        def counting_fetch(g, ledger, inst, slack):
+            fetched.append(inst.vertices)
+            return fetch(g, ledger, inst, slack)
+
+        def counting_check(g, ledger, parent, u, seg):
+            checked.append((parent.vertices, u))
+            return check(g, ledger, parent, u, seg)
+
+        monkeypatch.setattr(est, "seg_neighborhood", counting_fetch)
+        monkeypatch.setattr(est, "check_extension", counting_check)
+        cfg = EstimateConfig(
+            layer_sizes=sizes, walk=WalkConfig(length=60, burn_in=20), seed=4
+        )
+        build = build_layers(g, p, seg, cfg)
+        assert not build.degenerate and len(build.layers) == p.size - 2
+        assert len(build.layers[-1]) > 0
+
+        distinct = [{m.vertices for m in ls.members} for ls in build.layers]
+        assert len(fetched) == len(set(fetched))
+        assert set(fetched) == set().union(*distinct)
+        assert len(checked) == sum(sizes)
+        want = (
+            20 + 60
+            + sum(ls.level * len(d) for ls, d in zip(build.layers, distinct))
+            + sum(len(parent) + 1 for parent, u in checked if u not in parent)
+        )
+        assert build.ledger.oracle_calls == want
 
 
 class TestEstimateCount:

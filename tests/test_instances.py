@@ -16,7 +16,6 @@ from crawlcount import (
     neighbors,
     parse_pattern,
     representative,
-    seg_degree,
     seg_neighborhood,
 )
 from crawlcount.instances import classify
@@ -95,14 +94,6 @@ class TestSegNeighborhood:
             want |= bowtie_plus.raw_neighbor_set(v)
         assert hood == tuple(sorted(want))
 
-    def test_degree_equals_len_of_neighborhood(self, bowtie):
-        for verts in [(0, 1), (0, 1, 2), (2, 3, 4)]:
-            led = QueryLedger()
-            inst = Instance(verts)
-            assert seg_degree(bowtie, led, inst, 0) == len(
-                seg_neighborhood(bowtie, QueryLedger(), inst, 0)
-            )
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_slack_zero_degree_is_min_member_degree(self, seed):
@@ -110,7 +101,7 @@ class TestSegNeighborhood:
         tri = util.naive_copies(g, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         for verts in tri[:6]:
             led = QueryLedger()
-            assert seg_degree(g, led, Instance(verts), 0) == min(
+            assert len(seg_neighborhood(g, led, Instance(verts), 0)) == min(
                 g.raw_degree(v) for v in verts
             )
 
@@ -237,6 +228,20 @@ class TestHotPathLedger:
                         for v in sorted(parent.vertices + (u,)):
                             neighbors(g, ref, v)
                         assert led == ref
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_seg_neighborhood_charges_like_per_vertex_queries(self, corpus, slack):
+        for name, g in corpus:
+            for pat in builtin_names():
+                p, seg = builtin_pattern(pat)
+                for level in range(2, p.size + 1):
+                    for inst in enumerate_instances(g, p, seg, level)[:6]:
+                        led = QueryLedger()
+                        seg_neighborhood(g, led, inst, slack)
+                        ref = QueryLedger()
+                        for v in inst.vertices:
+                            neighbors(g, ref, v)
+                        assert led == ref, (name, pat, inst.vertices)
 
     def test_out_of_range_vertex_rejected(self, bowtie):
         _, seg = builtin_pattern("g33")

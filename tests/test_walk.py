@@ -105,6 +105,12 @@ class TestEdgeCount:
         with pytest.raises(ValueError):
             estimate_edge_count(k4, QueryLedger(), samples=10, spacing=0, seed=0)
 
+    def test_negative_burn_in_rejected(self, k4):
+        led = QueryLedger()
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            estimate_edge_count(k4, led, samples=10, spacing=2, seed=0, burn_in=-3)
+        assert led == QueryLedger()
+
     def test_deterministic(self, k4):
         a = estimate_edge_count(k4, QueryLedger(), samples=50, spacing=3, seed=5)
         b = estimate_edge_count(k4, QueryLedger(), samples=50, spacing=3, seed=5)

@@ -12,7 +12,7 @@ import csv
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 from .estimator import (
@@ -38,7 +38,12 @@ from .patterns import (
     require_feasible,
     validate_segmentation,
 )
-from .walk import CollisionShortfallError, WalkConfig, estimate_edge_count
+from .walk import (
+    CollisionShortfallError,
+    WalkConfig,
+    check_collision_args,
+    estimate_edge_count,
+)
 
 CSV_HEADER = [
     "run",
@@ -92,10 +97,14 @@ class RunRecord:
 
 @dataclass
 class ExperimentSpec:
-    """A full sweep: repetitions at every walk length in the schedule."""
+    """A full sweep: repetitions at every walk length in the schedule.
 
+    Checked when built, so before any graph work; ``layer_sizes`` stays None
+    until they are sized from the graph.
+    """
+
+    walk_lengths: tuple[int, ...]
     repetitions: int = 100
-    walk_lengths: tuple[int, ...] = ()
     layer_sizes: tuple[int, ...] | None = None
     burn_in: int | None = None
     base_seed: int = 0
@@ -104,6 +113,20 @@ class ExperimentSpec:
     lazy_walk: bool = False
     exact_total: float | None = None
     budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self) -> None:
+        if not self.walk_lengths:
+            raise ValueError("experiment needs at least one walk length")
+        if self.repetitions < 1:
+            raise ValueError("experiment needs at least one repetition")
+        for walk_len in self.walk_lengths:
+            self.config(walk_len, self.base_seed)  # the runs' own checks
+
+    def config(self, walk_len: int, seed: int) -> EstimateConfig:
+        """The configuration of one run of the sweep."""
+        walk = WalkConfig(walk_len, burn_in=self.burn_in, lazy=self.lazy_walk)
+        mode = "estimated-m" if self.estimate_m else "exact-m"
+        return EstimateConfig(self.layer_sizes or (), walk, mode, seed)
 
 
 @dataclass(frozen=True)
@@ -165,31 +188,6 @@ def _pattern_args(args: argparse.Namespace) -> tuple[Pattern, Segmentation]:
     return p, seg
 
 
-def _auto_layers(
-    g: Graph,
-    p: Pattern,
-    eps: float,
-    t_guess: float | None,
-    fmax_guess: float,
-    max_layer: int,
-) -> tuple[int, ...]:
-    if t_guess is None:
-        raise ValueError("auto layer sizing needs --t-guess or --exact-t")
-    rec = recommend_sample_sizes(
-        n=g.vertex_count,
-        m=g.edge_count,
-        alpha=degeneracy(g).value,
-        c=p.slack,
-        k=p.size,
-        eps=eps,
-        t_guess=t_guess,
-        fmax_guess=fmax_guess,
-    )
-    return tuple(
-        min(max_layer, rec.layer_sizes[i]) for i in range(3, p.size + 1)
-    )
-
-
 def _component_count(g: Graph) -> int:
     """Connected components with at least one edge, by unmetered search."""
     adj = g.raw_adjacency()
@@ -210,7 +208,9 @@ def _component_count(g: Graph) -> int:
     return count
 
 
-def _warn_if_disconnected(g: Graph) -> None:
+def _load_graph(path: str) -> Graph:
+    """Load the graph file, warning when it has more than one component with edges."""
+    g = load_edge_list_path(path)
     count = _component_count(g)
     if count > 1:
         print(
@@ -218,16 +218,13 @@ def _warn_if_disconnected(g: Graph) -> None:
             "covers only the component the walk starts in",
             file=sys.stderr,
         )
+    return g
 
 
 def run_experiment(
     spec: ExperimentSpec, g: Graph, p: Pattern, seg: Segmentation
 ) -> tuple[list[RunRecord], list[SummaryRecord]]:
     """Execute the sweep; returns per-run rows and per-walk-length medians."""
-    if not spec.walk_lengths:
-        raise ValueError("experiment needs at least one walk length")
-    if spec.repetitions < 1:
-        raise ValueError("experiment needs at least one repetition")
     if spec.layer_sizes is None:
         raise ValueError("experiment needs explicit layer sizes")
     exact: float | None = spec.exact_total
@@ -244,18 +241,7 @@ def run_experiment(
         block: list[RunRecord] = []
         for j in range(spec.repetitions):
             seed = spec.base_seed + j
-            cfg = EstimateConfig(
-                layer_sizes=spec.layer_sizes,
-                walk=WalkConfig(
-                    length=walk_len,
-                    seed=None,
-                    burn_in=spec.burn_in,
-                    lazy=spec.lazy_walk,
-                ),
-                edge_count_mode="estimated-m" if spec.estimate_m else "exact-m",
-                seed=seed,
-            )
-            res = estimate_count(g, p, seg, cfg)
+            res = estimate_count(g, p, seg, spec.config(walk_len, seed))
             block.append(_record_from_result(j, seed, res, exact))
         records.extend(block)
         rels = [r.rel_err_pct for r in block if r.rel_err_pct is not None]
@@ -349,21 +335,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
-    g = load_edge_list_path(args.graph)
-    _warn_if_disconnected(g)
-    layers = _layers(args, g, p)
-    cfg = EstimateConfig(
-        layer_sizes=layers,
-        walk=WalkConfig(
-            length=args.walk_len,
-            seed=None,
-            burn_in=args.burn_in,
-            lazy=args.lazy_walk,
-        ),
-        edge_count_mode="estimated-m" if args.estimate_m else "exact-m",
-        seed=args.seed,
-    )
-    res = estimate_count(g, p, seg, cfg)
+    spec = _run_spec(args, p, (args.walk_len,), repetitions=1)
+    g = _load_graph(args.graph)
+    spec = _sized(spec, g, p, args)
+    res = estimate_count(g, p, seg, spec.config(args.walk_len, args.seed))
     rec = _record_from_result(0, args.seed, res, None)
     _write_csv(sys.stdout, CSV_HEADER, [rec.row()])
     return 0
@@ -372,21 +347,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
-    g = load_edge_list_path(args.graph)
-    _warn_if_disconnected(g)
-    spec = ExperimentSpec(
-        repetitions=args.reps,
-        walk_lengths=tuple(args.walk_len),
-        layer_sizes=_layers(args, g, p),
-        burn_in=args.burn_in,
-        base_seed=args.seed,
-        out_path=args.out,
-        estimate_m=args.estimate_m,
-        lazy_walk=args.lazy_walk,
-        exact_total=args.exact_t,
-        budget=args.budget,
+    spec = _run_spec(
+        args, p, tuple(args.walk_len), repetitions=args.reps, out_path=args.out,
+        exact_total=args.exact_t, budget=args.budget,
     )
-    records, summaries = run_experiment(spec, g, p, seg)
+    g = _load_graph(args.graph)
+    records, summaries = run_experiment(_sized(spec, g, p, args), g, p, seg)
     _write_csv(spec.out_path, CSV_HEADER, [r.row() for r in records])
     _write_csv(summary_path(spec.out_path), SUMMARY_HEADER, [s.row() for s in summaries])
     _write_csv(sys.stdout, SUMMARY_HEADER, [s.row() for s in summaries])
@@ -394,8 +360,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_edgecount(args: argparse.Namespace) -> int:
-    g = load_edge_list_path(args.graph)
-    _warn_if_disconnected(g)
+    check_collision_args(args.samples, args.gap, args.burn_in)
+    g = _load_graph(args.graph)
     ledger = QueryLedger()
     est = estimate_edge_count(
         g,
@@ -417,16 +383,47 @@ def cmd_edgecount(args: argparse.Namespace) -> int:
 # ---- argument plumbing ----
 
 
-def _layers(args: argparse.Namespace, g: Graph, p: Pattern) -> tuple[int, ...]:
+def _run_spec(
+    args: argparse.Namespace, p: Pattern, walk_lengths: tuple[int, ...], **fields
+) -> ExperimentSpec:
+    """The run flags as a sweep, checked before the graph is loaded.
+
+    Without ``--layers`` its sizes are None until :func:`_sized` sets them.
+    """
+    sizes = None
     if args.layers is not None:
         sizes = tuple(int(t) for t in args.layers.split(","))
         if len(sizes) != p.size - 2:
             raise ValueError(
                 f"--layers needs {p.size - 2} values l_3..l_{p.size} for this pattern"
             )
-        return sizes
-    t_guess = args.t_guess if args.t_guess is not None else getattr(args, "exact_t", None)
-    return _auto_layers(g, p, args.epsilon, t_guess, args.fmax_guess, args.max_layer)
+    elif _t_guess(args) is None:
+        raise ValueError("auto layer sizing needs --t-guess or --exact-t")
+    return ExperimentSpec(
+        walk_lengths=walk_lengths,
+        layer_sizes=sizes,
+        burn_in=args.burn_in,
+        base_seed=args.seed,
+        estimate_m=args.estimate_m,
+        lazy_walk=args.lazy_walk,
+        **fields,
+    )
+
+
+def _t_guess(args: argparse.Namespace) -> float | None:
+    return args.t_guess if args.t_guess is not None else getattr(args, "exact_t", None)
+
+
+def _sized(spec: ExperimentSpec, g: Graph, p: Pattern, args: argparse.Namespace) -> ExperimentSpec:
+    """``spec`` with its layers sized from the graph unless ``--layers`` gave them."""
+    if spec.layer_sizes is not None:
+        return spec
+    rec = recommend_sample_sizes(
+        n=g.vertex_count, m=g.edge_count, alpha=degeneracy(g).value, c=p.slack, k=p.size,
+        eps=args.epsilon, t_guess=_t_guess(args), fmax_guess=args.fmax_guess,
+    )
+    sizes = tuple(min(args.max_layer, rec.layer_sizes[i]) for i in range(3, p.size + 1))
+    return replace(spec, layer_sizes=sizes)
 
 
 def _add_pattern_flags(sp: argparse.ArgumentParser) -> None:

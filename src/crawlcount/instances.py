@@ -64,13 +64,13 @@ def representative(
     charge(g, ledger, verts)
     if slack == 0:
         return (min(verts, key=g.raw_degree),)
-    nsets = {v: g.raw_neighbor_set(v) for v in verts}
+    lookups = g.raw_neighbor_lookups()
     best_subset: tuple[int, ...] | None = None
     best_size = -1
     for sub in combinations(verts, slack + 1):
         hood: set[int] = set()
         for v in sub:
-            hood |= nsets[v]
+            hood.update(lookups[v])
         if best_subset is None or len(hood) < best_size:
             best_subset = sub
             best_size = len(hood)
@@ -93,7 +93,8 @@ def seg_neighborhood(
     rep = representative(g, ledger, inst, slack)
     if len(rep) == 1:
         return g.raw_adjacency()[rep[0]]
-    return tuple(sorted(set().union(*map(g.raw_neighbor_set, rep))))
+    lookups = g.raw_neighbor_lookups()
+    return tuple(sorted(set().union(*[lookups[v] for v in rep])))
 
 
 def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
@@ -116,9 +117,10 @@ def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
         )
     k = len(verts)
     want = seg.missing[k]
+    lookups = g.raw_neighbor_lookups()
     covered = count = 0  # bit i of covered: vertex i lies in a missing pair
     for i in range(1, k):
-        nbrs = g.raw_neighbor_set(verts[i])
+        nbrs = lookups[verts[i]]
         for j in range(i):
             if verts[j] in nbrs:
                 continue

@@ -127,6 +127,16 @@ class EdgeCountEstimate:
     attempts: int
 
 
+def check_collision_args(samples: int, spacing: int, burn_in: int | None) -> None:
+    """Raise ValueError unless :func:`estimate_edge_count` accepts these."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    if spacing < 1:
+        raise ValueError("spacing must be at least 1")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+
+
 def estimate_edge_count(
     g: Graph,
     ledger: QueryLedger,
@@ -144,12 +154,7 @@ def estimate_edge_count(
     the estimate is C(s, 2) / X.  Zero collisions double the sample count
     and continue the walk, up to ``max_attempts`` rounds.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if spacing < 1:
-        raise ValueError("spacing must be at least 1")
-    if burn_in is not None and burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    check_collision_args(samples, spacing, burn_in)
     rng = Random(seed)
     randrange = rng.randrange
     burn = burn_in if burn_in is not None else default_burn_in(g.vertex_count)

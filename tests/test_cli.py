@@ -15,6 +15,7 @@ from crawlcount import (
     estimate_edge_count,
     load_edge_list_path,
 )
+from crawlcount import cli
 from crawlcount.cli import (
     CSV_HEADER,
     SUMMARY_HEADER,
@@ -407,6 +408,47 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: burn_in must be nonnegative\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["estimate", "--walk-len", "20", "--layers", "10", "--burn-in", "-3"],
+             "burn_in must be nonnegative"),
+            (["estimate", "--walk-len", "0", "--layers", "10"],
+             "walk length must be at least 1"),
+            (["estimate", "--walk-len", "20", "--layers", "0"],
+             "every layer size must be at least 1"),
+            (["estimate", "--walk-len", "20", "--layers", "10,10"],
+             "--layers needs 1 values l_3..l_3 for this pattern"),
+            (["estimate", "--walk-len", "20"],
+             "auto layer sizing needs --t-guess or --exact-t"),
+            (["experiment", "--walk-len", "20", "--layers", "10", "--reps", "0"],
+             "experiment needs at least one repetition"),
+            (["experiment", "--walk-len", "20,0", "--layers", "10"],
+             "walk length must be at least 1"),
+            (["experiment", "--walk-len", "20", "--layers", "10", "--burn-in", "-1"],
+             "burn_in must be nonnegative"),
+            (["experiment", "--walk-len", "20", "--layers", "-5"],
+             "every layer size must be at least 1"),
+            (["edgecount", "--burn-in", "-3"], "burn_in must be nonnegative"),
+            (["edgecount", "--samples", "1"], "need at least 2 samples"),
+            (["edgecount", "--gap", "0"], "spacing must be at least 1"),
+        ],
+    )
+    def test_bad_flag_is_reported_before_the_load(self, argv, line, tmp_path, monkeypatch, capsys):
+        def no_load(path):
+            raise AssertionError("graph loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_edge_list_path", no_load)
+        if argv[0] != "edgecount":
+            argv = argv + ["--pattern", "g33"]
+        if argv[0] == "experiment":
+            argv = argv + ["--out", str(tmp_path / "never.csv")]
+        assert main(argv + ["--graph", "g.txt"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {line}\n"
+        assert not (tmp_path / "never.csv").exists()
 
     def test_sparse_id_space_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "sparse.txt"

@@ -1,3 +1,4 @@
+import gc
 import io
 import tracemalloc
 
@@ -74,13 +75,15 @@ class TestGraphStore:
     @example((600, [(300, 400), (400, 500), (300, 500), (599, 300)], [400]))
     def test_matches_dict_of_sets_with_one_int_per_id(self, spec):
         n, pairs, loops = spec
-        # Duplicates, reversed pairs and self-loops, each entry a fresh int
-        # object (ids above 256 are not cached), as a parser would produce.
+        # Every edge in both directions and repeated, with self-loops in
+        # between, each entry a fresh int object (ids above 256 are not
+        # cached), as a parser would produce.
         fresh = lambda x: int(str(x))
         raw = [(fresh(u), fresh(v)) for u, v in pairs]
-        raw += [(fresh(v), fresh(u)) for u, v in pairs[::2]]
         raw += [(fresh(v), fresh(v)) for v in loops]
-        raw += [(fresh(u), fresh(v)) for u, v in pairs[1::3]]
+        raw += [(fresh(v), fresh(u)) for u, v in pairs]
+        raw += [(fresh(u), fresh(v)) for u, v in pairs[::-1]]
+        raw += [(fresh(v), fresh(v)) for v in loops]
         ref: dict[int, set[int]] = {v: set() for v in range(n)}
         for u, v in raw:
             if u != v:
@@ -89,14 +92,33 @@ class TestGraphStore:
         g = Graph(n, raw)
         for v in range(n):
             assert g.raw_adjacency()[v] == tuple(sorted(ref[v]))
-            assert g.raw_neighbor_set(v) == frozenset(ref[v])
+            assert set(g.raw_neighbor_lookups()[v]) == ref[v]
         assert g.edge_count == sum(map(len, ref.values())) // 2
         assert util.edges(g) == sorted((u, v) for u in ref for v in ref[u] if u < v)
-        # One int object per vertex id across every tuple and frozenset, so
+        # One int object per vertex id across every tuple and lookup, so
         # at most n; the graph holds them all, so their ids are distinct.
         entries = [w for v in range(n) for w in g.raw_adjacency()[v]]
-        entries += [w for v in range(n) for w in g.raw_neighbor_set(v)]
+        entries += [w for lookup in g.raw_neighbor_lookups() for w in lookup]
         assert len({id(w) for w in entries}) == len(set(entries)) <= n
+        # an out-of-range edge after the valid ones still stops the build
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(n, raw + [(0, n)])
+
+    def test_lookups_are_untracked_and_small(self):
+        # PA(20000, 5): about 100k edges
+        edges = util.edges(util.pa_graph(20000, 5, seed=7))
+        tracemalloc.start()
+        try:
+            g = Graph(20000, edges)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == len(edges) > 99_000
+        for lookup, nbrs in zip(g.raw_neighbor_lookups(), g.raw_adjacency(), strict=True):
+            assert not gc.is_tracked(lookup)
+            assert tuple(lookup) == nbrs
+        # dict lookups hold about 123 bytes per edge here; frozensets held 198
+        assert held / g.edge_count < 160, held / g.edge_count
 
 
 class TestLoader:

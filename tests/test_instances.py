@@ -91,7 +91,7 @@ class TestSegNeighborhood:
         rep = util.brute_representative(bowtie_plus, inst.vertices, 1)
         want = set()
         for v in rep:
-            want |= bowtie_plus.raw_neighbor_set(v)
+            want |= set(bowtie_plus.raw_neighbor_lookups()[v])
         assert hood == tuple(sorted(want))
 
     @settings(max_examples=40, deadline=None)

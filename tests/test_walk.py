@@ -50,7 +50,7 @@ class TestWalk:
         assert len(walk) == 200
         for a, b in walk:
             assert a < b
-            assert b in bowtie.raw_neighbor_set(a)
+            assert b in bowtie.raw_neighbor_lookups()[a]
 
     def test_consecutive_edges_share_a_vertex(self, bowtie):
         walk = simple_random_walk(bowtie, QueryLedger(), WalkConfig(length=300, seed=3))

@@ -149,7 +149,7 @@ def edges(g: Graph) -> list[tuple[int, int]]:
 
 def naive_matrix(g: Graph, verts: tuple[int, ...]) -> list[list[int]]:
     return [
-        [1 if b in g.raw_neighbor_set(a) else 0 for b in verts] for a in verts
+        [1 if b in g.raw_neighbor_lookups()[a] else 0 for b in verts] for a in verts
     ]
 
 

@@ -18,6 +18,7 @@ from typing import IO, Sequence
 from .estimator import (
     EstimateConfig,
     EstimateResult,
+    check_sizing_args,
     estimate_count,
     recommend_sample_sizes,
 )
@@ -388,7 +389,8 @@ def _run_spec(
 ) -> ExperimentSpec:
     """The run flags as a sweep, checked before the graph is loaded.
 
-    Without ``--layers`` its sizes are None until :func:`_sized` sets them.
+    Without ``--layers`` its sizes are None until :func:`_sized` sets them,
+    but the flags that size them are checked here all the same.
     """
     sizes = None
     if args.layers is not None:
@@ -399,7 +401,7 @@ def _run_spec(
             )
     elif _t_guess(args) is None:
         raise ValueError("auto layer sizing needs --t-guess or --exact-t")
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         walk_lengths=walk_lengths,
         layer_sizes=sizes,
         burn_in=args.burn_in,
@@ -408,6 +410,9 @@ def _run_spec(
         lazy_walk=args.lazy_walk,
         **fields,
     )
+    if sizes is None:
+        check_sizing_args(args.epsilon, _t_guess(args), args.fmax_guess)
+    return spec
 
 
 def _t_guess(args: argparse.Namespace) -> float | None:

@@ -28,7 +28,7 @@ from random import Random
 from typing import Sequence
 
 from .graph import Graph, QueryLedger, edges_observed_fraction
-from .instances import Instance, check_extension, seg_neighborhood
+from .instances import Instance, Rule, is_child, parent_rule, seg_neighborhood
 from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
@@ -80,14 +80,6 @@ class LayerState:
         return len(self.members)
 
 
-def _sample_index(layer: LayerState, rng: Random) -> int:
-    """Draw a member index with probability proportional to its weight."""
-    if layer.total_degree <= 0:
-        raise DegenerateLayerError(f"degenerate layer at level {layer.level}")
-    x = rng.randrange(layer.total_degree)
-    return bisect_right(layer.prefix_weights, x)
-
-
 @dataclass
 class EstimateConfig:
     """Knobs for one estimation run.
@@ -122,21 +114,53 @@ def _extend(
     seg: Segmentation,
     trials: int,
     rng: Random,
-) -> list[Instance]:
-    """Run ``trials`` extension trials against ``layer``; the accepted instances in order.
+) -> list[tuple[int, ...]]:
+    """Run ``trials`` extension trials against ``layer``; the grown tuples accepted, in order.
 
-    A trial draws a member by weight and a uniform vertex of its
-    representative neighborhood, and keeps the grown instance if
-    :func:`check_extension` accepts it.
+    A trial draws a member by weight and a uniform vertex u of its
+    representative neighborhood, and keeps the grown tuple if u is a child
+    of the member under :func:`is_child`.  Each draw is ``randrange(n)``
+    spelled inline: ``getrandbits(n.bit_length())`` redrawn until below n,
+    which is how ``Random`` implements it, so the draws are the same.  A
+    trial whose u is not a member charges the grown tuple, as
+    :func:`check_extension` would; the member's own vertices were queried
+    when its neighborhood was fetched, so that adds u to the queried set.
     """
+    total = layer.total_degree
+    if total <= 0:
+        raise DegenerateLayerError(f"degenerate layer at level {layer.level}")
+    getrandbits = rng.getrandbits
+    total_bits = total.bit_length()
+    prefix, hoods, members = layer.prefix_weights, layer.hoods, layer.members
+    lookups = g.raw_neighbor_lookups()
+    query = ledger.queried_vertices.add
+    rules: dict[tuple[int, ...], Rule | None] = {}
     accepted = []
+    calls = 0
+    charge = layer.level + 1
     for _ in range(trials):
-        idx = _sample_index(layer, rng)
-        hood = layer.hoods[idx]
-        u = hood[rng.randrange(len(hood))]
-        got = check_extension(g, ledger, layer.members[idx], u, seg)
-        if got is not None:
-            accepted.append(got)
+        x = getrandbits(total_bits)
+        while x >= total:
+            x = getrandbits(total_bits)
+        idx = bisect_right(prefix, x)
+        hood = hoods[idx]
+        n = len(hood)
+        x = getrandbits(n.bit_length())
+        while x >= n:
+            x = getrandbits(n.bit_length())
+        u = hood[x]
+        verts = members[idx].vertices
+        if u in verts:
+            continue
+        calls += charge
+        query(u)
+        try:
+            rule = rules[verts]
+        except KeyError:
+            rule = rules[verts] = parent_rule(g, verts, seg)
+        if rule is not None and u < rule[0] and is_child(lookups[u], verts, u, rule):
+            accepted.append(tuple(sorted(verts + (u,))))
+    ledger.oracle_calls += calls
     return accepted
 
 
@@ -212,7 +236,7 @@ def build_layers(
         if level == k:
             successes = final_level_successes(g, ledger, cur, seg, trials, rng)
         else:
-            members = _extend(g, ledger, cur, seg, trials, rng)
+            members = list(map(Instance, _extend(g, ledger, cur, seg, trials, rng)))
             layers.append(LayerState.build(g, ledger, level, members, trials, pattern.slack))
     return LayerBuild(edge_total, layers, successes, cfg.layer_sizes[-1], ledger, warnings)
 
@@ -337,6 +361,16 @@ class SampleSizeRecommendation:
     layer_sizes: dict[int, int]
 
 
+def check_sizing_args(eps: float, t_guess: float, fmax_guess: float) -> None:
+    """Raise ValueError unless :func:`recommend_sample_sizes` accepts these, whatever the graph."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie strictly between 0 and 1")
+    if t_guess <= 0:
+        raise ValueError("t_guess must be positive")
+    if fmax_guess < 1:
+        raise ValueError("fmax_guess must be at least 1")
+
+
 def recommend_sample_sizes(
     n: int,
     m: int,
@@ -355,8 +389,7 @@ def recommend_sample_sizes(
     * F * m / T, with both tau values defaulting to ceil(10 log2 n).
     These are ceilings to aim for, not enforced minimums.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
+    check_sizing_args(eps, t_guess, fmax_guess)
     if n < 2 or m < 1:
         raise ValueError("graph must have at least 2 vertices and 1 edge")
     if alpha < 1:
@@ -365,10 +398,6 @@ def recommend_sample_sizes(
         raise ValueError("pattern size must be at least 3")
     if c < 0:
         raise ValueError("slack must be nonnegative")
-    if t_guess <= 0:
-        raise ValueError("t_guess must be positive")
-    if fmax_guess < 1:
-        raise ValueError("fmax_guess must be at least 1")
     ln = math.log(n)
     base = 2.0 * m * (n**c)
     sizes: dict[int, int] = {}

@@ -7,16 +7,17 @@ helper charges one neighbors query per vertex of the tuple it decides on
 vertices' adjacency unmetered, so the cost of a decision shows up in the
 ledger once per vertex.
 
-Whether a sorted vertex tuple is a copy of its segmentation level, and
-which vertex its assignment removes, depends only on the tuple's induced
-adjacency.  Accepted patterns are cliques minus a matching, and under a
-feasible order so is each level i, missing ``seg.missing[i]`` pairs.  A
-tuple is therefore a copy of level i exactly when no vertex lies in two of
-its missing pairs and it misses that many pairs; its assignment removes the
-smallest vertex lying in ``missing[i] - missing[i-1]`` missing pairs.
-:func:`classify` applies that rule in one pass over the tuple's pairs,
-reading the graph's neighbor sets directly; it keeps no state between
-calls.
+Accepted patterns are cliques minus a matching, and under a feasible order
+so is each level i, missing ``seg.missing[i]`` pairs; the next level misses
+the same number or one more.  A sorted tuple is therefore a copy of level i
+exactly when no vertex lies in two of its missing pairs and it misses that
+many pairs.  A copy of the next level is assigned to the copy left by
+removing its smallest vertex in a missing pair if that level misses one
+pair more, else its smallest vertex in none.  Relative to the parent this
+is one rule, stated once here: :func:`parent_rule` reads a copy once and
+returns its threshold, the vertices its missing pairs cover and whether the
+next level grows; :func:`is_child` then decides each candidate vertex with
+at most one probe per parent vertex.  Neither keeps state between calls.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import ge
-from typing import Sequence
+from typing import AbstractSet, Container, Sequence
 
 from .graph import Graph, QueryLedger, charge
 from .patterns import Segmentation
@@ -97,19 +98,22 @@ def seg_neighborhood(
     return tuple(sorted(set().union(*[lookups[v] for v in rep])))
 
 
-def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
-    """Classify a sorted tuple of at least three vertices against its level of ``seg``.
+Rule = tuple[int, AbstractSet[int], bool]
+_NONE: AbstractSet[int] = frozenset()  # shared by every rule of a copy missing no pair
 
-    Returns the index of the smallest vertex whose removal leaves a
-    connected copy of the level below (the copy's assignment to its
-    parent), or None when the tuple is not a copy of its level.  Under a
-    feasible order every copy has such a vertex: removing the one that
-    plays the order's last vertex leaves the level below.  Removing a
-    vertex that lies in a missing pair leaves one pair fewer, removing any
-    other leaves them all, hence the rule for the assigned vertex.  Reads
-    the graph unmetered; callers charge the ledger for ``verts``.  Raises
-    ValueError unless the order needs slack at most 1, the condition under
-    which every level is a clique minus a matching.
+
+def parent_rule(g: Graph, verts: Sequence[int], seg: Segmentation) -> Rule | None:
+    """What a sorted copy ``verts`` of a level of ``seg`` asks of its children.
+
+    Returns None when ``verts`` is not a copy of its level.  Otherwise
+    returns ``(threshold, covered, grows)``: ``covered`` is the set of
+    vertices lying in the copy's missing pairs, ``grows`` whether the next
+    level misses one pair more, and ``threshold`` the bound every child's
+    new vertex lies below, the smallest vertex of ``covered`` if the level
+    grows and else the smallest one outside it (``g.vertex_count`` when
+    there is none).  Reads the graph unmetered.  Raises ValueError unless
+    the order needs slack at most 1, the condition under which every level
+    is a clique minus a matching.
     """
     if seg.min_slack is None or seg.min_slack > 1:
         raise ValueError(
@@ -118,23 +122,43 @@ def classify(g: Graph, verts: Sequence[int], seg: Segmentation) -> int | None:
     k = len(verts)
     want = seg.missing[k]
     lookups = g.raw_neighbor_lookups()
-    covered = count = 0  # bit i of covered: vertex i lies in a missing pair
+    covered: set[int] = set()
     for i in range(1, k):
-        nbrs = lookups[verts[i]]
-        for j in range(i):
-            if verts[j] in nbrs:
+        v = verts[i]
+        nbrs = lookups[v]
+        for w in verts[:i]:
+            if w in nbrs:
                 continue
-            pair = 1 << i | 1 << j
-            if count == want or covered & pair:
+            if len(covered) == 2 * want or w in covered or v in covered:
                 return None
-            count += 1
-            covered |= pair
-    if count != want:
+            covered.add(w)
+            covered.add(v)
+    if len(covered) != 2 * want:
         return None
-    # the first vertex in a missing pair if level k has one more than level
-    # k-1, else the first vertex in none (there is one: the order's last)
-    marks = covered if want > seg.missing[k - 1] else ~covered
-    return (marks & -marks).bit_length() - 1
+    if seg.missing[k + 1] > want:
+        return min(covered, default=g.vertex_count), covered or _NONE, True
+    if not covered:
+        return verts[0], _NONE, False
+    return next((v for v in verts if v not in covered), g.vertex_count), covered, False
+
+
+def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> bool:
+    """Whether ``verts + u`` is a copy of the next level assigned to ``verts``.
+
+    ``nbrs`` holds u's neighbors, ``rule`` is :func:`parent_rule` of
+    ``verts``, and u must not be in ``verts``.  Under the assignment rule
+    (see the module docstring), if the level grows, u misses exactly one
+    vertex w of ``verts``, w outside its missing pairs, and u lies below w
+    and below every vertex in a missing pair; otherwise u is adjacent to
+    all of ``verts`` and lies below every vertex outside a missing pair.
+    """
+    threshold, covered, grows = rule
+    if u >= threshold:
+        return False
+    if not grows:
+        return all(map(nbrs.__contains__, verts))
+    missed = [w for w in verts if w not in nbrs]
+    return len(missed) == 1 and missed[0] > u and missed[0] not in covered
 
 
 def check_extension(
@@ -143,13 +167,16 @@ def check_extension(
     """Accept ``parent + u`` iff it is a copy of the next level assigned to ``parent``.
 
     Returns the extended instance on acceptance, None on rejection.
+    Charges the grown tuple unless u is in ``parent``, then applies
+    :func:`parent_rule` and :func:`is_child`; loops that decide many
+    candidates of one parent compute its rule once instead.
     """
     verts = parent.vertices
     if u in verts:
         return None
     merged = tuple(sorted(verts + (u,)))
     charge(g, ledger, merged)
-    idx = classify(g, merged, seg)
-    if idx is None or merged[idx] != u:
+    rule = parent_rule(g, verts, seg)
+    if rule is None or not is_child(g.raw_neighbor_lookups()[u], verts, u, rule):
         return None
     return Instance(merged)

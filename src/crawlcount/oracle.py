@@ -5,11 +5,13 @@ what the sampling estimator only approximates.  Copies are found by the
 sampler's own structure: level 2 is the edge set, and the children of a
 level-i copy are the accepted extensions by vertices of its representative
 neighborhood.  Each copy is reached exactly once, from its assigned parent,
-so the work is one extension check per (copy, neighborhood vertex) pair:
-the sum of seg-degrees over every level below the top one.  The work
-budget counts those checks.  Completeness needs a feasible order at slack
-at most 1, so patterns that fail :func:`require_feasible` are rejected here
-as well.
+so the work is one :func:`~crawlcount.instances.parent_rule` per copy plus
+one :func:`~crawlcount.instances.is_child` per vertex of its neighborhood
+below the rule's threshold; the neighborhood is sorted, so the rest is cut
+off unread.  The work budget counts every neighborhood vertex: the sum of
+seg-degrees over every level below the top one.  Completeness needs a
+feasible order at slack at most 1, so patterns that fail
+:func:`require_feasible` are rejected here as well.
 
 Copies are tallied depth first, edge by edge: each returns its chain
 count, the number of full-size copies whose assignment chain passes
@@ -20,12 +22,12 @@ the scratch ledger's set of queried vertices, O(n).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .graph import Graph, QueryLedger
-from .instances import Instance, check_extension, seg_neighborhood
+from .instances import Instance, is_child, parent_rule, seg_neighborhood
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -49,6 +51,7 @@ def _tally(
     if not 2 <= top <= pattern.size:
         raise ValueError(f"level {top} outside 2..{pattern.size}")
     scratch = QueryLedger()
+    lookups = g.raw_neighbor_lookups()
     counts = dict.fromkeys(range(2, top + 1), 0)
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     checks = 0
@@ -68,10 +71,12 @@ def _tally(
                     "use a smaller graph or raise the budget"
                 )
             chains = 0
-            for u in hood:
-                child = check_extension(g, scratch, copy, u, seg)
-                if child is not None:
-                    chains += grow(child)
+            verts = copy.vertices
+            rule = parent_rule(g, verts, seg)
+            if rule is not None:
+                for u in hood[: bisect_left(hood, rule[0])]:
+                    if u not in verts and is_child(lookups[u], verts, u, rule):
+                        chains += grow(Instance(tuple(sorted(verts + (u,)))))
         if chains:
             tables[level][copy.vertices] = chains
         return chains

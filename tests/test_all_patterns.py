@@ -32,7 +32,6 @@ from crawlcount import (
     exact_count,
     require_feasible,
 )
-from crawlcount.instances import classify
 from crawlcount.patterns import _order_slack
 
 import util
@@ -131,7 +130,7 @@ def test_every_copy_is_assignable_under_every_feasible_order():
                         if (rows[i] >> j) & 1
                     ]
                     copies += 1
-                    assert classify(Graph(k, edges), tuple(range(k)), seg) is not None
+                    assert util.classify_by_rule(Graph(k, edges), tuple(range(k)), seg) is not None
     assert orders == 394
     assert copies > 0
 
@@ -198,7 +197,7 @@ def test_classification_matches_backtracking_reference(name, p, seg):
                 if key not in _REFERENCE:
                     _REFERENCE[key] = util.reference_class(bits, s, k)
                 want = _REFERENCE[key]
-                assert classify(g, tuple(range(k)), s) == want, (order, bits)
+                assert util.classify_by_rule(g, tuple(range(k)), s) == want, (order, bits)
                 accepted += want is not None
     assert accepted > 0
 
@@ -218,7 +217,7 @@ def test_classification_near_every_level_at_six_to_eight(name, p, seg):
             for absent in combinations(pairs, gone):
                 g, bits = _graph_and_bits(k, [e for e in pairs if e not in absent])
                 want = util.reference_class(bits, seg, k)
-                assert classify(g, tuple(range(k)), seg) == want, (k, absent)
+                assert util.classify_by_rule(g, tuple(range(k)), seg) == want, (k, absent)
 
 
 def test_infeasible_order_refuses_to_classify():
@@ -226,8 +225,8 @@ def test_infeasible_order_refuses_to_classify():
     p = Pattern(4, [(0, 1), (1, 2), (2, 3)], slack=1)
     seg = Segmentation(p, (0, 2, 1, 3))
     with pytest.raises(ValueError, match="slack at most 1"):
-        classify(util.triangle(), (0, 1, 2), seg)
+        util.classify_by_rule(util.triangle(), (0, 1, 2), seg)
     # the five-cycle's best order needs slack 2
     wide = Pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], slack=2)
     with pytest.raises(ValueError, match="slack at most 1"):
-        classify(util.k4(), (0, 1, 2, 3), auto_segment(wide))
+        util.classify_by_rule(util.k4(), (0, 1, 2, 3), auto_segment(wide))

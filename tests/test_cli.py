@@ -433,6 +433,12 @@ class TestErrors:
             (["edgecount", "--burn-in", "-3"], "burn_in must be nonnegative"),
             (["edgecount", "--samples", "1"], "need at least 2 samples"),
             (["edgecount", "--gap", "0"], "spacing must be at least 1"),
+            (["estimate", "--walk-len", "20", "--epsilon", "2", "--t-guess", "100"],
+             "eps must lie strictly between 0 and 1"),
+            (["estimate", "--walk-len", "20", "--t-guess", "-5"],
+             "t_guess must be positive"),
+            (["experiment", "--walk-len", "20", "--fmax-guess", "0.5", "--t-guess", "100"],
+             "fmax_guess must be at least 1"),
         ],
     )
     def test_bad_flag_is_reported_before_the_load(self, argv, line, tmp_path, monkeypatch, capsys):

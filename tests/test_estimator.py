@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 from random import Random
@@ -7,6 +8,7 @@ import pytest
 from crawlcount import (
     DegenerateLayerError,
     EstimateConfig,
+    Graph,
     Instance,
     LayerState,
     QueryLedger,
@@ -25,7 +27,7 @@ from crawlcount import (
     seg_neighborhood,
     simple_random_walk,
 )
-from crawlcount.estimator import _sample_index
+from crawlcount.estimator import _extend
 
 import util
 
@@ -42,21 +44,45 @@ class TestLayerState:
     def test_empty_layer_is_degenerate(self):
         layer = LayerState(3, [], [], trials=10)
         assert layer.total_degree == 0
+        _, seg = builtin_pattern("g46")
         with pytest.raises(DegenerateLayerError):
-            _sample_index(layer, Random(0))
+            final_level_successes(util.k5(), QueryLedger(), layer, seg, 10, Random(0))
+        with pytest.raises(DegenerateLayerError):
+            util.reference_extend(util.k5(), QueryLedger(), layer, seg, 10, Random(0))
 
     def test_weighted_sample_distribution(self):
-        members = [Instance((0, 1)), Instance((1, 2))]
-        layer = LayerState(2, members, [(2,), (0, 3, 4)], trials=2)
-        rng = Random(42)
-        hits = sum(1 for _ in range(20_000) if _sample_index(layer, rng) == 1)
-        assert abs(hits / 20_000 - 0.75) < 0.02
+        # In K5 every draw from (3, 4) is its child and the one from (0, 1)
+        # is not ((0, 1, 2) belongs to (1, 2)), so successes count the draws
+        # of the weight-3 member.
+        members = [Instance((0, 1)), Instance((3, 4))]
+        layer = LayerState(2, members, [(2,), (0, 1, 2)], trials=2)
+        hits = assert_extend_matches_reference(util.k5(), layer, "g33", 20_000, 42)
+        assert abs(len(hits) / 20_000 - 0.75) < 0.02
 
     def test_zero_weight_member_never_drawn(self):
-        members = [Instance((0, 1)), Instance((1, 2))]
-        layer = LayerState(2, members, [(), (0, 3, 4, 5, 6)], trials=2)
-        rng = Random(7)
-        assert all(_sample_index(layer, rng) == 1 for _ in range(200))
+        # In K7 every vertex below 5 grows (5, 6) into its child; a draw
+        # from the empty neighborhood could not even pick a vertex.
+        members = [Instance((0, 1)), Instance((5, 6))]
+        layer = LayerState(2, members, [(), (0, 1, 2, 3, 4)], trials=2)
+        k7 = Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+        assert len(assert_extend_matches_reference(k7, layer, "g33", 200, 7)) == 200
+
+
+def assert_extend_matches_reference(g, layer, pat, trials, seed):
+    """Run ``_extend`` and the plain reference loop from one state; both must
+    accept the same tuples, charge equal ledgers and leave the rng alike."""
+    _, seg = builtin_pattern(pat)
+    led, ref_led = QueryLedger(), QueryLedger()
+    for inst in {m.vertices: m for m in layer.members}.values():
+        seg_neighborhood(g, led, inst, 0)
+        seg_neighborhood(g, ref_led, inst, 0)
+    rng, ref_rng = Random(seed), Random(seed)
+    got = _extend(g, led, layer, seg, trials, rng)
+    want = util.reference_extend(g, ref_led, layer, seg, trials, ref_rng)
+    assert got == [inst.vertices for inst in want]
+    assert led == ref_led
+    assert rng.getstate() == ref_rng.getstate()
+    return got
 
 
 class TestScalingConstant:
@@ -282,8 +308,9 @@ class TestBuildLayers:
 
 
 class TestOneFetchPerMember:
-    """A run fetches each distinct member's neighborhood once, and its ledger
-    is the walk, the fetches and the charged extension checks, nothing else."""
+    """A run fetches each distinct member's neighborhood once, its trial loops
+    draw, accept and charge exactly as the plain reference loop does, and its
+    ledger is the walk, the fetches and the charged trials, nothing else."""
 
     @pytest.mark.parametrize(
         "pat,sizes",
@@ -294,19 +321,27 @@ class TestOneFetchPerMember:
 
         g = util.connected_er_graph(40, 0.5, 3)
         p, seg = builtin_pattern(pat)
-        fetched, checked = [], []
-        fetch, check = est.seg_neighborhood, est.check_extension
+        fetched, trial_calls = [], []
+        fetch, extend = est.seg_neighborhood, est._extend
 
         def counting_fetch(g, ledger, inst, slack):
             fetched.append(inst.vertices)
             return fetch(g, ledger, inst, slack)
 
-        def counting_check(g, ledger, parent, u, seg):
-            checked.append((parent.vertices, u))
-            return check(g, ledger, parent, u, seg)
+        def compared_extend(g, ledger, layer, seg, trials, rng):
+            ref_ledger = copy.deepcopy(ledger)
+            ref_rng = copy.deepcopy(rng)
+            before = ledger.oracle_calls
+            got = extend(g, ledger, layer, seg, trials, rng)
+            want = util.reference_extend(g, ref_ledger, layer, seg, trials, ref_rng)
+            assert got == [inst.vertices for inst in want]
+            assert ledger == ref_ledger
+            assert rng.getstate() == ref_rng.getstate()
+            trial_calls.append((trials, ledger.oracle_calls - before))
+            return got
 
         monkeypatch.setattr(est, "seg_neighborhood", counting_fetch)
-        monkeypatch.setattr(est, "check_extension", counting_check)
+        monkeypatch.setattr(est, "_extend", compared_extend)
         cfg = EstimateConfig(
             layer_sizes=sizes, walk=WalkConfig(length=60, burn_in=20), seed=4
         )
@@ -317,11 +352,11 @@ class TestOneFetchPerMember:
         distinct = [{m.vertices for m in ls.members} for ls in build.layers]
         assert len(fetched) == len(set(fetched))
         assert set(fetched) == set().union(*distinct)
-        assert len(checked) == sum(sizes)
+        assert [trials for trials, _ in trial_calls] == sizes
         want = (
             20 + 60
             + sum(ls.level * len(d) for ls, d in zip(build.layers, distinct))
-            + sum(len(parent) + 1 for parent, u in checked if u not in parent)
+            + sum(calls for _, calls in trial_calls)
         )
         assert build.ledger.oracle_calls == want
 

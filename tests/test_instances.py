@@ -18,7 +18,6 @@ from crawlcount import (
     representative,
     seg_neighborhood,
 )
-from crawlcount.instances import classify
 
 import util
 
@@ -107,18 +106,18 @@ class TestSegNeighborhood:
 
 
 class TestAssign:
-    """The assignment rule lives in :func:`classify`: the index it returns
-    is the vertex whose removal maps a copy to its parent."""
+    """The assignment rule, read as a classifier by ``util.classify_by_rule``:
+    the index it returns is the vertex whose removal maps a copy to its parent."""
 
     def test_bowtie_triangle_drops_smallest(self, bowtie):
         p, seg = builtin_pattern("g33")
-        assert classify(bowtie, (0, 1, 2), seg) == 0  # parent (1, 2)
-        assert classify(bowtie, (2, 3, 4), seg) == 0  # parent (3, 4)
+        assert util.classify_by_rule(bowtie, (0, 1, 2), seg) == 0  # parent (1, 2)
+        assert util.classify_by_rule(bowtie, (2, 3, 4), seg) == 0  # parent (3, 4)
 
     def test_diamond_removal_must_keep_a_triangle(self, bowtie_plus):
         # {0,1,2,3}: dropping 0 leaves path 1-2-3, so 1 goes instead
         p, seg = builtin_pattern("g45")
-        assert classify(bowtie_plus, (0, 1, 2, 3), seg) == 1
+        assert util.classify_by_rule(bowtie_plus, (0, 1, 2, 3), seg) == 1
 
     def test_parent_is_always_a_copy_of_previous_level(self, corpus):
         for name, g in corpus[:8]:
@@ -126,7 +125,7 @@ class TestAssign:
                 p, seg = builtin_pattern(pat)
                 for inst in enumerate_instances(g, p, seg, p.size):
                     verts = inst.vertices
-                    idx = classify(g, verts, seg)
+                    idx = util.classify_by_rule(g, verts, seg)
                     parent = verts[:idx] + verts[idx + 1 :]
                     assert parent == util.naive_assign(g, verts, seg)
                     mat = util.naive_matrix(g, parent)
@@ -199,7 +198,7 @@ class TestClassify:
                     bits[a] |= 1 << b
                     bits[b] |= 1 << a
                 g = Graph(k, edges)
-                assert classify(g, tuple(range(k)), seg) == util.reference_class(bits, seg, k)
+                assert util.classify_by_rule(g, tuple(range(k)), seg) == util.reference_class(bits, seg, k)
 
     def test_orders_classify_the_same_tuple_apart(self):
         # g45 misses edge 2-3: order 0,1,2,3 has a triangle at level 3,
@@ -207,8 +206,8 @@ class TestClassify:
         p, seg_a = builtin_pattern("g45")
         seg_b = Segmentation(p, (2, 0, 3, 1))
         tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        assert classify(tri, (0, 1, 2), seg_a) == 0
-        assert classify(tri, (0, 1, 2), seg_b) is None
+        assert util.classify_by_rule(tri, (0, 1, 2), seg_a) == 0
+        assert util.classify_by_rule(tri, (0, 1, 2), seg_b) is None
 
 
 class TestHotPathLedger:

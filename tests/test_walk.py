@@ -277,3 +277,16 @@ class TestLedgerEquivalence:
             assert_edge_count_matches(g, 2, 2, seed=seed, max_attempts=2) for seed in range(12)
         ]
         assert outcomes.count(None) >= 10
+
+
+def test_inline_draw_is_randrange():
+    """The walks and the extension trials spell ``randrange(n)`` inline as a
+    ``getrandbits`` rejection loop; on this interpreter the two draw alike."""
+    for seed in range(3):
+        rng, ref = Random(seed), Random(seed)
+        for n in range(1, 3001):
+            x = rng.getrandbits(n.bit_length())
+            while x >= n:
+                x = rng.getrandbits(n.bit_length())
+            assert x == ref.randrange(n), (seed, n)
+        assert rng.getstate() == ref.getstate()

@@ -4,11 +4,14 @@ The reference implementations here are deliberately naive (subset scans,
 permutation checks, backtracking isomorphism, fraction-exact chain
 algebra) so that package code is verified against something that cannot
 share its bugs.  :func:`reference_class`, built on the backtracking
-isomorphism test, is the reference for the package's missing-pair count.
+isomorphism test, is the reference for the package's child rule, read as a
+classifier by :func:`classify_by_rule`; :func:`reference_extend` is the
+plain trial loop the sampler's inline draws and bulk charges must match.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
@@ -20,13 +23,17 @@ import networkx as nx
 
 from crawlcount import (
     CollisionShortfallError,
+    DegenerateLayerError,
     EdgeCountEstimate,
     Graph,
+    Instance,
+    LayerState,
     Pattern,
     QueryLedger,
     Segmentation,
     WalkConfig,
     auto_segment,
+    check_extension,
     default_burn_in,
     neighbors,
 )
@@ -110,6 +117,49 @@ def pa_graph(n: int, attach: int, seed: int) -> Graph:
                 cand = rng.randrange(v)
             targets.add(cand)
         for t in targets:
+            edges.append((v, t))
+            urn.append(v)
+            urn.append(t)
+    return Graph(n, edges)
+
+
+def hk_graph(n: int, attach: int, triad_p: float, seed: int) -> Graph:
+    """Holme-Kim: preferential attachment plus triad formation.
+
+    Each new vertex makes one link drawn from the degree urn, then each
+    further link is, with probability ``triad_p``, to a random neighbor of
+    the last urn target not yet linked (closing a triangle), otherwise drawn
+    from the urn again.  Every new vertex links to earlier ones, so the
+    graph is connected.
+    """
+    if n <= attach:
+        raise ValueError("need more vertices than attachments")
+    rng = Random(seed)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    urn: list[int] = list(range(attach))
+    edges: list[tuple[int, int]] = []
+    for v in range(attach, n):
+        linked: list[int] = []
+
+        def from_urn() -> int:
+            while True:
+                t = urn[rng.randrange(len(urn))]
+                if t not in linked:
+                    return t
+
+        anchor = from_urn()
+        linked.append(anchor)
+        while len(linked) < attach:
+            if rng.random() < triad_p:
+                cands = [w for w in adj[anchor] if w not in linked]
+                if cands:
+                    linked.append(cands[rng.randrange(len(cands))])
+                    continue
+            anchor = from_urn()
+            linked.append(anchor)
+        for t in linked:
+            adj[v].append(t)
+            adj[t].append(v)
             edges.append((v, t))
             urn.append(v)
             urn.append(t)
@@ -206,9 +256,10 @@ def bits_connected(bits: list[int]) -> bool:
 
 
 def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
-    """What ``classify`` must return for a k-vertex tuple with these neighbor
-    bitmasks: the backtracking isomorphism test against level k, then the
-    first local vertex whose removal leaves a connected copy of level k-1."""
+    """What :func:`classify_by_rule` must return for a k-vertex tuple with
+    these neighbor bitmasks: the backtracking isomorphism test against level
+    k, then the first local vertex whose removal leaves a connected copy of
+    level k-1."""
     if not bits_isomorphic(bits, seg.level(k)):
         return None
     for drop in range(k):
@@ -218,6 +269,17 @@ def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
         ]
         if bits_connected(sub) and bits_isomorphic(sub, seg.level(k - 1)):
             return drop
+    return None
+
+
+def classify_by_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> int | None:
+    """The index j for which ``check_extension`` accepts ``verts`` without
+    ``verts[j]`` extended by ``verts[j]``, or None when no j is accepted:
+    the package's child rule read as a classifier of the grown tuple."""
+    for j, u in enumerate(verts):
+        parent = Instance(verts[:j] + verts[j + 1 :])
+        if check_extension(g, QueryLedger(), parent, u, seg) is not None:
+            return j
     return None
 
 
@@ -422,6 +484,25 @@ def exact_walk_expectation(
                 total += share * f2.get(e, 0)
         dist = step(dist)
     return Fraction(g.edge_count, length) * total
+
+
+def reference_extend(
+    g: Graph, ledger: QueryLedger, layer: LayerState, seg: Segmentation, trials: int, rng: Random
+) -> list[Instance]:
+    """The extension trial loop spelled plainly: a member by ``randrange`` over
+    the prefix weights, a vertex by ``randrange`` over its neighborhood, and
+    ``check_extension``, which charges the grown tuple, on each pair."""
+    accepted = []
+    for _ in range(trials):
+        if layer.total_degree <= 0:
+            raise DegenerateLayerError(f"degenerate layer at level {layer.level}")
+        idx = bisect_right(layer.prefix_weights, rng.randrange(layer.total_degree))
+        hood = layer.hoods[idx]
+        u = hood[rng.randrange(len(hood))]
+        got = check_extension(g, ledger, layer.members[idx], u, seg)
+        if got is not None:
+            accepted.append(got)
+    return accepted
 
 
 def reference_start(g: Graph, rng: Random, start: int | None) -> int:

@@ -23,12 +23,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from random import Random
 from typing import Sequence
 
 from .graph import Graph, QueryLedger, edges_observed_fraction
-from .instances import Instance, Rule, is_child, parent_rule, seg_neighborhood
+from .instances import Instance, Rule, is_child, parent_rule, representative_hood
 from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
@@ -69,11 +69,18 @@ class LayerState:
         trials: int,
         slack: int,
     ) -> "LayerState":
-        """The layer of ``members``, fetching each distinct member's neighborhood once."""
-        fetched: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for m in members:
-            if m.vertices not in fetched:
-                fetched[m.vertices] = seg_neighborhood(g, ledger, m, slack)
+        """The layer of ``members``, fetching each distinct member's neighborhood once.
+
+        The fetches are charged in one bulk charge: one neighbors query per
+        vertex of each distinct member, the calls and the queried set that
+        :func:`seg_neighborhood` would charge member by member.
+        """
+        adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
+        fetched = dict.fromkeys(m.vertices for m in members)
+        for verts in fetched:
+            fetched[verts] = representative_hood(adj, lookups, verts, slack)
+        ledger.oracle_calls += level * len(fetched)
+        ledger.queried_vertices.update(chain.from_iterable(fetched))
         return LayerState(level, members, [fetched[m.vertices] for m in members], trials)
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -136,13 +137,18 @@ def edges_observed_fraction(ledger: QueryLedger, g: Graph) -> float:
 
     An edge is seen once either endpoint was queried, so the count is the
     degree sum over the queried set Q minus the edges inside Q, each of
-    which that sum counts twice.  Read unmetered, once, at the end.
+    which that sum counts twice; each inside edge is found once, from its
+    higher endpoint, whose sorted list holds the lower one below it.  Read
+    unmetered, once, at the end.
     """
     q = ledger.queried_vertices
-    hoods = list(map(g.raw_adjacency().__getitem__, q))
-    degrees = sum(map(len, hoods))
-    inside = sum(len(q.intersection(nbrs)) for nbrs in hoods)
-    return (degrees - inside // 2) / g.edge_count
+    adj = g.raw_adjacency()
+    degrees = inside = 0
+    for v in q:
+        nbrs = adj[v]
+        degrees += len(nbrs)
+        inside += len(q.intersection(nbrs[: bisect_left(nbrs, v)]))
+    return (degrees - inside) / g.edge_count
 
 
 def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:

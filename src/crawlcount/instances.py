@@ -1,11 +1,13 @@
 """Vertex-set instances and the operations the layered sampler needs.
 
-Everything here reaches the host graph through the metered oracle: each
-helper charges one neighbors query per vertex of the tuple it decides on
-(:func:`representative` and :func:`seg_neighborhood` the instance,
-:func:`check_extension` the instance plus the candidate), then reads those
-vertices' adjacency unmetered, so the cost of a decision shows up in the
-ledger once per vertex.
+The metered helpers charge one neighbors query per vertex of the tuple
+they decide on (:func:`representative` and :func:`seg_neighborhood` the
+instance, :func:`check_extension` the instance plus the candidate), then
+read those vertices' adjacency unmetered, so the cost of a decision shows
+up in the ledger once per vertex.  The representative rule itself is one
+unmetered function, :func:`representative_hood`; callers that settle the
+ledger in bulk (a layer's fetches) or keep none (the exact side) call it
+directly.
 
 Accepted patterns are cliques minus a matching, and under a feasible order
 so is each level i, missing ``seg.missing[i]`` pairs; the next level misses
@@ -17,11 +19,13 @@ pair more, else its smallest vertex in none.  Relative to the parent this
 is one rule, stated once here: :func:`parent_rule` reads a copy once and
 returns its threshold, the vertices its missing pairs cover and whether the
 next level grows; :func:`is_child` then decides each candidate vertex with
-at most one probe per parent vertex.  Neither keeps state between calls.
+at most one probe per parent vertex, and :func:`child_vertices` decides a
+whole neighborhood at once by set algebra.  None keeps state between calls.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from operator import ge
@@ -49,34 +53,78 @@ class Instance:
         return len(self.vertices)
 
 
+def _representative(
+    adj: Sequence[tuple[int, ...]],
+    lookups: Sequence[dict[int, None]],
+    verts: Sequence[int],
+    slack: int,
+) -> tuple[int, ...]:
+    """The (slack+1)-subset of ``verts`` with the smallest joint neighborhood.
+
+    Ties break to the lexicographically smallest subset.  ``verts`` must be
+    sorted and longer than ``slack``; reads the graph unmetered.
+    """
+    if slack == 0:
+        return (min(verts, key=lambda v: len(adj[v])),)
+    best_subset: tuple[int, ...] = ()
+    best_size = -1
+    for sub in combinations(verts, slack + 1):
+        if slack == 1:  # inclusion-exclusion, reading the smaller list once
+            a, b = sub
+            size = len(adj[a]) + len(adj[b]) - len(lookups[a].keys() & lookups[b].keys())
+        else:
+            size = len(set().union(*map(lookups.__getitem__, sub)))
+        if best_size < 0 or size < best_size:
+            best_subset = sub
+            best_size = size
+    return best_subset
+
+
+def representative_hood(
+    adj: Sequence[tuple[int, ...]],
+    lookups: Sequence[dict[int, None]],
+    verts: Sequence[int],
+    slack: int,
+) -> tuple[int, ...]:
+    """Sorted union of the neighbor lists of the representative subset of ``verts``.
+
+    ``adj`` and ``lookups`` are the graph's :meth:`~Graph.raw_adjacency` and
+    :meth:`~Graph.raw_neighbor_lookups`; ``verts`` must be sorted and longer
+    than ``slack``.  Reads the graph unmetered: callers charge for it.  A
+    pair takes a shortcut: at slack 0 its lower-degree endpoint (ties to
+    the lower id), at slack 1 the pair itself.
+    """
+    if len(verts) == 2:
+        a, b = verts
+        if slack == 0:
+            return adj[b] if len(adj[b]) < len(adj[a]) else adj[a]
+        return tuple(sorted(lookups[a].keys() | lookups[b].keys()))
+    rep = _representative(adj, lookups, verts, slack)
+    if len(rep) == 1:
+        return adj[rep[0]]
+    return tuple(sorted(set().union(*map(lookups.__getitem__, rep))))
+
+
+def _check_size(verts: Sequence[int], slack: int) -> None:
+    if len(verts) <= slack:
+        raise ValueError(
+            f"instance of size {len(verts)} has no representative at slack {slack}"
+        )
+
+
 def representative(
     g: Graph, ledger: QueryLedger, inst: Instance, slack: int
 ) -> tuple[int, ...]:
     """The (slack+1)-subset of the instance with the smallest joint neighborhood.
 
     Ties break to the lexicographically smallest subset.  With slack 0 this
-    is simply the lowest-id vertex of minimum degree.
+    is simply the lowest-id vertex of minimum degree.  Charges one neighbors
+    query per instance vertex.
     """
     verts = inst.vertices
-    if len(verts) <= slack:
-        raise ValueError(
-            f"instance of size {len(verts)} has no representative at slack {slack}"
-        )
+    _check_size(verts, slack)
     charge(g, ledger, verts)
-    if slack == 0:
-        return (min(verts, key=g.raw_degree),)
-    lookups = g.raw_neighbor_lookups()
-    best_subset: tuple[int, ...] | None = None
-    best_size = -1
-    for sub in combinations(verts, slack + 1):
-        hood: set[int] = set()
-        for v in sub:
-            hood.update(lookups[v])
-        if best_subset is None or len(hood) < best_size:
-            best_subset = sub
-            best_size = len(hood)
-    assert best_subset is not None
-    return best_subset
+    return _representative(g.raw_adjacency(), g.raw_neighbor_lookups(), verts, slack)
 
 
 def seg_neighborhood(
@@ -85,17 +133,17 @@ def seg_neighborhood(
     """Sorted union of the neighbor lists of the representative subset.
 
     Its size is the instance's sampling weight.  Charges one neighbors
-    query per instance vertex, through :func:`representative`, and reads
-    the representative's lists unmetered: they are among those queries.
-    Instance members are not excluded; extension checks reject them later,
-    which keeps every trial's landing probability at exactly one over the
-    size of this set.
+    query per instance vertex, as :func:`representative` does, and reads
+    the representative's lists unmetered through
+    :func:`representative_hood`: they are among those queries.  Instance
+    members are not excluded; extension checks reject them later, which
+    keeps every trial's landing probability at exactly one over the size
+    of this set.
     """
-    rep = representative(g, ledger, inst, slack)
-    if len(rep) == 1:
-        return g.raw_adjacency()[rep[0]]
-    lookups = g.raw_neighbor_lookups()
-    return tuple(sorted(set().union(*[lookups[v] for v in rep])))
+    verts = inst.vertices
+    _check_size(verts, slack)
+    charge(g, ledger, verts)
+    return representative_hood(g.raw_adjacency(), g.raw_neighbor_lookups(), verts, slack)
 
 
 Rule = tuple[int, AbstractSet[int], bool]
@@ -113,13 +161,17 @@ def parent_rule(g: Graph, verts: Sequence[int], seg: Segmentation) -> Rule | Non
     grows and else the smallest one outside it (``g.vertex_count`` when
     there is none).  Reads the graph unmetered.  Raises ValueError unless
     the order needs slack at most 1, the condition under which every level
-    is a clique minus a matching.
+    is a clique minus a matching, and when ``verts`` has no next level.
     """
     if seg.min_slack is None or seg.min_slack > 1:
         raise ValueError(
             f"extensions are classified only under an order of slack at most 1, not {seg.order}"
         )
     k = len(verts)
+    if k + 1 >= len(seg.missing):
+        raise ValueError(
+            f"a copy of level {k} has no next level in a pattern of size {len(seg.order)}"
+        )
     want = seg.missing[k]
     lookups = g.raw_neighbor_lookups()
     covered: set[int] = set()
@@ -159,6 +211,37 @@ def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> 
         return all(map(nbrs.__contains__, verts))
     missed = [w for w in verts if w not in nbrs]
     return len(missed) == 1 and missed[0] > u and missed[0] not in covered
+
+
+def child_vertices(
+    lookups: Sequence[dict[int, None]], verts: Sequence[int], hood: Sequence[int], rule: Rule
+) -> list[int]:
+    """Every u of the sorted ``hood`` for which :func:`is_child` holds, sorted.
+
+    ``lookups`` is the graph's :meth:`~Graph.raw_neighbor_lookups`.  The
+    same rule, by set algebra over ``hood`` cut at the threshold: if the
+    level does not grow, the cut hood intersected with the neighbor set of
+    every vertex of ``verts``, which also drops ``verts`` itself; if it
+    grows, for each w outside the missing pairs, the hood cut below w as
+    well, intersected with the other vertices' sets, minus w's.  Each
+    intersection reads the smaller side only.
+    """
+    threshold, covered, grows = rule
+    if not grows:
+        found = set(hood[: bisect_left(hood, threshold)])
+        for v in verts:
+            found = lookups[v].keys() & found
+        return sorted(found)
+    found = set()
+    for w in verts:
+        if w in covered:
+            continue
+        missing_w = set(hood[: bisect_left(hood, min(w, threshold))])
+        for v in verts:
+            if v != w:
+                missing_w = lookups[v].keys() & missing_w
+        found.update(missing_w.difference(lookups[w]))
+    return sorted(found)
 
 
 def check_extension(

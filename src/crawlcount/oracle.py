@@ -4,30 +4,37 @@ Everything here may read the graph without metering; it exists to verify
 what the sampling estimator only approximates.  Copies are found by the
 sampler's own structure: level 2 is the edge set, and the children of a
 level-i copy are the accepted extensions by vertices of its representative
-neighborhood.  Each copy is reached exactly once, from its assigned parent,
-so the work is one :func:`~crawlcount.instances.parent_rule` per copy plus
-one :func:`~crawlcount.instances.is_child` per vertex of its neighborhood
-below the rule's threshold; the neighborhood is sorted, so the rest is cut
-off unread.  The work budget counts every neighborhood vertex: the sum of
-seg-degrees over every level below the top one.  Completeness needs a
-feasible order at slack at most 1, so patterns that fail
-:func:`require_feasible` are rejected here as well.
+neighborhood (:func:`~crawlcount.instances.representative_hood`, read
+unmetered: no ledger is kept).  Each copy is reached exactly once, from
+its assigned parent, so the work is one
+:func:`~crawlcount.instances.parent_rule` per copy plus set algebra over
+its sorted neighborhood cut at the rule's threshold
+(:func:`~crawlcount.instances.child_vertices`): if the level does not
+grow, the children are the cut neighborhood intersected with every
+member's neighbor set; if it grows, each member w outside the missing
+pairs adds the neighborhood cut below w, intersected with the other
+members' sets, minus w's.  That is :func:`~crawlcount.instances.is_child`
+for all candidates at once.  The work budget counts every neighborhood
+vertex, cut off or not: the sum of seg-degrees over every level below the
+top one.  Completeness needs a feasible order at slack at most 1, so
+patterns that fail :func:`require_feasible` are rejected here as well.
 
-Copies are tallied depth first, edge by edge: each returns its chain
-count, the number of full-size copies whose assignment chain passes
-through it, and only counts above 0 are kept.  No level is listed whole;
-beyond those tables a count holds one path of at most seven copies and
-the scratch ledger's set of queried vertices, O(n).
+Copies are tallied depth first, edge by edge, children in sorted order:
+each returns its chain count, the number of full-size copies whose
+assignment chain passes through it, and only counts above 0 are kept.  A
+copy one level below the top counts its children in place.  No level is
+listed whole; beyond those tables a count holds one path of at most seven
+copies and their cut neighborhoods.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, QueryLedger
-from .instances import Instance, is_child, parent_rule, seg_neighborhood
+from .graph import Graph
+from .instances import Instance, child_vertices, parent_rule, representative_hood
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -50,40 +57,47 @@ def _tally(
     require_feasible(pattern, seg)
     if not 2 <= top <= pattern.size:
         raise ValueError(f"level {top} outside 2..{pattern.size}")
-    scratch = QueryLedger()
+    adj = g.raw_adjacency()
     lookups = g.raw_neighbor_lookups()
+    slack = pattern.slack
     counts = dict.fromkeys(range(2, top + 1), 0)
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
+    leaves = tables[top]
     checks = 0
 
-    def grow(copy: Instance) -> int:
+    def grow(verts: tuple[int, ...]) -> int:
         nonlocal checks
-        level = len(copy.vertices)
+        level = len(verts)
         counts[level] += 1
-        if level == top:
-            chains = 1
+        hood = representative_hood(adj, lookups, verts, slack)
+        checks += len(hood)
+        if checks > budget:
+            raise EnumerationBudgetError(
+                f"enumeration exceeded {budget} extension checks; "
+                "use a smaller graph or raise the budget"
+            )
+        rule = parent_rule(g, verts, seg)
+        new = [] if rule is None else child_vertices(lookups, verts, hood, rule)
+        if level + 1 == top:
+            counts[top] += len(new)
+            for u in new:
+                leaves[tuple(sorted(verts + (u,)))] = 1
+            chains = len(new)
         else:
-            hood = seg_neighborhood(g, scratch, copy, pattern.slack)
-            checks += len(hood)
-            if checks > budget:
-                raise EnumerationBudgetError(
-                    f"enumeration exceeded {budget} extension checks; "
-                    "use a smaller graph or raise the budget"
-                )
             chains = 0
-            verts = copy.vertices
-            rule = parent_rule(g, verts, seg)
-            if rule is not None:
-                for u in hood[: bisect_left(hood, rule[0])]:
-                    if u not in verts and is_child(lookups[u], verts, u, rule):
-                        chains += grow(Instance(tuple(sorted(verts + (u,)))))
+            for u in new:
+                chains += grow(tuple(sorted(verts + (u,))))
         if chains:
-            tables[level][copy.vertices] = chains
+            tables[level][verts] = chains
         return chains
 
-    for u, nbrs in enumerate(g.raw_adjacency()):
-        for v in nbrs[bisect_right(nbrs, u) :]:
-            grow(Instance((u, v)))
+    edges = ((u, v) for u, nbrs in enumerate(adj) for v in nbrs[bisect_right(nbrs, u) :])
+    if top == 2:
+        leaves.update(dict.fromkeys(edges, 1))
+        counts[2] = len(leaves)
+    else:
+        for e in edges:
+            grow(e)
     del grow  # grow's closure refers to grow: free it now, not at a collection
     return counts, tables
 
@@ -186,9 +200,9 @@ def seg_degree_total(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Sum of sampling weights over every copy of the given level."""
-    scratch = QueryLedger()
+    adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
     return sum(
-        len(seg_neighborhood(g, scratch, inst, pattern.slack))
+        len(representative_hood(adj, lookups, inst.vertices, pattern.slack))
         for inst in enumerate_instances(g, pattern, seg, level, budget=budget)
     )
 

@@ -25,13 +25,18 @@ from crawlcount import (
     EstimateConfig,
     Graph,
     Pattern,
+    QueryLedger,
     Segmentation,
     WalkConfig,
     auto_segment,
+    enumerate_instances,
     estimate_count,
     exact_count,
     require_feasible,
+    seg_neighborhood,
 )
+from crawlcount.instances import representative_hood
+from crawlcount.oracle import DEFAULT_BUDGET, _tally
 from crawlcount.patterns import _order_slack
 
 import util
@@ -71,6 +76,40 @@ def test_exact_count_matches_naive_subset_scan(name, p, seg):
         g = util.er_graph(n, density, seed)
         want = util.naive_copies(g, util.level_matrix(seg, p.size))
         assert exact_count(g, p) == len(want), seed
+
+
+@pytest.mark.parametrize("slack", [0, 1])
+@pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
+def test_representative_hood_matches_exhaustive_argmin(name, p, seg, slack):
+    # unequal degrees, so the argmin and its tie-break both matter
+    g = util.er_graph(14, 0.7, 5)
+    adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
+    seen = 0
+    for level in range(2, p.size + 1):
+        for inst in enumerate_instances(g, p, seg, level)[:25]:
+            rep = util.brute_representative(g, inst.vertices, slack)
+            want = tuple(sorted(set().union(*(adj[v] for v in rep))))
+            assert representative_hood(adj, lookups, inst.vertices, slack) == want
+            assert seg_neighborhood(g, QueryLedger(), inst, slack) == want
+            seen += 1
+    assert seen >= 2 * (p.size - 1)
+
+
+@pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
+def test_tally_by_set_algebra_matches_is_child(name, p, seg):
+    # the tables must match entry for entry and in insertion order, since
+    # children are visited in sorted order on both sides
+    found = 0
+    for g in (util.er_graph(12, 0.7, 2), util.er_graph(16, 0.8, 4)):
+        for top in range(2, p.size + 1):
+            counts, tables = _tally(g, p, seg, top, DEFAULT_BUDGET)
+            want_counts, want_tables = util.reference_tally(g, p, seg, top)
+            assert counts == want_counts, top
+            assert {i: list(t.items()) for i, t in tables.items()} == {
+                i: list(t.items()) for i, t in want_tables.items()
+            }, top
+        found += counts[p.size]
+    assert found > 0
 
 
 # Connected ER(18, 0.8) where every accepted pattern has T > 0 (K8 minus a

@@ -322,11 +322,11 @@ class TestOneFetchPerMember:
         g = util.connected_er_graph(40, 0.5, 3)
         p, seg = builtin_pattern(pat)
         fetched, trial_calls = [], []
-        fetch, extend = est.seg_neighborhood, est._extend
+        fetch, extend = est.representative_hood, est._extend
 
-        def counting_fetch(g, ledger, inst, slack):
-            fetched.append(inst.vertices)
-            return fetch(g, ledger, inst, slack)
+        def counting_fetch(adj, lookups, verts, slack):
+            fetched.append(verts)
+            return fetch(adj, lookups, verts, slack)
 
         def compared_extend(g, ledger, layer, seg, trials, rng):
             ref_ledger = copy.deepcopy(ledger)
@@ -340,7 +340,7 @@ class TestOneFetchPerMember:
             trial_calls.append((trials, ledger.oracle_calls - before))
             return got
 
-        monkeypatch.setattr(est, "seg_neighborhood", counting_fetch)
+        monkeypatch.setattr(est, "representative_hood", counting_fetch)
         monkeypatch.setattr(est, "_extend", compared_extend)
         cfg = EstimateConfig(
             layer_sizes=sizes, walk=WalkConfig(length=60, burn_in=20), seed=4
@@ -359,6 +359,27 @@ class TestOneFetchPerMember:
             + sum(calls for _, calls in trial_calls)
         )
         assert build.ledger.oracle_calls == want
+
+
+class TestBulkLayerCharge:
+    """A layer's one bulk charge equals its members' metered fetches, one by one."""
+
+    @pytest.mark.parametrize("pat", ["g33", "g46", "g59", "g510"])
+    def test_build_charges_like_per_member_fetches(self, pat):
+        g = util.hk_graph(120, 4, 0.7, 2)
+        p, seg = builtin_pattern(pat)
+        for level in range(2, p.size):
+            copies = enumerate_instances(g, p, seg, level)[:40]
+            members = copies + copies[::3]  # repeats are fetched and charged once
+            led = QueryLedger({-1}, 5)
+            layer = LayerState.build(g, led, level, members, len(members), p.slack)
+            ref = QueryLedger({-1}, 5)
+            want = {}
+            for m in members:
+                if m.vertices not in want:
+                    want[m.vertices] = seg_neighborhood(g, ref, m, p.slack)
+            assert led == ref, (pat, level)
+            assert layer.hoods == [want[m.vertices] for m in members]
 
 
 class TestEstimateCount:

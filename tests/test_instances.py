@@ -242,6 +242,11 @@ class TestHotPathLedger:
                             neighbors(g, ref, v)
                         assert led == ref, (name, pat, inst.vertices)
 
+    def test_full_size_parent_is_rejected_by_level(self, k4):
+        _, seg = builtin_pattern("g33")
+        with pytest.raises(ValueError, match="level 3 has no next level"):
+            check_extension(k4, QueryLedger(), Instance((0, 1, 2)), 3, seg)
+
     def test_out_of_range_vertex_rejected(self, bowtie):
         _, seg = builtin_pattern("g33")
         with pytest.raises(ValueError):

@@ -36,7 +36,9 @@ from crawlcount import (
     check_extension,
     default_burn_in,
     neighbors,
+    seg_neighborhood,
 )
+from crawlcount.instances import is_child, parent_rule
 
 # ---- named graphs ----
 
@@ -503,6 +505,34 @@ def reference_extend(
         if got is not None:
             accepted.append(got)
     return accepted
+
+
+def reference_tally(
+    g: Graph, p: Pattern, seg: Segmentation, top: int
+) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]]]:
+    """The exact tally decided one candidate at a time: each copy's metered
+    neighborhood, then ``is_child`` on every vertex of it, every copy visited,
+    leaves included.  Counts and chain tables in the package's order."""
+    counts = dict.fromkeys(range(2, top + 1), 0)
+    tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
+    lookups = g.raw_neighbor_lookups()
+
+    def grow(verts: tuple[int, ...]) -> int:
+        counts[len(verts)] += 1
+        chains = 1
+        if len(verts) < top:
+            chains = 0
+            rule = parent_rule(g, verts, seg)
+            for u in seg_neighborhood(g, QueryLedger(), Instance(verts), p.slack):
+                if rule is not None and u not in verts and is_child(lookups[u], verts, u, rule):
+                    chains += grow(tuple(sorted(verts + (u,))))
+        if chains:
+            tables[len(verts)][verts] = chains
+        return chains
+
+    for u, v in edges(g):
+        grow((u, v))
+    return counts, tables
 
 
 def reference_start(g: Graph, rng: Random, start: int | None) -> int:

@@ -31,12 +31,7 @@ from .graph import (
     load_edge_list_path,
     neighbors,
 )
-from .instances import (
-    Instance,
-    check_extension,
-    representative,
-    seg_neighborhood,
-)
+from .instances import representative
 from .oracle import (
     ArboricityBound,
     CountProfile,

@@ -120,6 +120,8 @@ class ExperimentSpec:
             raise ValueError("experiment needs at least one walk length")
         if self.repetitions < 1:
             raise ValueError("experiment needs at least one repetition")
+        if self.exact_total is not None and not self.exact_total >= 0:
+            raise ValueError(f"exact total must be at least 0, not {self.exact_total}")
         for walk_len in self.walk_lengths:
             self.config(walk_len, self.base_seed)  # the runs' own checks
 
@@ -412,6 +414,8 @@ def _run_spec(
     )
     if sizes is None:
         check_sizing_args(args.epsilon, _t_guess(args), args.fmax_guess)
+        if args.max_layer < 1:
+            raise ValueError(f"--max-layer must be at least 1, not {args.max_layer}")
     return spec
 
 

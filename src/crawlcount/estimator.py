@@ -28,7 +28,7 @@ from random import Random
 from typing import Sequence
 
 from .graph import Graph, QueryLedger, edges_observed_fraction
-from .instances import Instance, Rule, is_child, parent_rule, representative_hood
+from .instances import Rule, is_child, parent_rule, representative_hood
 from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
@@ -45,12 +45,13 @@ class DegenerateLayerError(ValueError):
 class LayerState:
     """One materialized layer: members, their representative neighborhoods, prefix weights.
 
-    ``hoods[i]`` is member i's representative neighborhood, whose size is
-    the member's sampling weight; repeated members share one tuple.
+    ``members`` are sorted vertex tuples, repeats kept.  ``hoods[i]`` is
+    member i's representative neighborhood, whose size is the member's
+    sampling weight; repeated members share one tuple.
     """
 
     level: int
-    members: list[Instance]
+    members: Sequence[tuple[int, ...]]
     hoods: list[tuple[int, ...]]
     trials: int
     prefix_weights: list[int] = field(init=False)
@@ -65,23 +66,25 @@ class LayerState:
         g: Graph,
         ledger: QueryLedger,
         level: int,
-        members: list[Instance],
+        members: Sequence[tuple[int, ...]],
         trials: int,
         slack: int,
     ) -> "LayerState":
         """The layer of ``members``, fetching each distinct member's neighborhood once.
 
-        The fetches are charged in one bulk charge: one neighbors query per
-        vertex of each distinct member, the calls and the queried set that
-        :func:`seg_neighborhood` would charge member by member.
+        The fetches are settled in one bulk charge: one neighbors query per
+        vertex of each distinct member, the same calls and queried set as one
+        :func:`~crawlcount.graph.neighbors` call per vertex.  The
+        representative's lists are among those queries, so reading them
+        costs nothing more.
         """
         adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
-        fetched = dict.fromkeys(m.vertices for m in members)
+        fetched = dict.fromkeys(members)
         for verts in fetched:
             fetched[verts] = representative_hood(adj, lookups, verts, slack)
         ledger.oracle_calls += level * len(fetched)
         ledger.queried_vertices.update(chain.from_iterable(fetched))
-        return LayerState(level, members, [fetched[m.vertices] for m in members], trials)
+        return LayerState(level, members, [fetched[m] for m in members], trials)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -110,8 +113,8 @@ class EstimateConfig:
 def initial_layer(
     g: Graph, ledger: QueryLedger, edges: Sequence[tuple[int, int]], slack: int
 ) -> LayerState:
-    """Wrap walk edges (a multiset, order preserved) as the level-2 layer."""
-    return LayerState.build(g, ledger, 2, [Instance(e) for e in edges], len(edges), slack)
+    """The level-2 layer of the walk's ``(low, high)`` edges (a multiset, order preserved)."""
+    return LayerState.build(g, ledger, 2, edges, len(edges), slack)
 
 
 def _extend(
@@ -129,9 +132,9 @@ def _extend(
     of the member under :func:`is_child`.  Each draw is ``randrange(n)``
     spelled inline: ``getrandbits(n.bit_length())`` redrawn until below n,
     which is how ``Random`` implements it, so the draws are the same.  A
-    trial whose u is not a member charges the grown tuple, as
-    :func:`check_extension` would; the member's own vertices were queried
-    when its neighborhood was fetched, so that adds u to the queried set.
+    trial whose u is not a member charges the grown tuple, one neighbors
+    query per vertex; the member's own vertices were queried when its
+    neighborhood was fetched, so that adds u to the queried set.
     """
     total = layer.total_degree
     if total <= 0:
@@ -156,7 +159,7 @@ def _extend(
         while x >= n:
             x = getrandbits(n.bit_length())
         u = hood[x]
-        verts = members[idx].vertices
+        verts = members[idx]
         if u in verts:
             continue
         calls += charge
@@ -243,7 +246,7 @@ def build_layers(
         if level == k:
             successes = final_level_successes(g, ledger, cur, seg, trials, rng)
         else:
-            members = list(map(Instance, _extend(g, ledger, cur, seg, trials, rng)))
+            members = _extend(g, ledger, cur, seg, trials, rng)
             layers.append(LayerState.build(g, ledger, level, members, trials, pattern.slack))
     return LayerBuild(edge_total, layers, successes, cfg.layer_sizes[-1], ledger, warnings)
 
@@ -486,7 +489,7 @@ def niceness_report(
         table = profile.f_tables.get(i)
         if table is None:
             raise ValueError(f"profile is missing exact chain counts for level {i}")
-        f_val = sum(table.get(inst.vertices, 0) for inst in layer.members)
+        f_val = sum(table.get(verts, 0) for verts in layer.members)
         if i == 2:
             factor = Fraction(walk_length, m)
         else:

@@ -1,11 +1,11 @@
 """Immutable undirected graph plus the metered neighborhood oracle.
 
-The estimation code never sees the whole graph.  It reaches it through
-:func:`neighbors`, which charges every call to a :class:`QueryLedger`, or
-reads adjacency unmetered and charges the same queries in bulk:
-:func:`charge` for a vertex tuple, :func:`charge_steps` for a walk phase.
-The ledger is how experiments report how much of the graph a run
-actually touched.
+The estimation code never sees the whole graph.  Its unit of cost is one
+:func:`neighbors` call, charged to a :class:`QueryLedger`.  The crawl side
+reads adjacency unmetered and charges the same calls in bulk, as
+:func:`charge_steps` does for a walk phase and the estimator does for a
+layer's fetches and its trials.  The ledger is how experiments report how
+much of the graph a run actually touched.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class Graph:
         """Unmetered adjacency of every vertex, indexed by id.
 
         Reserved for exact verification, internal bookkeeping and crawlers
-        that charge the ledger in bulk (:func:`charge`, :func:`charge_steps`);
-        anything else that claims to crawl goes through :func:`neighbors`.
+        that charge the ledger in bulk what :func:`neighbors` calls would
+        (:func:`charge_steps`); anything else that claims to crawl goes
+        through :func:`neighbors`.
         """
         return self._adj
 
@@ -107,18 +108,6 @@ def neighbors(g: Graph, ledger: QueryLedger, v: int) -> tuple[int, ...]:
     ledger.oracle_calls += 1
     ledger.queried_vertices.add(v)
     return adj[v]
-
-
-def charge(g: Graph, ledger: QueryLedger, verts: Sequence[int]) -> None:
-    """Charge one neighbors query per vertex of ``verts``, as that many calls would.
-
-    ``verts`` must be sorted.  For callers that then read the adjacency
-    among ``verts`` unmetered.
-    """
-    if verts and (verts[0] < 0 or verts[-1] >= len(g._adj)):
-        raise ValueError(f"vertex out of range in {tuple(verts)}")
-    ledger.oracle_calls += len(verts)
-    ledger.queried_vertices.update(verts)
 
 
 def charge_steps(ledger: QueryLedger, path: Sequence[int]) -> None:

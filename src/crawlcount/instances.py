@@ -1,13 +1,12 @@
-"""Vertex-set instances and the operations the layered sampler needs.
+"""Copies as sorted vertex tuples, and the rules the layered sampler applies to them.
 
-The metered helpers charge one neighbors query per vertex of the tuple
-they decide on (:func:`representative` and :func:`seg_neighborhood` the
-instance, :func:`check_extension` the instance plus the candidate), then
-read those vertices' adjacency unmetered, so the cost of a decision shows
-up in the ledger once per vertex.  The representative rule itself is one
-unmetered function, :func:`representative_hood`; callers that settle the
-ledger in bulk (a layer's fetches) or keep none (the exact side) call it
-directly.
+A copy is a strictly increasing ``tuple[int, ...]`` of host-graph vertices.
+Nothing here touches a ledger: every function reads the graph's raw
+adjacency, and its callers charge the queries in bulk (a layer's fetches in
+``LayerState.build``, a trial's grown tuple in the trial loop) or keep no
+ledger (the exact side).  The representative rule is
+:func:`representative`, the subset, and :func:`representative_hood`, the
+neighborhood whose size is a copy's sampling weight.
 
 Accepted patterns are cliques minus a matching, and under a feasible order
 so is each level i, missing ``seg.missing[i]`` pairs; the next level misses
@@ -26,34 +25,14 @@ whole neighborhood at once by set algebra.  None keeps state between calls.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
-from operator import ge
 from typing import AbstractSet, Container, Sequence
 
-from .graph import Graph, QueryLedger, charge
+from .graph import Graph
 from .patterns import Segmentation
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
-    """A strictly increasing tuple of host-graph vertices."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vs = self.vertices
-        if any(map(ge, vs, vs[1:])):
-            raise ValueError("instance vertices must be strictly increasing")
-        if vs and vs[0] < 0:
-            raise ValueError("vertex ids must be nonnegative")
-
-    @property
-    def level(self) -> int:
-        return len(self.vertices)
-
-
-def _representative(
+def representative(
     adj: Sequence[tuple[int, ...]],
     lookups: Sequence[dict[int, None]],
     verts: Sequence[int],
@@ -61,9 +40,16 @@ def _representative(
 ) -> tuple[int, ...]:
     """The (slack+1)-subset of ``verts`` with the smallest joint neighborhood.
 
-    Ties break to the lexicographically smallest subset.  ``verts`` must be
-    sorted and longer than ``slack``; reads the graph unmetered.
+    ``adj`` and ``lookups`` are as for :func:`representative_hood`, and
+    ``verts`` must be sorted.  Ties break to the lexicographically smallest
+    subset; at slack 0 this is the lowest-id vertex of minimum degree.
+    Reads the graph unmetered.  Raises ValueError unless ``verts`` is
+    longer than ``slack``.
     """
+    if len(verts) <= slack:
+        raise ValueError(
+            f"instance of size {len(verts)} has no representative at slack {slack}"
+        )
     if slack == 0:
         return (min(verts, key=lambda v: len(adj[v])),)
     best_subset: tuple[int, ...] = ()
@@ -92,58 +78,19 @@ def representative_hood(
     :meth:`~Graph.raw_neighbor_lookups`; ``verts`` must be sorted and longer
     than ``slack``.  Reads the graph unmetered: callers charge for it.  A
     pair takes a shortcut: at slack 0 its lower-degree endpoint (ties to
-    the lower id), at slack 1 the pair itself.
+    the lower id), at slack 1 the pair itself.  Vertices of ``verts`` are
+    not excluded; trials reject them later, which keeps every trial's
+    landing probability at exactly one over the size of this set.
     """
     if len(verts) == 2:
         a, b = verts
         if slack == 0:
             return adj[b] if len(adj[b]) < len(adj[a]) else adj[a]
         return tuple(sorted(lookups[a].keys() | lookups[b].keys()))
-    rep = _representative(adj, lookups, verts, slack)
+    rep = representative(adj, lookups, verts, slack)
     if len(rep) == 1:
         return adj[rep[0]]
     return tuple(sorted(set().union(*map(lookups.__getitem__, rep))))
-
-
-def _check_size(verts: Sequence[int], slack: int) -> None:
-    if len(verts) <= slack:
-        raise ValueError(
-            f"instance of size {len(verts)} has no representative at slack {slack}"
-        )
-
-
-def representative(
-    g: Graph, ledger: QueryLedger, inst: Instance, slack: int
-) -> tuple[int, ...]:
-    """The (slack+1)-subset of the instance with the smallest joint neighborhood.
-
-    Ties break to the lexicographically smallest subset.  With slack 0 this
-    is simply the lowest-id vertex of minimum degree.  Charges one neighbors
-    query per instance vertex.
-    """
-    verts = inst.vertices
-    _check_size(verts, slack)
-    charge(g, ledger, verts)
-    return _representative(g.raw_adjacency(), g.raw_neighbor_lookups(), verts, slack)
-
-
-def seg_neighborhood(
-    g: Graph, ledger: QueryLedger, inst: Instance, slack: int
-) -> tuple[int, ...]:
-    """Sorted union of the neighbor lists of the representative subset.
-
-    Its size is the instance's sampling weight.  Charges one neighbors
-    query per instance vertex, as :func:`representative` does, and reads
-    the representative's lists unmetered through
-    :func:`representative_hood`: they are among those queries.  Instance
-    members are not excluded; extension checks reject them later, which
-    keeps every trial's landing probability at exactly one over the size
-    of this set.
-    """
-    verts = inst.vertices
-    _check_size(verts, slack)
-    charge(g, ledger, verts)
-    return representative_hood(g.raw_adjacency(), g.raw_neighbor_lookups(), verts, slack)
 
 
 Rule = tuple[int, AbstractSet[int], bool]
@@ -242,24 +189,3 @@ def child_vertices(
                 missing_w = lookups[v].keys() & missing_w
         found.update(missing_w.difference(lookups[w]))
     return sorted(found)
-
-
-def check_extension(
-    g: Graph, ledger: QueryLedger, parent: Instance, u: int, seg: Segmentation
-) -> Instance | None:
-    """Accept ``parent + u`` iff it is a copy of the next level assigned to ``parent``.
-
-    Returns the extended instance on acceptance, None on rejection.
-    Charges the grown tuple unless u is in ``parent``, then applies
-    :func:`parent_rule` and :func:`is_child`; loops that decide many
-    candidates of one parent compute its rule once instead.
-    """
-    verts = parent.vertices
-    if u in verts:
-        return None
-    merged = tuple(sorted(verts + (u,)))
-    charge(g, ledger, merged)
-    rule = parent_rule(g, verts, seg)
-    if rule is None or not is_child(g.raw_neighbor_lookups()[u], verts, u, rule):
-        return None
-    return Instance(merged)

@@ -19,9 +19,10 @@ vertex, cut off or not: the sum of seg-degrees over every level below the
 top one.  Completeness needs a feasible order at slack at most 1, so
 patterns that fail :func:`require_feasible` are rejected here as well.
 
-Copies are tallied depth first, edge by edge, children in sorted order:
-each returns its chain count, the number of full-size copies whose
-assignment chain passes through it, and only counts above 0 are kept.  A
+Copies are sorted vertex tuples, as on the crawl side, and are tallied
+depth first, edge by edge, children in sorted order: each returns its
+chain count, the number of full-size copies whose assignment chain
+passes through it, and only counts above 0 are kept.  A
 copy one level below the top counts its children in place.  No level is
 listed whole; beyond those tables a count holds one path of at most seven
 copies and their cut neighborhoods.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .graph import Graph
-from .instances import Instance, child_vertices, parent_rule, representative_hood
+from .instances import child_vertices, parent_rule, representative_hood
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -108,10 +109,10 @@ def enumerate_instances(
     seg: Segmentation,
     level: int,
     budget: int = DEFAULT_BUDGET,
-) -> list[Instance]:
-    """All copies of the given segmentation level, sorted by vertex tuple."""
+) -> list[tuple[int, ...]]:
+    """All copies of the given segmentation level as sorted vertex tuples, in order."""
     _, tables = _tally(g, pattern, seg, level, budget)
-    return [Instance(vs) for vs in sorted(tables[level])]
+    return sorted(tables[level])
 
 
 def exact_count(g: Graph, pattern: Pattern, budget: int = DEFAULT_BUDGET) -> int:
@@ -202,8 +203,8 @@ def seg_degree_total(
     """Sum of sampling weights over every copy of the given level."""
     adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
     return sum(
-        len(representative_hood(adj, lookups, inst.vertices, pattern.slack))
-        for inst in enumerate_instances(g, pattern, seg, level, budget=budget)
+        len(representative_hood(adj, lookups, verts, pattern.slack))
+        for verts in enumerate_instances(g, pattern, seg, level, budget=budget)
     )
 
 

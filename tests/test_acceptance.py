@@ -30,9 +30,9 @@ from crawlcount import (
     final_level_successes,
     representative,
     scaling_constant,
-    seg_neighborhood,
     simple_random_walk,
 )
+from crawlcount.instances import representative_hood
 from crawlcount.cli import main, summary_path
 
 import util
@@ -103,20 +103,20 @@ def test_c03_representative_matches_exhaustive_argmin(corpus):
     ok = True
     bad = None
     for gname, g in corpus:
+        adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
         for name in builtin_names():
             p, seg = builtin_pattern(name)
             for lvl in range(2, p.size + 1):
-                for inst in enumerate_instances(g, p, seg, lvl):
-                    led = QueryLedger()
-                    got = representative(g, led, inst, p.slack)
-                    want = util.brute_representative(g, inst.vertices, p.slack)
+                for verts in enumerate_instances(g, p, seg, lvl):
+                    got = representative(adj, lookups, verts, p.slack)
+                    want = util.brute_representative(g, verts, p.slack)
                     if got != want:
                         ok = False
-                        bad = (gname, name, lvl, inst.vertices, got, want)
-                    wdeg = util.brute_seg_degree(g, inst.vertices, p.slack)
-                    if len(seg_neighborhood(g, led, inst, p.slack)) != wdeg:
+                        bad = (gname, name, lvl, verts, got, want)
+                    wdeg = util.brute_seg_degree(g, verts, p.slack)
+                    if len(representative_hood(adj, lookups, verts, p.slack)) != wdeg:
                         ok = False
-                        bad = (gname, name, lvl, inst.vertices, "degree")
+                        bad = (gname, name, lvl, verts, "degree")
                     checked += 1
     record(
         3,
@@ -159,7 +159,7 @@ def test_c05_frozen_layer_expectation(bowtie):
     )
     build = build_layers(bowtie, p, seg, cfg)
     layer = build.layers[-1]
-    f_frozen = sum(prof.f_tables[2].get(i.vertices, 0) for i in layer.members)
+    f_frozen = sum(prof.f_tables[2].get(m, 0) for m in layer.members)
     expected = 60 * f_frozen / layer.total_degree
     reruns = 10_000
     ys = []

@@ -32,8 +32,8 @@ from crawlcount import (
     enumerate_instances,
     estimate_count,
     exact_count,
+    representative,
     require_feasible,
-    seg_neighborhood,
 )
 from crawlcount.instances import representative_hood
 from crawlcount.oracle import DEFAULT_BUDGET, _tally
@@ -86,11 +86,12 @@ def test_representative_hood_matches_exhaustive_argmin(name, p, seg, slack):
     adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
     seen = 0
     for level in range(2, p.size + 1):
-        for inst in enumerate_instances(g, p, seg, level)[:25]:
-            rep = util.brute_representative(g, inst.vertices, slack)
+        for verts in enumerate_instances(g, p, seg, level)[:25]:
+            rep = util.brute_representative(g, verts, slack)
             want = tuple(sorted(set().union(*(adj[v] for v in rep))))
-            assert representative_hood(adj, lookups, inst.vertices, slack) == want
-            assert seg_neighborhood(g, QueryLedger(), inst, slack) == want
+            assert representative(adj, lookups, verts, slack) == rep
+            assert representative_hood(adj, lookups, verts, slack) == want
+            assert util.metered_hood(g, QueryLedger(), verts, slack) == want
             seen += 1
     assert seen >= 2 * (p.size - 1)
 

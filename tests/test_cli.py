@@ -439,6 +439,12 @@ class TestErrors:
              "t_guess must be positive"),
             (["experiment", "--walk-len", "20", "--fmax-guess", "0.5", "--t-guess", "100"],
              "fmax_guess must be at least 1"),
+            (["estimate", "--walk-len", "20", "--t-guess", "100", "--max-layer", "0"],
+             "--max-layer must be at least 1, not 0"),
+            (["experiment", "--walk-len", "20", "--exact-t", "100", "--max-layer", "-3"],
+             "--max-layer must be at least 1, not -3"),
+            (["experiment", "--walk-len", "20", "--layers", "30", "--exact-t", "-2"],
+             "exact total must be at least 0, not -2.0"),
         ],
     )
     def test_bad_flag_is_reported_before_the_load(self, argv, line, tmp_path, monkeypatch, capsys):
@@ -455,6 +461,13 @@ class TestErrors:
         assert out.out == ""
         assert out.err == f"error: {line}\n"
         assert not (tmp_path / "never.csv").exists()
+
+    def test_exact_total_may_be_zero_but_not_negative(self):
+        ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=0)
+        with pytest.raises(ValueError, match="exact total must be at least 0"):
+            ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=-2)
+        with pytest.raises(ValueError, match="exact total must be at least 0"):
+            ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=float("nan"))
 
     def test_sparse_id_space_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "sparse.txt"

@@ -9,13 +9,11 @@ from crawlcount import (
     DegenerateLayerError,
     EstimateConfig,
     Graph,
-    Instance,
     LayerState,
     QueryLedger,
     WalkConfig,
     build_layers,
     builtin_pattern,
-    check_extension,
     count_profile,
     enumerate_instances,
     estimate_count,
@@ -24,7 +22,6 @@ from crawlcount import (
     niceness_report,
     recommend_sample_sizes,
     scaling_constant,
-    seg_neighborhood,
     simple_random_walk,
 )
 from crawlcount.estimator import _extend
@@ -34,7 +31,7 @@ import util
 
 class TestLayerState:
     def test_build_prefix_sums(self):
-        members = [Instance((0, 1)), Instance((1, 2)), Instance((0, 2))]
+        members = [(0, 1), (1, 2), (0, 2)]
         layer = LayerState(2, members, [(2,), (0, 3, 4), (1, 3)], trials=3)
         assert [len(h) for h in layer.hoods] == [1, 3, 2]
         assert layer.total_degree == 6
@@ -54,7 +51,7 @@ class TestLayerState:
         # In K5 every draw from (3, 4) is its child and the one from (0, 1)
         # is not ((0, 1, 2) belongs to (1, 2)), so successes count the draws
         # of the weight-3 member.
-        members = [Instance((0, 1)), Instance((3, 4))]
+        members = [(0, 1), (3, 4)]
         layer = LayerState(2, members, [(2,), (0, 1, 2)], trials=2)
         hits = assert_extend_matches_reference(util.k5(), layer, "g33", 20_000, 42)
         assert abs(len(hits) / 20_000 - 0.75) < 0.02
@@ -62,7 +59,7 @@ class TestLayerState:
     def test_zero_weight_member_never_drawn(self):
         # In K7 every vertex below 5 grows (5, 6) into its child; a draw
         # from the empty neighborhood could not even pick a vertex.
-        members = [Instance((0, 1)), Instance((5, 6))]
+        members = [(0, 1), (5, 6)]
         layer = LayerState(2, members, [(), (0, 1, 2, 3, 4)], trials=2)
         k7 = Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
         assert len(assert_extend_matches_reference(k7, layer, "g33", 200, 7)) == 200
@@ -73,13 +70,13 @@ def assert_extend_matches_reference(g, layer, pat, trials, seed):
     accept the same tuples, charge equal ledgers and leave the rng alike."""
     _, seg = builtin_pattern(pat)
     led, ref_led = QueryLedger(), QueryLedger()
-    for inst in {m.vertices: m for m in layer.members}.values():
-        seg_neighborhood(g, led, inst, 0)
-        seg_neighborhood(g, ref_led, inst, 0)
+    for verts in dict.fromkeys(layer.members):
+        util.metered_hood(g, led, verts, 0)
+        util.metered_hood(g, ref_led, verts, 0)
     rng, ref_rng = Random(seed), Random(seed)
     got = _extend(g, led, layer, seg, trials, rng)
     want = util.reference_extend(g, ref_led, layer, seg, trials, ref_rng)
-    assert got == [inst.vertices for inst in want]
+    assert got == want
     assert led == ref_led
     assert rng.getstate() == ref_rng.getstate()
     return got
@@ -164,7 +161,7 @@ class TestInitialLayer:
         led = QueryLedger()
         edges = simple_random_walk(bowtie, led, WalkConfig(length=12, seed=3))
         layer = initial_layer(bowtie, led, edges, slack=0)
-        assert [inst.vertices for inst in layer.members] == edges
+        assert layer.members == edges
         assert layer.trials == 12
         assert layer.level == 2
 
@@ -184,12 +181,12 @@ class TestInitialLayer:
         assert led.oracle_calls == 4  # two distinct edges, two vertices each
 
 
-def accepted_extension_count(g, inst, seg, slack):
+def accepted_extension_count(g, verts, seg, slack):
     led = QueryLedger()
-    hood = seg_neighborhood(g, led, inst, slack)
+    hood = util.metered_hood(g, led, verts, slack)
     hits = 0
     for u in hood:
-        if check_extension(g, led, inst, u, seg) is not None:
+        if util.metered_check(g, led, verts, u, seg) is not None:
             hits += 1
     return hits
 
@@ -220,10 +217,10 @@ class TestUnbiasednessStructure:
             for child in util.naive_copies(g, util.level_matrix(seg, level + 1)):
                 par = util.naive_assign(g, child, seg)
                 children[par] = children.get(par, 0) + 1
-            for inst in enumerate_instances(g, p, seg, level):
-                want = children.get(inst.vertices, 0)
-                got = accepted_extension_count(g, inst, seg, p.slack)
-                assert got == want, (graph_name, pat, level, inst.vertices)
+            for verts in enumerate_instances(g, p, seg, level):
+                want = children.get(verts, 0)
+                got = accepted_extension_count(g, verts, seg, p.slack)
+                assert got == want, (graph_name, pat, level, verts)
 
     def test_walk_layer_expectation_tracks_exact_chain_count(self, bowtie):
         """E[(m / r) * f2(walk)] equals T up to mixing error, computed in
@@ -263,7 +260,7 @@ class TestBuildLayers:
         edges = simple_random_walk(
             bowtie, QueryLedger(), WalkConfig(length=40, seed=11, burn_in=30)
         )
-        assert [i.vertices for i in build.layers[0].members] == edges
+        assert build.layers[0].members == edges
 
     def test_deterministic_in_master_seed(self, k5):
         p, seg = builtin_pattern("g46")
@@ -271,14 +268,8 @@ class TestBuildLayers:
         b = build_layers(k5, p, seg, self.cfg([30, 30], seed=5))
         c = build_layers(k5, p, seg, self.cfg([30, 30], seed=6))
         assert a.successes == b.successes
-        assert [i.vertices for i in a.layers[1].members] == [
-            i.vertices for i in b.layers[1].members
-        ]
-        assert (
-            a.successes != c.successes
-            or [i.vertices for i in a.layers[1].members]
-            != [i.vertices for i in c.layers[1].members]
-        )
+        assert a.layers[1].members == b.layers[1].members
+        assert a.successes != c.successes or a.layers[1].members != c.layers[1].members
 
     def test_middle_layers_store_only_accepted_copies(self, k5):
         p, seg = builtin_pattern("g46")
@@ -286,8 +277,8 @@ class TestBuildLayers:
         lvl3 = build.layers[1]
         assert lvl3.trials == 40
         assert len(lvl3) <= 40
-        tri = {i.vertices for i in enumerate_instances(k5, p, seg, 3)}
-        assert all(m.vertices in tri for m in lvl3.members)
+        tri = set(enumerate_instances(k5, p, seg, 3))
+        assert all(m in tri for m in lvl3.members)
 
     def test_degenerate_layer_warns_and_zeroes(self):
         star = util.star4()
@@ -334,7 +325,7 @@ class TestOneFetchPerMember:
             before = ledger.oracle_calls
             got = extend(g, ledger, layer, seg, trials, rng)
             want = util.reference_extend(g, ref_ledger, layer, seg, trials, ref_rng)
-            assert got == [inst.vertices for inst in want]
+            assert got == want
             assert ledger == ref_ledger
             assert rng.getstate() == ref_rng.getstate()
             trial_calls.append((trials, ledger.oracle_calls - before))
@@ -349,7 +340,7 @@ class TestOneFetchPerMember:
         assert not build.degenerate and len(build.layers) == p.size - 2
         assert len(build.layers[-1]) > 0
 
-        distinct = [{m.vertices for m in ls.members} for ls in build.layers]
+        distinct = [set(ls.members) for ls in build.layers]
         assert len(fetched) == len(set(fetched))
         assert set(fetched) == set().union(*distinct)
         assert [trials for trials, _ in trial_calls] == sizes
@@ -376,10 +367,10 @@ class TestBulkLayerCharge:
             ref = QueryLedger({-1}, 5)
             want = {}
             for m in members:
-                if m.vertices not in want:
-                    want[m.vertices] = seg_neighborhood(g, ref, m, p.slack)
+                if m not in want:
+                    want[m] = util.metered_hood(g, ref, m, p.slack)
             assert led == ref, (pat, level)
-            assert layer.hoods == [want[m.vertices] for m in members]
+            assert layer.hoods == [want[m] for m in members]
 
 
 class TestEstimateCount:

@@ -6,58 +6,50 @@ from hypothesis import given, settings, strategies as st
 
 from crawlcount import (
     Graph,
-    Instance,
+    LayerState,
     QueryLedger,
     Segmentation,
     builtin_names,
     builtin_pattern,
-    check_extension,
     enumerate_instances,
-    neighbors,
     parse_pattern,
     representative,
-    seg_neighborhood,
 )
+from crawlcount.instances import representative_hood
 
 import util
 
 
-class TestInstance:
-    def test_requires_strict_increase(self):
-        with pytest.raises(ValueError):
-            Instance((1, 1, 2))
-        with pytest.raises(ValueError):
-            Instance((2, 1))
+def rep(g, verts, slack):
+    return representative(g.raw_adjacency(), g.raw_neighbor_lookups(), verts, slack)
 
-    def test_level_is_size(self):
-        assert Instance((0, 4, 7)).level == 3
+
+def hood(g, verts, slack):
+    return representative_hood(g.raw_adjacency(), g.raw_neighbor_lookups(), verts, slack)
 
 
 class TestRepresentative:
     def test_slack_zero_is_first_min_degree(self, bowtie):
-        led = QueryLedger()
         # degrees: 0,1,3,4 have 2; 2 has 4
-        assert representative(bowtie, led, Instance((0, 1, 2)), 0) == (0,)
-        assert representative(bowtie, led, Instance((2, 3, 4)), 0) == (3,)
+        assert rep(bowtie, (0, 1, 2), 0) == (0,)
+        assert rep(bowtie, (2, 3, 4), 0) == (3,)
 
     def test_edge_instance_on_triangle(self, triangle):
-        led = QueryLedger()
-        assert representative(triangle, led, Instance((0, 1)), 0) == (0,)
+        assert rep(triangle, (0, 1), 0) == (0,)
 
     def test_slack_one_pair_with_smallest_union(self, bowtie_plus):
-        led = QueryLedger()
-        inst = Instance((0, 1, 2, 3))
-        rep = representative(bowtie_plus, led, inst, 1)
-        assert rep == util.brute_representative(bowtie_plus, inst.vertices, 1)
+        verts = (0, 1, 2, 3)
+        assert rep(bowtie_plus, verts, 1) == util.brute_representative(bowtie_plus, verts, 1)
 
     def test_too_small_for_slack(self, triangle):
-        led = QueryLedger()
         with pytest.raises(ValueError):
-            representative(triangle, led, Instance((0, 1)), 2)
+            rep(triangle, (0, 1), 2)
 
     def test_charges_one_query_per_member(self, bowtie):
+        # the representative is read unmetered; the layer that fetches it
+        # charges one query per member vertex, as many as neighbors calls
         led = QueryLedger()
-        representative(bowtie, led, Instance((0, 1, 2)), 0)
+        LayerState.build(bowtie, led, 3, [(0, 1, 2)], 1, 0)
         assert led.oracle_calls == 3
 
     @settings(max_examples=60, deadline=None)
@@ -65,33 +57,23 @@ class TestRepresentative:
     def test_matches_brute_force_on_random_graphs(self, seed, slack):
         g = util.er_graph(12, 0.4, seed)
         rng_sets = [vs for vs in util.naive_copies(g, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])]
-        led = QueryLedger()
         for verts in rng_sets[:8]:
-            inst = Instance(verts)
-            assert representative(g, led, inst, slack) == util.brute_representative(
-                g, verts, slack
-            )
+            assert rep(g, verts, slack) == util.brute_representative(g, verts, slack)
 
 
 class TestSegNeighborhood:
     def test_triangle_edge(self, triangle):
-        led = QueryLedger()
-        assert seg_neighborhood(triangle, led, Instance((0, 1)), 0) == (1, 2)
+        assert hood(triangle, (0, 1), 0) == (1, 2)
 
     def test_members_not_excluded(self, bowtie):
-        led = QueryLedger()
-        hood = seg_neighborhood(bowtie, led, Instance((0, 1, 2)), 0)
-        assert hood == (1, 2)  # neighbors of 0, own members included
+        assert hood(bowtie, (0, 1, 2), 0) == (1, 2)  # neighbors of 0, own members included
 
     def test_slack_one_union(self, bowtie_plus):
-        led = QueryLedger()
-        inst = Instance((0, 1, 2, 3))
-        hood = seg_neighborhood(bowtie_plus, led, inst, 1)
-        rep = util.brute_representative(bowtie_plus, inst.vertices, 1)
+        verts = (0, 1, 2, 3)
         want = set()
-        for v in rep:
+        for v in util.brute_representative(bowtie_plus, verts, 1):
             want |= set(bowtie_plus.raw_neighbor_lookups()[v])
-        assert hood == tuple(sorted(want))
+        assert hood(bowtie_plus, verts, 1) == tuple(sorted(want))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -99,10 +81,7 @@ class TestSegNeighborhood:
         g = util.er_graph(10, 0.45, seed)
         tri = util.naive_copies(g, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         for verts in tri[:6]:
-            led = QueryLedger()
-            assert len(seg_neighborhood(g, led, Instance(verts), 0)) == min(
-                g.raw_degree(v) for v in verts
-            )
+            assert len(hood(g, verts, 0)) == min(g.raw_degree(v) for v in verts)
 
 
 class TestAssign:
@@ -123,8 +102,7 @@ class TestAssign:
         for name, g in corpus[:8]:
             for pat in ("g33", "g45"):
                 p, seg = builtin_pattern(pat)
-                for inst in enumerate_instances(g, p, seg, p.size):
-                    verts = inst.vertices
+                for verts in enumerate_instances(g, p, seg, p.size):
                     idx = util.classify_by_rule(g, verts, seg)
                     parent = verts[:idx] + verts[idx + 1 :]
                     assert parent == util.naive_assign(g, verts, seg)
@@ -137,26 +115,24 @@ class TestCheckExtension:
     def test_accepts_assigned_child(self, bowtie):
         _, seg = builtin_pattern("g33")
         led = QueryLedger()
-        got = check_extension(bowtie, led, Instance((1, 2)), 0, seg)
-        assert got is not None and got.vertices == (0, 1, 2)
+        assert util.metered_check(bowtie, led, (1, 2), 0, seg) == (0, 1, 2)
 
     def test_rejects_child_assigned_elsewhere(self, bowtie):
         # {2,3,4} assigns to {3,4}, so the parent {2,3} must refuse u=4
         _, seg = builtin_pattern("g33")
         led = QueryLedger()
-        assert check_extension(bowtie, led, Instance((2, 3)), 4, seg) is None
-        got = check_extension(bowtie, led, Instance((3, 4)), 2, seg)
-        assert got is not None and got.vertices == (2, 3, 4)
+        assert util.metered_check(bowtie, led, (2, 3), 4, seg) is None
+        assert util.metered_check(bowtie, led, (3, 4), 2, seg) == (2, 3, 4)
 
     def test_rejects_member_landing(self, bowtie):
         _, seg = builtin_pattern("g33")
         led = QueryLedger()
-        assert check_extension(bowtie, led, Instance((1, 2)), 1, seg) is None
+        assert util.metered_check(bowtie, led, (1, 2), 1, seg) is None
 
     def test_rejects_wrong_shape(self, c5):
         _, seg = builtin_pattern("g33")
         led = QueryLedger()
-        assert check_extension(c5, led, Instance((0, 1)), 2, seg) is None
+        assert util.metered_check(c5, led, (0, 1), 2, seg) is None
 
     def test_each_copy_accepted_from_exactly_one_parent(self, corpus):
         """Partition property behind unbiasedness: for every level-i copy h,
@@ -171,13 +147,13 @@ class TestCheckExtension:
             for child, par in assigned.items():
                 for parent in parents:
                     for u in child:
-                        if u in parent.vertices:
+                        if u in parent:
                             continue
-                        if tuple(sorted(parent.vertices + (u,))) != child:
+                        if tuple(sorted(parent + (u,))) != child:
                             continue
-                        got = check_extension(g, scratch, parent, u, seg)
-                        if parent.vertices == par:
-                            assert got is not None and got.vertices == child
+                        got = util.metered_check(g, scratch, parent, u, seg)
+                        if parent == par:
+                            assert got == child
                         else:
                             assert got is None
 
@@ -211,45 +187,7 @@ class TestClassify:
 
 
 class TestHotPathLedger:
-    def test_check_extension_charges_like_per_vertex_queries(self, corpus):
-        for name, g in corpus[7:14]:
-            for pat in ("g33", "g45", "g59"):
-                p, seg = builtin_pattern(pat)
-                for parent in enumerate_instances(g, p, seg, p.size - 1)[:6]:
-                    for u in range(g.vertex_count):
-                        led = QueryLedger()
-                        check_extension(g, led, parent, u, seg)
-                        if u in parent.vertices:
-                            assert led == QueryLedger()
-                            continue
-                        assert led.oracle_calls == parent.level + 1
-                        ref = QueryLedger()
-                        for v in sorted(parent.vertices + (u,)):
-                            neighbors(g, ref, v)
-                        assert led == ref
-
-    @pytest.mark.parametrize("slack", [0, 1])
-    def test_seg_neighborhood_charges_like_per_vertex_queries(self, corpus, slack):
-        for name, g in corpus:
-            for pat in builtin_names():
-                p, seg = builtin_pattern(pat)
-                for level in range(2, p.size + 1):
-                    for inst in enumerate_instances(g, p, seg, level)[:6]:
-                        led = QueryLedger()
-                        seg_neighborhood(g, led, inst, slack)
-                        ref = QueryLedger()
-                        for v in inst.vertices:
-                            neighbors(g, ref, v)
-                        assert led == ref, (name, pat, inst.vertices)
-
     def test_full_size_parent_is_rejected_by_level(self, k4):
         _, seg = builtin_pattern("g33")
         with pytest.raises(ValueError, match="level 3 has no next level"):
-            check_extension(k4, QueryLedger(), Instance((0, 1, 2)), 3, seg)
-
-    def test_out_of_range_vertex_rejected(self, bowtie):
-        _, seg = builtin_pattern("g33")
-        with pytest.raises(ValueError):
-            check_extension(bowtie, QueryLedger(), Instance((0, 1)), 5, seg)
-        with pytest.raises(ValueError):
-            check_extension(bowtie, QueryLedger(), Instance((0, 1)), -1, seg)
+            util.metered_check(k4, QueryLedger(), (0, 1, 2), 3, seg)

@@ -61,14 +61,12 @@ class TestEnumeration:
 
     def test_level_two_is_edge_set(self, bowtie):
         p, seg = builtin_pattern("g33")
-        insts = enumerate_instances(bowtie, p, seg, 2)
-        assert [i.vertices for i in insts] == util.edges(bowtie)
+        assert enumerate_instances(bowtie, p, seg, 2) == util.edges(bowtie)
 
     def test_sorted_and_unique(self, corpus):
         p, seg = builtin_pattern("g33")
         for name, g in corpus:
-            insts = enumerate_instances(g, p, seg, 3)
-            vs = [i.vertices for i in insts]
+            vs = enumerate_instances(g, p, seg, 3)
             assert vs == sorted(set(vs))
 
     def test_triangle_counts_match_networkx(self, corpus):
@@ -82,7 +80,7 @@ class TestEnumeration:
     def test_matches_naive_subset_scan(self, seed, n):
         g = util.er_graph(n, 0.4, seed)
         p, seg = builtin_pattern("g33")
-        got = [i.vertices for i in enumerate_instances(g, p, seg, 3)]
+        got = enumerate_instances(g, p, seg, 3)
         assert got == util.naive_copies(g, TRIANGLE_M)
 
     @settings(max_examples=15, deadline=None)
@@ -91,7 +89,7 @@ class TestEnumeration:
         g = util.er_graph(10, 0.45, seed)
         p, seg = builtin_pattern("g45")
         tgt = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
-        got = [i.vertices for i in enumerate_instances(g, p, seg, 4)]
+        got = enumerate_instances(g, p, seg, 4)
         assert got == util.naive_copies(g, tgt)
 
     @pytest.mark.parametrize("name,p,seg", PATTERNS, ids=[t[0] for t in PATTERNS])
@@ -101,7 +99,7 @@ class TestEnumeration:
             counts = count_profile(g, p, seg).per_level_counts
             for lvl in range(2, p.size + 1):
                 want = util.naive_copies(g, util.level_matrix(seg, lvl))
-                got = [i.vertices for i in enumerate_instances(g, p, seg, lvl)]
+                got = enumerate_instances(g, p, seg, lvl)
                 assert got == want, (seed, lvl)
                 assert counts[lvl] == len(want), (seed, lvl)
             assert exact_count(g, p) == len(want), seed

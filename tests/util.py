@@ -7,6 +7,10 @@ share its bugs.  :func:`reference_class`, built on the backtracking
 isomorphism test, is the reference for the package's child rule, read as a
 classifier by :func:`classify_by_rule`; :func:`reference_extend` is the
 plain trial loop the sampler's inline draws and bulk charges must match.
+:func:`metered_hood` and :func:`metered_check` are the per-copy metered
+forms of a layer's fetch and a trial's decision, built on one literal
+``neighbors`` call per vertex, so that every bulk charge of the package is
+checked against the queries it stands for.
 """
 
 from __future__ import annotations
@@ -26,17 +30,14 @@ from crawlcount import (
     DegenerateLayerError,
     EdgeCountEstimate,
     Graph,
-    Instance,
     LayerState,
     Pattern,
     QueryLedger,
     Segmentation,
     WalkConfig,
     auto_segment,
-    check_extension,
     default_burn_in,
     neighbors,
-    seg_neighborhood,
 )
 from crawlcount.instances import is_child, parent_rule
 
@@ -275,12 +276,15 @@ def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
 
 
 def classify_by_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> int | None:
-    """The index j for which ``check_extension`` accepts ``verts`` without
-    ``verts[j]`` extended by ``verts[j]``, or None when no j is accepted:
-    the package's child rule read as a classifier of the grown tuple."""
+    """The index j for which ``verts[j]`` is a child of ``verts`` without
+    ``verts[j]`` under ``parent_rule`` and ``is_child``, or None when there is
+    no such j: the package's child rule read as a classifier of the grown
+    tuple."""
+    lookups = g.raw_neighbor_lookups()
     for j, u in enumerate(verts):
-        parent = Instance(verts[:j] + verts[j + 1 :])
-        if check_extension(g, QueryLedger(), parent, u, seg) is not None:
+        parent = verts[:j] + verts[j + 1 :]
+        rule = parent_rule(g, parent, seg)
+        if rule is not None and is_child(lookups[u], parent, u, rule):
             return j
     return None
 
@@ -488,12 +492,45 @@ def exact_walk_expectation(
     return Fraction(g.edge_count, length) * total
 
 
+def metered_hood(
+    g: Graph, ledger: QueryLedger, verts: tuple[int, ...], slack: int
+) -> tuple[int, ...]:
+    """A copy's representative neighborhood the per-query way: one metered
+    ``neighbors`` call per vertex of the sorted ``verts``, then the union of
+    the first (slack+1)-subset of those lists whose union is smallest."""
+    best: set[int] | None = None
+    for sub in combinations([neighbors(g, ledger, v) for v in verts], slack + 1):
+        hood = set().union(*sub)
+        if best is None or len(hood) < len(best):
+            best = hood
+    return tuple(sorted(best))
+
+
+def metered_check(
+    g: Graph, ledger: QueryLedger, verts: tuple[int, ...], u: int, seg: Segmentation
+) -> tuple[int, ...] | None:
+    """The grown tuple if ``verts + u`` is a copy of the next level assigned
+    to ``verts``, else None: one trial's decision the per-query way.  None,
+    uncharged, when u is in ``verts``; otherwise one metered ``neighbors``
+    call per vertex of the grown tuple, then ``parent_rule`` and
+    ``is_child``."""
+    if u in verts:
+        return None
+    grown = tuple(sorted(verts + (u,)))
+    for v in grown:
+        neighbors(g, ledger, v)
+    rule = parent_rule(g, verts, seg)
+    if rule is None or not is_child(g.raw_neighbor_lookups()[u], verts, u, rule):
+        return None
+    return grown
+
+
 def reference_extend(
     g: Graph, ledger: QueryLedger, layer: LayerState, seg: Segmentation, trials: int, rng: Random
-) -> list[Instance]:
+) -> list[tuple[int, ...]]:
     """The extension trial loop spelled plainly: a member by ``randrange`` over
     the prefix weights, a vertex by ``randrange`` over its neighborhood, and
-    ``check_extension``, which charges the grown tuple, on each pair."""
+    :func:`metered_check`, which charges the grown tuple, on each pair."""
     accepted = []
     for _ in range(trials):
         if layer.total_degree <= 0:
@@ -501,7 +538,7 @@ def reference_extend(
         idx = bisect_right(layer.prefix_weights, rng.randrange(layer.total_degree))
         hood = layer.hoods[idx]
         u = hood[rng.randrange(len(hood))]
-        got = check_extension(g, ledger, layer.members[idx], u, seg)
+        got = metered_check(g, ledger, layer.members[idx], u, seg)
         if got is not None:
             accepted.append(got)
     return accepted
@@ -510,9 +547,9 @@ def reference_extend(
 def reference_tally(
     g: Graph, p: Pattern, seg: Segmentation, top: int
 ) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]]]:
-    """The exact tally decided one candidate at a time: each copy's metered
-    neighborhood, then ``is_child`` on every vertex of it, every copy visited,
-    leaves included.  Counts and chain tables in the package's order."""
+    """The exact tally decided one candidate at a time: each copy's
+    :func:`metered_hood`, then ``is_child`` on every vertex of it, every copy
+    visited, leaves included.  Counts and chain tables in the package's order."""
     counts = dict.fromkeys(range(2, top + 1), 0)
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     lookups = g.raw_neighbor_lookups()
@@ -523,7 +560,7 @@ def reference_tally(
         if len(verts) < top:
             chains = 0
             rule = parent_rule(g, verts, seg)
-            for u in seg_neighborhood(g, QueryLedger(), Instance(verts), p.slack):
+            for u in metered_hood(g, QueryLedger(), verts, p.slack):
                 if rule is not None and u not in verts and is_child(lookups[u], verts, u, rule):
                     chains += grow(tuple(sorted(verts + (u,))))
         if chains:

@@ -2,8 +2,8 @@
 
 The package splits into a crawl side and a truth side.  The crawl side
 (walks, layered sampling) touches the graph only through queries charged
-to a ledger.  The truth side (exhaustive enumeration, chain counts,
-density bounds) reads the graph freely and exists to verify the crawl.
+to a ledger.  The truth side (the exact chain-count tally and the
+degeneracy) reads the graph freely: it gives the crawl its ground truth.
 """
 
 from .estimator import (
@@ -11,14 +11,12 @@ from .estimator import (
     EstimateConfig,
     EstimateResult,
     LayerBuild,
-    LayerNiceness,
     LayerState,
     SampleSizeRecommendation,
     build_layers,
     estimate_count,
     final_level_successes,
     initial_layer,
-    niceness_report,
     recommend_sample_sizes,
     scaling_constant,
 )
@@ -33,16 +31,11 @@ from .graph import (
 )
 from .instances import representative
 from .oracle import (
-    ArboricityBound,
     CountProfile,
-    DegeneracyResult,
     EnumerationBudgetError,
-    check_arboricity_bound,
     count_profile,
     degeneracy,
-    enumerate_instances,
     exact_count,
-    seg_degree_total,
 )
 from .patterns import (
     Pattern,

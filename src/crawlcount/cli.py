@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import statistics
 import sys
@@ -96,6 +97,11 @@ class RunRecord:
         ]
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"--budget must be at least 1, not {budget}")
+
+
 @dataclass
 class ExperimentSpec:
     """A full sweep: repetitions at every walk length in the schedule.
@@ -122,6 +128,9 @@ class ExperimentSpec:
             raise ValueError("experiment needs at least one repetition")
         if self.exact_total is not None and not self.exact_total >= 0:
             raise ValueError(f"exact total must be at least 0, not {self.exact_total}")
+        if self.exact_total == math.inf:
+            raise ValueError("exact total must be finite, not inf")
+        _check_budget(self.budget)
         for walk_len in self.walk_lengths:
             self.config(walk_len, self.base_seed)  # the runs' own checks
 
@@ -297,6 +306,7 @@ def summary_path(out_path: str) -> str:
 def cmd_exact(args: argparse.Namespace) -> int:
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
+    _check_budget(args.budget)
     g = load_edge_list_path(args.graph)
     profile = count_profile(g, p, seg, budget=args.budget)
     print(f"T={profile.total}")
@@ -428,7 +438,7 @@ def _sized(spec: ExperimentSpec, g: Graph, p: Pattern, args: argparse.Namespace)
     if spec.layer_sizes is not None:
         return spec
     rec = recommend_sample_sizes(
-        n=g.vertex_count, m=g.edge_count, alpha=degeneracy(g).value, c=p.slack, k=p.size,
+        n=g.vertex_count, m=g.edge_count, alpha=degeneracy(g), c=p.slack, k=p.size,
         eps=args.epsilon, t_guess=_t_guess(args), fmax_guess=args.fmax_guess,
     )
     sizes = tuple(min(args.max_layer, rec.layer_sizes[i]) for i in range(3, p.size + 1))

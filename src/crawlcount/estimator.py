@@ -375,10 +375,15 @@ def check_sizing_args(eps: float, t_guess: float, fmax_guess: float) -> None:
     """Raise ValueError unless :func:`recommend_sample_sizes` accepts these, whatever the graph."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
+    if eps**3 == 0:  # the sizes divide by it
+        raise ValueError(f"eps {eps} is too close to 0 for finite sizes")
     if t_guess <= 0:
         raise ValueError("t_guess must be positive")
     if fmax_guess < 1:
         raise ValueError("fmax_guess must be at least 1")
+    for name, value in (("t_guess", t_guess), ("fmax_guess", fmax_guess)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
 
 
 def recommend_sample_sizes(
@@ -420,7 +425,7 @@ def recommend_sample_sizes(
             * ((c + 1) * alpha) ** (i - (c + 1))
             / t_guess
         )
-        sizes[i] = max(1, math.ceil(val))
+        sizes[i] = _ceil_size(val, f"size l_{i}")
     final = (
         3
         * (ln**2)
@@ -429,93 +434,18 @@ def recommend_sample_sizes(
         * ((c + 1) * alpha) ** (k - (c + 1))
         / t_guess
     )
-    sizes[k] = max(1, math.ceil(final))
+    sizes[k] = _ceil_size(final, f"size l_{k}")
     tau = math.ceil(10 * math.log2(n))
     walk = tau + tau * (ln / eps**2) * (fmax_guess * m / t_guess)
     return SampleSizeRecommendation(
-        walk_length=max(1, math.ceil(walk)), layer_sizes=sizes
+        walk_length=_ceil_size(walk, "walk length"), layer_sizes=sizes
     )
 
 
-@dataclass(frozen=True)
-class LayerNiceness:
-    """Diagnostic verdicts for one realized layer.
-
-    ``nice_range`` asks whether the layer's share of assignment chains sits
-    inside (1 +/- eps)^i of its expectation; ``nice_ratio`` asks whether
-    chains per unit of sampling weight did not collapse.
-    """
-
-    level: int
-    f_value: int
-    range_low: float
-    range_high: float
-    nice_range: bool
-    ratio_lhs: float
-    ratio_rhs: float
-    nice_ratio: bool
-
-    @property
-    def nice(self) -> bool:
-        return self.nice_range and self.nice_ratio
-
-
-def niceness_report(
-    g: Graph,
-    pattern: Pattern,
-    seg: Segmentation,
-    layers: Sequence[LayerState],
-    profile,
-    eps: float,
-) -> list[LayerNiceness]:
-    """Judge realized layers against exact chain counts.
-
-    Needs a full CountProfile; this is a verification tool for graphs small
-    enough to enumerate, not part of the estimator proper.
-    """
-    from .oracle import seg_degree_total
-
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    if not layers:
-        raise ValueError("no layers to report on")
-    t = profile.total
-    m = g.edge_count
-    ln_n = math.log(max(g.vertex_count, 2))
-    walk_length = layers[0].trials
-    out = []
-    for pos, layer in enumerate(layers):
-        i = layer.level
-        table = profile.f_tables.get(i)
-        if table is None:
-            raise ValueError(f"profile is missing exact chain counts for level {i}")
-        f_val = sum(table.get(verts, 0) for verts in layer.members)
-        if i == 2:
-            factor = Fraction(walk_length, m)
-        else:
-            sizes = [layers[p].trials for p in range(1, pos)]  # l_3..l_{i-1}
-            degrees = [layers[p].total_degree for p in range(pos)]  # D_2..D_{i-1}
-            c_i = scaling_constant(i, m, walk_length, sizes, degrees)
-            factor = Fraction(layer.trials) / c_i
-        range_low = (1 - eps) ** i * float(factor) * t
-        range_high = (1 + eps) ** i * float(factor) * t
-        nice_range = range_low <= f_val <= range_high
-        degtotal = seg_degree_total(g, pattern, seg, i)
-        ratio_lhs = f_val / layer.total_degree if layer.total_degree > 0 else 0.0
-        ratio_rhs = (
-            (1 - eps) ** i * (eps / ln_n) * (t / degtotal) if degtotal > 0 else 0.0
+def _ceil_size(value: float, what: str) -> int:
+    """``value`` rounded up to a count of at least 1; ValueError if it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the recommended {what} is not finite; raise t_guess, or lower fmax_guess"
         )
-        nice_ratio = ratio_lhs >= ratio_rhs
-        out.append(
-            LayerNiceness(
-                level=i,
-                f_value=f_val,
-                range_low=range_low,
-                range_high=range_high,
-                nice_range=nice_range,
-                ratio_lhs=ratio_lhs,
-                ratio_rhs=ratio_rhs,
-                nice_ratio=nice_ratio,
-            )
-        )
-    return out
+    return max(1, math.ceil(value))

@@ -29,16 +29,16 @@ from crawlcount import (
     Segmentation,
     WalkConfig,
     auto_segment,
-    enumerate_instances,
+    count_profile,
     estimate_count,
     exact_count,
     representative,
     require_feasible,
 )
 from crawlcount.instances import representative_hood
-from crawlcount.oracle import DEFAULT_BUDGET, _tally
 from crawlcount.patterns import _order_slack
 
+import truth
 import util
 
 CONNECTED = util.connected_atlas()
@@ -86,7 +86,7 @@ def test_representative_hood_matches_exhaustive_argmin(name, p, seg, slack):
     adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
     seen = 0
     for level in range(2, p.size + 1):
-        for verts in enumerate_instances(g, p, seg, level)[:25]:
+        for verts in truth.copies(g, p, seg, level)[:25]:
             rep = util.brute_representative(g, verts, slack)
             want = tuple(sorted(set().union(*(adj[v] for v in rep))))
             assert representative(adj, lookups, verts, slack) == rep
@@ -102,14 +102,13 @@ def test_tally_by_set_algebra_matches_is_child(name, p, seg):
     # children are visited in sorted order on both sides
     found = 0
     for g in (util.er_graph(12, 0.7, 2), util.er_graph(16, 0.8, 4)):
-        for top in range(2, p.size + 1):
-            counts, tables = _tally(g, p, seg, top, DEFAULT_BUDGET)
-            want_counts, want_tables = util.reference_tally(g, p, seg, top)
-            assert counts == want_counts, top
-            assert {i: list(t.items()) for i, t in tables.items()} == {
-                i: list(t.items()) for i, t in want_tables.items()
-            }, top
-        found += counts[p.size]
+        prof = count_profile(g, p, seg)
+        want_counts, want_tables = util.reference_tally(g, p, seg, p.size)
+        assert prof.per_level_counts == want_counts
+        assert {i: list(t.items()) for i, t in prof.f_tables.items()} == {
+            i: list(t.items()) for i, t in want_tables.items()
+        }
+        found += prof.total
     assert found > 0
 
 

@@ -445,6 +445,20 @@ class TestErrors:
              "--max-layer must be at least 1, not -3"),
             (["experiment", "--walk-len", "20", "--layers", "30", "--exact-t", "-2"],
              "exact total must be at least 0, not -2.0"),
+            (["experiment", "--walk-len", "20", "--layers", "30", "--exact-t", "inf"],
+             "exact total must be finite, not inf"),
+            (["exact", "--budget", "-1"], "--budget must be at least 1, not -1"),
+            (["experiment", "--walk-len", "20", "--layers", "30", "--exact-t", "2",
+              "--budget", "-5"],
+             "--budget must be at least 1, not -5"),
+            (["estimate", "--walk-len", "10", "--t-guess", "2", "--fmax-guess", "inf"],
+             "fmax_guess must be finite, not inf"),
+            (["estimate", "--walk-len", "10", "--t-guess", "nan"],
+             "t_guess must be finite, not nan"),
+            (["experiment", "--walk-len", "10", "--t-guess", "2", "--fmax-guess", "nan"],
+             "fmax_guess must be finite, not nan"),
+            (["estimate", "--walk-len", "10", "--t-guess", "2", "--epsilon", "1e-200"],
+             "eps 1e-200 is too close to 0 for finite sizes"),
         ],
     )
     def test_bad_flag_is_reported_before_the_load(self, argv, line, tmp_path, monkeypatch, capsys):
@@ -468,6 +482,26 @@ class TestErrors:
             ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=-2)
         with pytest.raises(ValueError, match="exact total must be at least 0"):
             ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=float("nan"))
+
+    def test_budget_below_one_is_refused_with_a_known_total(self):
+        ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=2, budget=1)
+        with pytest.raises(ValueError, match="--budget must be at least 1, not 0"):
+            ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=2, budget=0)
+
+    @pytest.mark.parametrize(
+        "guesses, line",
+        [
+            (["--t-guess", "1e-320"], "the recommended size l_3 is not finite"),
+            (["--t-guess", "2", "--fmax-guess", "1e308"],
+             "the recommended walk length is not finite"),
+        ],
+    )
+    def test_overflowing_recommendation_is_one_error_line(self, guesses, line, bowtie_file, capsys):
+        argv = ["estimate", "--graph", bowtie_file, "--pattern", "g33", "--walk-len", "10"]
+        assert main(argv + guesses) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {line}; raise t_guess, or lower fmax_guess\n"
 
     def test_sparse_id_space_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "sparse.txt"

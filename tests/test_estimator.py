@@ -15,17 +15,16 @@ from crawlcount import (
     build_layers,
     builtin_pattern,
     count_profile,
-    enumerate_instances,
     estimate_count,
     final_level_successes,
     initial_layer,
-    niceness_report,
     recommend_sample_sizes,
     scaling_constant,
     simple_random_walk,
 )
 from crawlcount.estimator import _extend
 
+import truth
 import util
 
 
@@ -217,7 +216,7 @@ class TestUnbiasednessStructure:
             for child in util.naive_copies(g, util.level_matrix(seg, level + 1)):
                 par = util.naive_assign(g, child, seg)
                 children[par] = children.get(par, 0) + 1
-            for verts in enumerate_instances(g, p, seg, level):
+            for verts in truth.copies(g, p, seg, level):
                 want = children.get(verts, 0)
                 got = accepted_extension_count(g, verts, seg, p.slack)
                 assert got == want, (graph_name, pat, level, verts)
@@ -277,7 +276,7 @@ class TestBuildLayers:
         lvl3 = build.layers[1]
         assert lvl3.trials == 40
         assert len(lvl3) <= 40
-        tri = set(enumerate_instances(k5, p, seg, 3))
+        tri = set(truth.copies(k5, p, seg, 3))
         assert all(m in tri for m in lvl3.members)
 
     def test_degenerate_layer_warns_and_zeroes(self):
@@ -360,7 +359,7 @@ class TestBulkLayerCharge:
         g = util.hk_graph(120, 4, 0.7, 2)
         p, seg = builtin_pattern(pat)
         for level in range(2, p.size):
-            copies = enumerate_instances(g, p, seg, level)[:40]
+            copies = truth.copies(g, p, seg, level)[:40]
             members = copies + copies[::3]  # repeats are fetched and charged once
             led = QueryLedger({-1}, 5)
             layer = LayerState.build(g, led, level, members, len(members), p.slack)
@@ -443,6 +442,21 @@ class TestRecommendations:
         with pytest.raises(ValueError):
             recommend_sample_sizes(100, 300, 0, 0, 4, eps=0.5, t_guess=10, fmax_guess=1)
 
+    @pytest.mark.parametrize(
+        "t_guess, fmax_guess, what",
+        [
+            (math.inf, 1, "t_guess must be finite"),
+            (math.nan, 1, "t_guess must be finite"),
+            (10, math.inf, "fmax_guess must be finite"),
+            (10, math.nan, "fmax_guess must be finite"),
+            (1e-320, 1, "size l_3 is not finite"),
+            (10, 1e308, "walk length is not finite"),
+        ],
+    )
+    def test_sizes_are_finite_or_refused(self, t_guess, fmax_guess, what):
+        with pytest.raises(ValueError, match=what):
+            recommend_sample_sizes(100, 300, 3, 0, 3, eps=0.5, t_guess=t_guess, fmax_guess=fmax_guess)
+
     def test_layers_cover_3_to_k(self):
         rec = recommend_sample_sizes(1000, 5000, 4, 0, 5, eps=0.4, t_guess=100, fmax_guess=2)
         assert sorted(rec.layer_sizes) == [3, 4, 5]
@@ -475,7 +489,7 @@ class TestNiceness:
         prof = count_profile(c5, p, seg)
         cfg = EstimateConfig(layer_sizes=[30], walk=WalkConfig(length=25, burn_in=25), seed=1)
         build = build_layers(c5, p, seg, cfg)
-        report = niceness_report(c5, p, seg, build.layers, prof, eps=0.5)
+        report = truth.niceness_report(c5, p, seg, build.layers, prof, eps=0.5)
         assert len(report) == 1
         assert report[0].level == 2
         assert report[0].nice
@@ -490,7 +504,7 @@ class TestNiceness:
                 layer_sizes=[10], walk=WalkConfig(length=40, burn_in=30), seed=seed
             )
             build = build_layers(bowtie, p, seg, cfg)
-            rep = niceness_report(bowtie, p, seg, build.layers, prof, eps=0.5)
+            rep = truth.niceness_report(bowtie, p, seg, build.layers, prof, eps=0.5)
             if all(r.nice for r in rep):
                 nice += 1
         assert nice >= 0.9 * runs
@@ -501,7 +515,7 @@ class TestNiceness:
         cfg = EstimateConfig(layer_sizes=[10], walk=WalkConfig(length=10, burn_in=10), seed=0)
         build = build_layers(bowtie, p, seg, cfg)
         with pytest.raises(ValueError):
-            niceness_report(bowtie, p, seg, build.layers, prof, eps=1.5)
+            truth.niceness_report(bowtie, p, seg, build.layers, prof, eps=1.5)
 
     def test_range_bounds_use_realized_factor(self, k5):
         p, seg = builtin_pattern("g46")
@@ -510,7 +524,7 @@ class TestNiceness:
             layer_sizes=[40, 40], walk=WalkConfig(length=30, burn_in=30), seed=2
         )
         build = build_layers(k5, p, seg, cfg)
-        rep = niceness_report(k5, p, seg, build.layers, prof, eps=0.5)
+        rep = truth.niceness_report(k5, p, seg, build.layers, prof, eps=0.5)
         assert [r.level for r in rep] == [2, 3]
         lvl2 = rep[0]
         want = (1 - 0.5) ** 2 * (30 / 10) * prof.total

@@ -11,12 +11,12 @@ from crawlcount import (
     Segmentation,
     builtin_names,
     builtin_pattern,
-    enumerate_instances,
     parse_pattern,
     representative,
 )
 from crawlcount.instances import representative_hood
 
+import truth
 import util
 
 
@@ -102,7 +102,7 @@ class TestAssign:
         for name, g in corpus[:8]:
             for pat in ("g33", "g45"):
                 p, seg = builtin_pattern(pat)
-                for verts in enumerate_instances(g, p, seg, p.size):
+                for verts in truth.copies(g, p, seg, p.size):
                     idx = util.classify_by_rule(g, verts, seg)
                     parent = verts[:idx] + verts[idx + 1 :]
                     assert parent == util.naive_assign(g, verts, seg)
@@ -141,7 +141,7 @@ class TestCheckExtension:
         for name, g in corpus[:8]:
             p, seg = builtin_pattern("g33")
             copies = util.naive_copies(g, util.level_matrix(seg, 3))
-            parents = enumerate_instances(g, p, seg, 2)
+            parents = truth.copies(g, p, seg, 2)
             scratch = QueryLedger()
             assigned = {verts: util.naive_assign(g, verts, seg) for verts in copies}
             for child, par in assigned.items():

@@ -115,7 +115,6 @@ class ExperimentSpec:
     layer_sizes: tuple[int, ...] | None = None
     burn_in: int | None = None
     base_seed: int = 0
-    out_path: str = "runs.csv"
     estimate_m: bool = False
     lazy_walk: bool = False
     exact_total: float | None = None
@@ -282,17 +281,10 @@ def run_experiment(
     return records, summaries
 
 
-def _write_csv(path_or_handle, header: list[str], rows: list[list[str]]) -> None:
-    def dump(fh: IO[str]) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-    if hasattr(path_or_handle, "write"):
-        dump(path_or_handle)
-    else:
-        with open(path_or_handle, "w", encoding="utf-8", newline="") as fh:
-            dump(fh)
+def _write_csv(fh: IO[str], header: list[str], rows: list[list[str]]) -> None:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def summary_path(out_path: str) -> str:
@@ -361,13 +353,22 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
     spec = _run_spec(
-        args, p, tuple(args.walk_len), repetitions=args.reps, out_path=args.out,
+        args, p, tuple(args.walk_len), repetitions=args.reps,
         exact_total=args.exact_t, budget=args.budget,
     )
-    g = _load_graph(args.graph)
-    records, summaries = run_experiment(_sized(spec, g, p, args), g, p, seg)
-    _write_csv(spec.out_path, CSV_HEADER, [r.row() for r in records])
-    _write_csv(summary_path(spec.out_path), SUMMARY_HEADER, [s.row() for s in summaries])
+    # Both outputs open before the load, so an unwritable path fails first,
+    # and in append mode, so a run that fails later leaves their bytes as
+    # they were; each is emptied only once the sweep is done.
+    with (
+        open(args.out, "a", encoding="utf-8", newline="") as runs_fh,
+        open(summary_path(args.out), "a", encoding="utf-8", newline="") as summary_fh,
+    ):
+        g = _load_graph(args.graph)
+        records, summaries = run_experiment(_sized(spec, g, p, args), g, p, seg)
+        runs_fh.truncate(0)
+        _write_csv(runs_fh, CSV_HEADER, [r.row() for r in records])
+        summary_fh.truncate(0)
+        _write_csv(summary_fh, SUMMARY_HEADER, [s.row() for s in summaries])
     _write_csv(sys.stdout, SUMMARY_HEADER, [s.row() for s in summaries])
     return 0
 

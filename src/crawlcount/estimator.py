@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from random import Random
@@ -231,8 +231,7 @@ def build_layers(
             g, ledger, samples, EDGE_COUNT_GAP, seed=edge_seed
         ).edge_estimate
     k = pattern.size
-    wcfg = cfg.walk if cfg.walk.seed is not None else replace(cfg.walk, seed=walk_seed)
-    edges = simple_random_walk(g, ledger, wcfg)
+    edges = simple_random_walk(g, ledger, cfg.walk, walk_seed)
     rng = Random(trial_seed)
 
     layers = [initial_layer(g, ledger, edges, pattern.slack)]

@@ -234,7 +234,7 @@ def test_c06_scaling_recursion_exact():
 
 def test_c07_walk_stationarity_on_k4(k4):
     walk = simple_random_walk(
-        k4, QueryLedger(), WalkConfig(length=60_000, seed=0, burn_in=100)
+        k4, QueryLedger(), WalkConfig(length=60_000, burn_in=100), 0
     )
     freq = Counter(walk)
     devs = {e: abs(c / 60_000 - 1 / 6) for e, c in freq.items()}

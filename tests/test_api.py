@@ -4,9 +4,12 @@ A name imported in ``crawlcount/__init__.py`` has to be referred to in
 some other module of the package (a name, an attribute or an import; its
 own ``def`` or ``class`` does not count).  Anything else is API that only
 tests reach, and goes.  A mention in the README does not exempt a name.
+
+The package's own imports are relative or name a standard-library module.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +56,26 @@ def test_rule_flags_a_name_only_its_def_mentions(tmp_path):
     )
     (tmp_path / "other.py").write_text("from .mod import caller\n")
     assert unused_exports(tmp_path) == {"lonely"}
+
+
+def non_stdlib_imports(package: Path) -> set[str]:
+    """Top-level modules imported under ``package`` that are neither relative nor stdlib."""
+    found: set[str] = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - sys.stdlib_module_names
+
+
+def test_runtime_imports_only_the_standard_library():
+    extra = non_stdlib_imports(ROOT / "src" / "crawlcount")
+    assert not extra, f"imported, but not in the standard library: {sorted(extra)}"
+
+
+def test_rule_flags_a_third_party_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import f\nfrom collections import Counter\n")
+    (tmp_path / "mod.py").write_text("import numpy as np\nimport os.path\n\ndef f():\n    return np\n")
+    assert non_stdlib_imports(tmp_path) == {"numpy"}

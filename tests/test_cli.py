@@ -371,6 +371,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: slack >= 2") and err.count("\n") == 1
 
+    def test_unwritable_out_wins_over_a_missing_graph(self, tmp_path, capsys):
+        # the outputs are opened before the graph is loaded
+        out_csv = tmp_path / "missing" / "x.csv"
+        code = main(
+            ["experiment", "--graph", str(tmp_path / "g.txt"), "--pattern", "g33",
+             "--walk-len", "20", "--layers", "10", "--out", str(out_csv)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_csv) in err
+
+    def test_failed_experiment_keeps_existing_outputs(self, bowtie_file, tmp_path, capsys):
+        out_csv = tmp_path / "runs.csv"
+        sidecar = tmp_path / "runs.summary.csv"
+        out_csv.write_text("old runs\n" * 50)
+        sidecar.write_text("old summary\n" * 50)
+        argv = ["experiment", "--graph", bowtie_file, "--pattern", "g33",
+                "--walk-len", "20", "--layers", "10", "--out", str(out_csv)]
+        assert main(argv + ["--budget", "1"]) == 2
+        assert "exact count is out of reach" in capsys.readouterr().err
+        assert out_csv.read_text() == "old runs\n" * 50
+        assert sidecar.read_text() == "old summary\n" * 50
+        # a run that succeeds replaces both files whole
+        assert main(argv) == 0
+        assert capsys.readouterr().out == sidecar.read_text()
+        assert out_csv.read_text().startswith(",".join(CSV_HEADER) + "\n")
+        assert "old" not in out_csv.read_text() + sidecar.read_text()
+
     def test_wrong_layer_count(self, bowtie_file, capsys):
         code = main(
             ["estimate", "--graph", bowtie_file, "--pattern", "g46",

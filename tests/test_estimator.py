@@ -158,7 +158,7 @@ class TestConfigValidation:
 class TestInitialLayer:
     def test_wraps_walk_edges_in_order(self, bowtie):
         led = QueryLedger()
-        edges = simple_random_walk(bowtie, led, WalkConfig(length=12, seed=3))
+        edges = simple_random_walk(bowtie, led, WalkConfig(length=12), 3)
         layer = initial_layer(bowtie, led, edges, slack=0)
         assert layer.members == edges
         assert layer.trials == 12
@@ -167,7 +167,7 @@ class TestInitialLayer:
     def test_bowtie_weights_all_two(self, bowtie):
         # every bowtie edge has an endpoint of degree 2
         led = QueryLedger()
-        edges = simple_random_walk(bowtie, led, WalkConfig(length=30, seed=5))
+        edges = simple_random_walk(bowtie, led, WalkConfig(length=30), 5)
         layer = initial_layer(bowtie, led, edges, slack=0)
         assert [len(h) for h in layer.hoods] == [2] * 30
         assert layer.total_degree == 60
@@ -238,11 +238,9 @@ class TestUnbiasednessStructure:
 
 
 class TestBuildLayers:
-    def cfg(self, sizes, length=40, seed=0, walk_seed=None):
+    def cfg(self, sizes, length=40, seed=0):
         return EstimateConfig(
-            layer_sizes=sizes,
-            walk=WalkConfig(length=length, seed=walk_seed, burn_in=30),
-            seed=seed,
+            layer_sizes=sizes, walk=WalkConfig(length=length, burn_in=30), seed=seed
         )
 
     def test_triangle_pattern_has_single_stored_layer(self, bowtie):
@@ -255,11 +253,10 @@ class TestBuildLayers:
 
     def test_explicit_walk_seed_reproduces_walk(self, bowtie):
         p, seg = builtin_pattern("g33")
-        build = build_layers(bowtie, p, seg, self.cfg([50], walk_seed=11))
-        edges = simple_random_walk(
-            bowtie, QueryLedger(), WalkConfig(length=40, seed=11, burn_in=30)
-        )
-        assert build.layers[0].members == edges
+        cfg = self.cfg([50], seed=11)
+        walk_seed = Random(cfg.seed).getrandbits(63)  # the first draw of the run's root
+        edges = simple_random_walk(bowtie, QueryLedger(), cfg.walk, walk_seed)
+        assert build_layers(bowtie, p, seg, cfg).layers[0].members == edges
 
     def test_deterministic_in_master_seed(self, k5):
         p, seg = builtin_pattern("g46")
@@ -290,7 +287,7 @@ class TestBuildLayers:
     def test_final_successes_reproducible(self, bowtie):
         p, seg = builtin_pattern("g33")
         led = QueryLedger()
-        edges = simple_random_walk(bowtie, led, WalkConfig(length=40, seed=9, burn_in=30))
+        edges = simple_random_walk(bowtie, led, WalkConfig(length=40, burn_in=30), 9)
         layer = initial_layer(bowtie, led, edges, p.slack)
         a = final_level_successes(bowtie, led, layer, seg, 200, Random(4))
         b = final_level_successes(bowtie, led, layer, seg, 200, Random(4))

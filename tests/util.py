@@ -572,21 +572,23 @@ def reference_tally(
     return counts, tables
 
 
-def reference_start(g: Graph, rng: Random, start: int | None) -> int:
+def reference_start(g: Graph, rng: Random) -> int:
     """Unbounded rejection loop: redraw uniformly until the vertex has a neighbor."""
     if g.edge_count == 0:
         raise ValueError("graph has no edges; every vertex is isolated")
-    v = start if start is not None else rng.randrange(g.vertex_count)
+    v = rng.randrange(g.vertex_count)
     while g.raw_degree(v) == 0:
         v = rng.randrange(g.vertex_count)
     return v
 
 
-def reference_walk(g: Graph, ledger: QueryLedger, cfg: WalkConfig) -> list[tuple[int, int]]:
+def reference_walk(
+    g: Graph, ledger: QueryLedger, cfg: WalkConfig, seed: int
+) -> list[tuple[int, int]]:
     """The walk with one metered ``neighbors`` call per step, lazy steps included."""
-    rng = Random(cfg.seed)
+    rng = Random(seed)
     burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(g.vertex_count)
-    cur = reference_start(g, rng, cfg.start)
+    cur = reference_start(g, rng)
     for _ in range(burn):
         nbrs = neighbors(g, ledger, cur)
         if cfg.lazy and rng.random() < 0.5:
@@ -610,13 +612,11 @@ def reference_edge_count(
     spacing: int,
     seed: int,
     burn_in: int | None = None,
-    start: int | None = None,
-    max_attempts: int = 6,
 ) -> EdgeCountEstimate:
-    """Collision edge count with one metered ``neighbors`` call per step."""
+    """Collision edge count with one metered ``neighbors`` call per step, six rounds at most."""
     rng = Random(seed)
     burn = burn_in if burn_in is not None else default_burn_in(g.vertex_count)
-    cur = reference_start(g, rng, start)
+    cur = reference_start(g, rng)
     for _ in range(burn):
         nbrs = neighbors(g, ledger, cur)
         cur = nbrs[rng.randrange(len(nbrs))]
@@ -642,7 +642,7 @@ def reference_edge_count(
                 collisions=collisions,
                 attempts=attempts,
             )
-        if attempts >= max_attempts:
+        if attempts >= 6:
             raise CollisionShortfallError(f"no collisions after {attempts} rounds")
         target *= 2
 

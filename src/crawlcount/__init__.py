@@ -12,7 +12,6 @@ from .estimator import (
     EstimateResult,
     LayerBuild,
     LayerState,
-    SampleSizeRecommendation,
     build_layers,
     estimate_count,
     final_level_successes,
@@ -40,14 +39,12 @@ from .oracle import (
 from .patterns import (
     Pattern,
     Segmentation,
-    SegmentationReport,
     auto_segment,
     builtin_names,
     builtin_pattern,
     load_pattern_path,
     parse_pattern,
     require_feasible,
-    validate_segmentation,
 )
 from .walk import (
     CollisionShortfallError,

@@ -36,9 +36,9 @@ from .patterns import (
     Segmentation,
     builtin_names,
     builtin_pattern,
+    first_problem,
     load_pattern_path,
     require_feasible,
-    validate_segmentation,
 )
 from .walk import (
     CollisionShortfallError,
@@ -314,27 +314,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     p, seg = _pattern_args(args)
     label = args.pattern if args.pattern is not None else args.pattern_file
-    report = validate_segmentation(p, seg)
+    problem = first_problem(p, seg)
     print(f"pattern={label} size={p.size} edges={len(p.edges)} declared_slack={p.slack}")
     print("order=" + ",".join(str(v) for v in seg.order))
-    if not report.ok:
-        levels = ",".join(str(i) for i in report.disconnected_levels)
-        print("min_slack=none")
-        print(f"verdict=disconnected-levels-{levels}")
-        return 1
-    print(f"min_slack={report.min_slack}")
-    if report.min_slack > p.slack:
-        print(f"verdict=needs-slack-{report.min_slack}")
-        return 1
-    try:
-        require_feasible(p, seg)
-    except ValueError:
-        # Connected levels and enough declared slack: what is left is a
-        # slack the sampler cannot reach.
-        print(f"verdict=unsupported-slack-{p.slack}")
-        return 1
-    print("verdict=ok")
-    return 0
+    print(f"min_slack={'none' if seg.min_slack is None else seg.min_slack}")
+    print(f"verdict={'ok' if problem is None else problem[0]}")
+    return 0 if problem is None else 1
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -357,18 +342,27 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         exact_total=args.exact_t, budget=args.budget,
     )
     # Both outputs open before the load, so an unwritable path fails first,
-    # and in append mode, so a run that fails later leaves their bytes as
-    # they were; each is emptied only once the sweep is done.
-    with (
-        open(args.out, "a", encoding="utf-8", newline="") as runs_fh,
-        open(summary_path(args.out), "a", encoding="utf-8", newline="") as summary_fh,
-    ):
-        g = _load_graph(args.graph)
-        records, summaries = run_experiment(_sized(spec, g, p, args), g, p, seg)
-        runs_fh.truncate(0)
-        _write_csv(runs_fh, CSV_HEADER, [r.row() for r in records])
-        summary_fh.truncate(0)
-        _write_csv(summary_fh, SUMMARY_HEADER, [s.row() for s in summaries])
+    # and in append mode, so a run that fails later leaves the bytes of a
+    # file that was there as they were; each is emptied only once the sweep
+    # is done.  A file this command created is removed when it fails.
+    paths = (args.out, summary_path(args.out))
+    created = [path for path in paths if not os.path.lexists(path)]
+    try:
+        with (
+            open(paths[0], "a", encoding="utf-8", newline="") as runs_fh,
+            open(paths[1], "a", encoding="utf-8", newline="") as summary_fh,
+        ):
+            g = _load_graph(args.graph)
+            records, summaries = run_experiment(_sized(spec, g, p, args), g, p, seg)
+            runs_fh.truncate(0)
+            _write_csv(runs_fh, CSV_HEADER, [r.row() for r in records])
+            summary_fh.truncate(0)
+            _write_csv(summary_fh, SUMMARY_HEADER, [s.row() for s in summaries])
+    except BaseException:
+        for path in created:
+            if os.path.lexists(path):
+                os.remove(path)
+        raise
     _write_csv(sys.stdout, SUMMARY_HEADER, [s.row() for s in summaries])
     return 0
 
@@ -442,7 +436,7 @@ def _sized(spec: ExperimentSpec, g: Graph, p: Pattern, args: argparse.Namespace)
         n=g.vertex_count, m=g.edge_count, alpha=degeneracy(g), c=p.slack, k=p.size,
         eps=args.epsilon, t_guess=_t_guess(args), fmax_guess=args.fmax_guess,
     )
-    sizes = tuple(min(args.max_layer, rec.layer_sizes[i]) for i in range(3, p.size + 1))
+    sizes = tuple(min(args.max_layer, rec[i]) for i in range(3, p.size + 1))
     return replace(spec, layer_sizes=sizes)
 
 

@@ -364,12 +364,6 @@ def estimate_count(
     )
 
 
-@dataclass(frozen=True)
-class SampleSizeRecommendation:
-    walk_length: int
-    layer_sizes: dict[int, int]
-
-
 def check_sizing_args(eps: float, t_guess: float, fmax_guess: float) -> None:
     """Raise ValueError unless :func:`recommend_sample_sizes` accepts these, whatever the graph."""
     if not 0 < eps < 1:
@@ -394,14 +388,13 @@ def recommend_sample_sizes(
     eps: float,
     t_guess: float,
     fmax_guess: float,
-) -> SampleSizeRecommendation:
-    """Advisory trial counts under which layers stay representative whp.
+) -> dict[int, int]:
+    """Advisory trial counts ``{i: l_i}`` under which layers stay representative whp.
 
     Middle layers: l_i >= (ln n)^3 / (eps^3 (1-eps)^i) * F * 2m * n^c
     * ((c+1) alpha)^(i-(c+1)) / T.  Final layer swaps the (ln n)^3 * F
-    factor for 3 (ln n)^2.  Walk length: tau_mix + tau_rel * (ln n / eps^2)
-    * F * m / T, with both tau values defaulting to ceil(10 log2 n).
-    These are ceilings to aim for, not enforced minimums.
+    factor for 3 (ln n)^2.  These are ceilings to aim for, not enforced
+    minimums.
     """
     check_sizing_args(eps, t_guess, fmax_guess)
     if n < 2 or m < 1:
@@ -434,11 +427,7 @@ def recommend_sample_sizes(
         / t_guess
     )
     sizes[k] = _ceil_size(final, f"size l_{k}")
-    tau = math.ceil(10 * math.log2(n))
-    walk = tau + tau * (ln / eps**2) * (fmax_guess * m / t_guess)
-    return SampleSizeRecommendation(
-        walk_length=_ceil_size(walk, "walk length"), layer_sizes=sizes
-    )
+    return sizes
 
 
 def _ceil_size(value: float, what: str) -> int:

@@ -42,28 +42,23 @@ def representative(
 
     ``adj`` and ``lookups`` are as for :func:`representative_hood`, and
     ``verts`` must be sorted.  Ties break to the lexicographically smallest
-    subset; at slack 0 this is the lowest-id vertex of minimum degree.
-    Reads the graph unmetered.  Raises ValueError unless ``verts`` is
-    longer than ``slack``.
+    subset: at slack 0 the lowest-id vertex of minimum degree, at slack 1
+    the first pair of least union size.  Reads the graph unmetered.  Raises
+    ValueError unless ``slack`` is 0 or 1 and ``verts`` is longer than it.
     """
-    if len(verts) <= slack:
+    if not 0 <= slack <= 1 or len(verts) <= slack:
         raise ValueError(
             f"instance of size {len(verts)} has no representative at slack {slack}"
         )
     if slack == 0:
         return (min(verts, key=lambda v: len(adj[v])),)
-    best_subset: tuple[int, ...] = ()
+    best: tuple[int, ...] = ()
     best_size = -1
-    for sub in combinations(verts, slack + 1):
-        if slack == 1:  # inclusion-exclusion, reading the smaller list once
-            a, b = sub
-            size = len(adj[a]) + len(adj[b]) - len(lookups[a].keys() & lookups[b].keys())
-        else:
-            size = len(set().union(*map(lookups.__getitem__, sub)))
+    for a, b in combinations(verts, 2):
+        size = len(adj[a]) + len(adj[b]) - len(lookups[a].keys() & lookups[b].keys())
         if best_size < 0 or size < best_size:
-            best_subset = sub
-            best_size = size
-    return best_subset
+            best, best_size = (a, b), size
+    return best
 
 
 def representative_hood(
@@ -86,11 +81,12 @@ def representative_hood(
         a, b = verts
         if slack == 0:
             return adj[b] if len(adj[b]) < len(adj[a]) else adj[a]
-        return tuple(sorted(lookups[a].keys() | lookups[b].keys()))
-    rep = representative(adj, lookups, verts, slack)
-    if len(rep) == 1:
-        return adj[rep[0]]
-    return tuple(sorted(set().union(*map(lookups.__getitem__, rep))))
+    else:
+        rep = representative(adj, lookups, verts, slack)
+        if slack == 0:
+            return adj[rep[0]]
+        a, b = rep
+    return tuple(sorted(lookups[a].keys() | lookups[b].keys()))
 
 
 Rule = tuple[int, AbstractSet[int], bool]

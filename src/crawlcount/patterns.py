@@ -1,41 +1,39 @@
 """Pattern graphs, density slack, and insertion orders.
 
 A pattern is a small connected graph on k vertices (3 <= k <= 8) together
-with a slack value c.  A segmentation is an insertion order of the pattern
-vertices; the prefix of the first i vertices is called level i.  The order
-is feasible for slack c when every level is connected and every vertex of
-level i has at least i-1-c neighbors inside that level.  Cliques work with
-c = 0, a clique missing one edge with c = 1, and so on.  The sampler
-reaches slack at most 1, and the patterns with such an order are exactly
-the k-cliques minus a matching (21 for k = 3..8): the full level already
-demands degree at least k-2, and conversely every level of an order that
-starts with an edge is a smaller clique minus a matching.
+with a declared slack c.  A segmentation is an insertion order of the
+pattern vertices; the prefix of the first i vertices is called level i.
+:class:`Segmentation` works out once, from prefix bitmasks of the pattern,
+the pairs each level misses, the levels that are not connected, and the
+least slack the order needs: k-1 minus the pattern's minimum degree when
+every level is connected, since the last level is the whole pattern and a
+vertex of level i misses at most k-i of its neighbors there.
+:func:`first_problem` is the one verdict on an order: a disconnected
+level, more slack needed than declared, or a declared slack of 2 or more,
+checked in that order.  The sampler reaches slack at most 1, and the
+patterns with such an order are exactly the k-cliques minus a matching (21
+for k = 3..8): the full level already demands degree at least k-2, and
+conversely every level of an order that starts with an edge is a smaller
+clique minus a matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 
-def _bits_connected(bits: Sequence[int], size: int) -> bool:
-    if size == 0:
-        return False
-    seen = 1
-    frontier = 1
-    full = (1 << size) - 1
+def _connected(pbits: Sequence[int], mask: int) -> bool:
+    """Whether the pattern vertices in the nonempty bitmask ``mask`` induce a connected graph."""
+    seen = frontier = mask & -mask
     while frontier:
-        nxt = 0
-        i = 0
-        f = frontier
-        while f:
-            if f & 1:
-                nxt |= bits[i]
-            f >>= 1
-            i += 1
-        frontier = nxt & ~seen
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= pbits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & mask & ~seen
         seen |= frontier
-    return seen == full
+    return seen == mask
 
 
 class Pattern:
@@ -59,7 +57,7 @@ class Pattern:
         for a, b in eset:
             bits[a] |= 1 << b
             bits[b] |= 1 << a
-        if not _bits_connected(bits, size):
+        if not _connected(bits, (1 << size) - 1):
             raise ValueError("pattern must be connected")
         self.size = size
         self.slack = slack
@@ -73,15 +71,15 @@ class Pattern:
 class Segmentation:
     """Insertion order of pattern vertices; level i is the first i of them.
 
-    ``min_slack`` is the smallest slack the order supports, or None when
-    some level is disconnected; it is derived once, here.  ``level(i)`` is
-    level i's adjacency on local indices 0..i-1, one neighbor bitmask per
-    vertex, and ``missing[i]`` counts the vertex pairs absent from it.
-    Nothing changes after construction, so one object can serve any number
-    of graphs and runs.
+    Worked out once, from prefix bitmasks of ``pattern.bits``:
+    ``missing[i]`` counts the vertex pairs absent from level i,
+    ``disconnected`` lists the levels that are not connected, and
+    ``min_slack`` is None when that list is non-empty, else k-1 minus the
+    pattern's minimum degree.  Nothing changes after construction, so one
+    object can serve any number of graphs and runs.
     """
 
-    __slots__ = ("pattern", "order", "_levels", "min_slack", "missing")
+    __slots__ = ("pattern", "order", "missing", "disconnected", "min_slack")
 
     def __init__(self, pattern: Pattern, order: Sequence[int]):
         k = pattern.size
@@ -89,106 +87,66 @@ class Segmentation:
             raise ValueError("order must be a permutation of the pattern vertices")
         self.pattern = pattern
         self.order = tuple(order)
-        levels: dict[int, tuple[int, ...]] = {}
+        pbits = pattern.bits
         missing = [0, 0]
-        for i in range(2, k + 1):
-            chosen = self.order[:i]
-            pos = {v: idx for idx, v in enumerate(chosen)}
-            bits = [0] * i
-            for idx, v in enumerate(chosen):
-                row = pattern.bits[v]
-                for w in chosen:
-                    if (row >> w) & 1:
-                        bits[idx] |= 1 << pos[w]
-            levels[i] = tuple(bits)
-            missing.append(i * (i - 1) // 2 - sum(b.bit_count() for b in bits) // 2)
-        self._levels = levels
-        self.min_slack = _order_slack(pattern.bits, self.order)
+        disconnected = []
+        mask = 1 << self.order[0]
+        for i, v in enumerate(self.order[1:], 2):
+            # level i adds i-1 pairs, one per earlier vertex; v's edges fill some
+            missing.append(missing[-1] + i - 1 - (pbits[v] & mask).bit_count())
+            mask |= 1 << v
+            if not _connected(pbits, mask):
+                disconnected.append(i)
         self.missing = tuple(missing)
-
-    def level(self, i: int) -> tuple[int, ...]:
-        if i not in self._levels:
-            raise ValueError(f"level {i} outside 2..{self.pattern.size}")
-        return self._levels[i]
+        self.disconnected = tuple(disconnected)
+        self.min_slack = None if disconnected else k - 1 - min(row.bit_count() for row in pbits)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Segmentation(order={self.order})"
 
 
-@dataclass(frozen=True)
-class SegmentationReport:
-    """Outcome of validating an insertion order.
+def first_problem(pattern: Pattern, seg: Segmentation) -> tuple[str, str] | None:
+    """The first reason the sampler and the exact side cannot use this order, or None.
 
-    ``min_slack`` is the smallest slack the order supports, or None when
-    some level is disconnected (no slack can repair that).
+    Returns ``(verdict, message)``: the verdict ``validate`` prints and the
+    message :func:`require_feasible` raises.  The checks run in this order:
+    disconnected levels, more slack needed than ``pattern`` declares, and a
+    declared slack of 2 or more, which is out of reach because a 2-vertex
+    instance has no representative subset of that size.  ``pattern`` may
+    declare another slack than ``seg.pattern`` but must have its edges.
     """
-
-    min_slack: int | None
-    disconnected_levels: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.disconnected_levels
-
-
-def validate_segmentation(pattern: Pattern, seg: Segmentation) -> SegmentationReport:
-    """Report the minimal feasible slack and any disconnected levels."""
     if seg.pattern is not pattern and seg.pattern.bits != pattern.bits:
         raise ValueError("segmentation belongs to a different pattern")
-    if seg.min_slack is not None:
-        return SegmentationReport(min_slack=seg.min_slack, disconnected_levels=())
-    bad = tuple(
-        i
-        for i in range(2, pattern.size + 1)
-        if not _bits_connected(seg.level(i), i)
-    )
-    return SegmentationReport(min_slack=None, disconnected_levels=bad)
+    if seg.disconnected:
+        return (
+            "disconnected-levels-" + ",".join(map(str, seg.disconnected)),
+            f"segmentation has disconnected levels {seg.disconnected}",
+        )
+    if seg.min_slack > pattern.slack:
+        return (
+            f"needs-slack-{seg.min_slack}",
+            f"segmentation needs slack {seg.min_slack}, pattern declares {pattern.slack}",
+        )
+    if pattern.slack >= 2:
+        return (
+            f"unsupported-slack-{pattern.slack}",
+            "slack >= 2 is outside the sampler's reach: a 2-vertex instance "
+            "has no representative subset of that size",
+        )
+    return None
 
 
 def require_feasible(pattern: Pattern, seg: Segmentation) -> None:
-    """Raise ValueError unless the sampler and the exact side can use this order.
-
-    Slack 2 and up is out of reach: a 2-vertex instance has no representative
-    subset of that size.  Below that, every level must be connected and the
-    order may need no more slack than the pattern declares.
-    """
-    if pattern.slack >= 2:
-        raise ValueError(
-            "slack >= 2 is outside the sampler's reach: a 2-vertex instance "
-            "has no representative subset of that size"
-        )
-    report = validate_segmentation(pattern, seg)
-    if not report.ok:
-        raise ValueError(
-            f"segmentation has disconnected levels {report.disconnected_levels}"
-        )
-    if report.min_slack > pattern.slack:
-        raise ValueError(
-            f"segmentation needs slack {report.min_slack}, pattern declares {pattern.slack}"
-        )
-
-
-def _order_slack(pbits: Sequence[int], order: Sequence[int]) -> int | None:
-    """Minimal slack of one order, or None if some level is disconnected.
-
-    The levels are all connected exactly when each added vertex has a
-    neighbor among the earlier ones.  Every such order then needs the same
-    slack, k-1 minus the pattern's minimum degree: the last level is the
-    whole pattern, and a vertex of level i misses at most k-i of its
-    neighbors there, so no earlier level falls further short.
-    """
-    mask = 1 << order[0]
-    for v in order[1:]:
-        if pbits[v] & mask == 0:
-            return None
-        mask |= 1 << v
-    return len(order) - 1 - min(row.bit_count() for row in pbits)
+    """Raise ValueError with :func:`first_problem`'s message, if it finds one."""
+    problem = first_problem(pattern, seg)
+    if problem is not None:
+        raise ValueError(problem[1])
 
 
 def auto_segment(pattern: Pattern) -> Segmentation:
     """The lexicographically smallest order with every level connected.
 
-    All connected orders need the same slack (see :func:`_order_slack`), so
+    All connected orders need the same slack (see the module docstring), so
     this is also the smallest among those of least slack.  Each step takes
     the smallest vertex adjacent to the ones already placed; a connected
     pattern always has one.  For a clique minus a matching that is the

@@ -36,7 +36,6 @@ from crawlcount import (
     require_feasible,
 )
 from crawlcount.instances import representative_hood
-from crawlcount.patterns import _order_slack
 
 import truth
 import util
@@ -154,13 +153,12 @@ def test_every_copy_is_assignable_under_every_feasible_order():
             continue
         p = Pattern(acc.size, acc.edges, slack=1)
         for order in permutations(range(p.size)):
-            need = _order_slack(p.bits, order)
-            if need is None or need > 1:
+            seg = Segmentation(p, order)
+            if seg.min_slack is None or seg.min_slack > 1:
                 continue
             orders += 1
-            seg = Segmentation(p, order)
             for k in range(3, p.size + 1):
-                rows = seg.level(k)
+                rows = util.level_bits(seg, k)
                 for perm in permutations(range(k)):
                     edges = [
                         (perm[i], perm[j])
@@ -219,20 +217,20 @@ def test_classification_matches_backtracking_reference(name, p, seg):
     every feasible order up to 5 vertices and under the automatic order plus
     five seeded feasible ones above."""
     if p.size <= 5:
-        orders = [o for o in permutations(range(p.size)) if _order_slack(p.bits, o) in (0, 1)]
+        orders = [o for o in permutations(range(p.size)) if Segmentation(p, o).min_slack in (0, 1)]
     else:
         rng = Random(p.size * 10 + len(p.edges))
         orders = {seg.order}
         while len(orders) < 6:
             order = tuple(rng.sample(range(p.size), p.size))
-            if _order_slack(p.bits, order) in (0, 1):
+            if Segmentation(p, order).min_slack in (0, 1):
                 orders.add(order)
     accepted = 0
     for order in orders:
         s = Segmentation(p, order)
         for k in range(3, p.size + 1):
             for g, bits in _words(k):
-                key = (s.level(k), s.level(k - 1), tuple(bits))
+                key = (util.level_bits(s, k), util.level_bits(s, k - 1), tuple(bits))
                 if key not in _REFERENCE:
                     _REFERENCE[key] = util.reference_class(bits, s, k)
                 want = _REFERENCE[key]

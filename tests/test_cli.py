@@ -3,17 +3,22 @@ import io
 import statistics
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
 from crawlcount import (
     EstimateConfig,
+    Pattern,
     QueryLedger,
+    Segmentation,
     WalkConfig,
+    builtin_names,
     builtin_pattern,
     estimate_count,
     estimate_edge_count,
     load_edge_list_path,
+    require_feasible,
 )
 from crawlcount import cli
 from crawlcount.cli import (
@@ -165,6 +170,83 @@ class TestValidate:
         star.write_text("5 2\n0 1\n0 2\n0 3\n0 4\n")
         assert main(["validate", "--pattern-file", str(star)]) == 1
         assert capsys.readouterr().out.endswith("min_slack=3\nverdict=needs-slack-3\n")
+
+
+# the path P4, the cycle C5 and the star K1,4: connected, but none has an
+# order of slack at most 1
+SHAPES = {
+    "p4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "c5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "star": (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+}
+
+
+def error_for(verdict: str, declared: int) -> str:
+    """The ``error:`` line that goes with one of ``validate``'s failing verdicts."""
+    kind, _, arg = verdict.rpartition("-")
+    if kind == "disconnected-levels":
+        levels = tuple(int(t) for t in arg.split(","))
+        return f"error: segmentation has disconnected levels {levels}\n"
+    if kind == "needs-slack":
+        return f"error: segmentation needs slack {arg}, pattern declares {declared}\n"
+    assert kind == "unsupported-slack" and int(arg) == declared >= 2, verdict
+    return (
+        "error: slack >= 2 is outside the sampler's reach: a 2-vertex instance "
+        "has no representative subset of that size\n"
+    )
+
+
+class TestOneLadder:
+    """``validate`` and the commands that stop on :func:`require_feasible`
+    give one judgement of every order, at declared slack 0, 1 and 2."""
+
+    def check(self, flags, p, bowtie_file, capsys):
+        verdicts = set()
+        for order in permutations(range(p.size)):
+            argv = flags + ["--order", ",".join(map(str, order))]
+            code = main(["validate"] + argv)
+            verdict = capsys.readouterr().out.splitlines()[-1].removeprefix("verdict=")
+            try:
+                require_feasible(p, Segmentation(p, order))
+                feasible = True
+            except ValueError:
+                feasible = False
+            assert (code == 0) == feasible == (verdict == "ok"), (flags, order, verdict)
+            if not feasible:
+                assert code == 1
+                assert main(["exact", "--graph", bowtie_file] + argv) == 2
+                out = capsys.readouterr()
+                assert out.out == ""
+                assert out.err == error_for(verdict, p.slack), (flags, order)
+            verdicts.add(verdict.rstrip("0123456789,"))
+        return verdicts
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_orders(self, name, bowtie_file, capsys):
+        base, _ = builtin_pattern(name)
+        verdicts = set()
+        for c in (0, 1, 2):
+            p = Pattern(base.size, base.edges, slack=c)
+            verdicts |= self.check(["--pattern", name, "--c", str(c)], p, bowtie_file, capsys)
+        assert {"ok", "unsupported-slack-"} <= verdicts
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes_beyond_reach(self, shape, tmp_path, bowtie_file, capsys):
+        size, edges = SHAPES[shape]
+        verdicts = set()
+        for c in (0, 1, 2):
+            pf = tmp_path / f"{shape}{c}.pat"
+            pf.write_text(f"{size} {c}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+            p = Pattern(size, edges, slack=c)
+            verdicts |= self.check(["--pattern-file", str(pf)], p, bowtie_file, capsys)
+        assert "ok" not in verdicts
+        assert {"disconnected-levels-", "needs-slack-"} <= verdicts
+
+    def test_disconnected_path_order_names_its_level(self, tmp_path, bowtie_file, capsys):
+        pf = tmp_path / "path.pat"
+        pf.write_text("4 2\norder 0 2 1 3\n0 1\n1 2\n2 3\n")
+        assert main(["exact", "--graph", bowtie_file, "--pattern-file", str(pf)]) == 2
+        assert capsys.readouterr().err == "error: segmentation has disconnected levels (2,)\n"
 
 
 class TestEstimate:
@@ -384,21 +466,38 @@ class TestErrors:
         assert str(out_csv) in err
 
     def test_failed_experiment_keeps_existing_outputs(self, bowtie_file, tmp_path, capsys):
+        # files that were there keep their bytes; files the run created are removed
+        for j, prior in enumerate([
+            {"runs.csv": "old runs\n" * 50, "runs.summary.csv": "old summary\n" * 50},
+            {},
+            {"runs.csv": "old runs\n" * 50},
+        ]):
+            where = tmp_path / str(j)
+            where.mkdir()
+            for name, text in prior.items():
+                (where / name).write_text(text)
+            out_csv = where / "runs.csv"
+            sidecar = where / "runs.summary.csv"
+            argv = ["experiment", "--graph", bowtie_file, "--pattern", "g33",
+                    "--walk-len", "20", "--layers", "10", "--out", str(out_csv)]
+            assert main(argv + ["--budget", "1"]) == 2
+            assert "exact count is out of reach" in capsys.readouterr().err
+            assert {f.name: f.read_text() for f in where.iterdir()} == prior
+            # a run that succeeds replaces both files whole
+            assert main(argv) == 0
+            assert capsys.readouterr().out == sidecar.read_text()
+            assert out_csv.read_text().startswith(",".join(CSV_HEADER) + "\n")
+            assert "old" not in out_csv.read_text() + sidecar.read_text()
+
+    def test_failed_sidecar_open_removes_the_created_runs_file(self, bowtie_file, tmp_path, capsys):
         out_csv = tmp_path / "runs.csv"
-        sidecar = tmp_path / "runs.summary.csv"
-        out_csv.write_text("old runs\n" * 50)
-        sidecar.write_text("old summary\n" * 50)
+        (tmp_path / "runs.summary.csv").mkdir()
         argv = ["experiment", "--graph", bowtie_file, "--pattern", "g33",
                 "--walk-len", "20", "--layers", "10", "--out", str(out_csv)]
-        assert main(argv + ["--budget", "1"]) == 2
-        assert "exact count is out of reach" in capsys.readouterr().err
-        assert out_csv.read_text() == "old runs\n" * 50
-        assert sidecar.read_text() == "old summary\n" * 50
-        # a run that succeeds replaces both files whole
-        assert main(argv) == 0
-        assert capsys.readouterr().out == sidecar.read_text()
-        assert out_csv.read_text().startswith(",".join(CSV_HEADER) + "\n")
-        assert "old" not in out_csv.read_text() + sidecar.read_text()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_csv.exists()
+        assert (tmp_path / "runs.summary.csv").is_dir()
 
     def test_wrong_layer_count(self, bowtie_file, capsys):
         code = main(
@@ -521,8 +620,6 @@ class TestErrors:
         "guesses, line",
         [
             (["--t-guess", "1e-320"], "the recommended size l_3 is not finite"),
-            (["--t-guess", "2", "--fmax-guess", "1e308"],
-             "the recommended walk length is not finite"),
         ],
     )
     def test_overflowing_recommendation_is_one_error_line(self, guesses, line, bowtie_file, capsys):
@@ -531,6 +628,15 @@ class TestErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: {line}; raise t_guess, or lower fmax_guess\n"
+
+    def test_huge_fmax_guess_sizes_a_triangle_run(self, bowtie_file, capsys):
+        # the final layer's size ignores fmax_guess, and no walk length is recommended
+        argv = ["estimate", "--graph", bowtie_file, "--pattern", "g33", "--walk-len", "10",
+                "--t-guess", "1", "--fmax-guess", "1e308"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.startswith(",".join(CSV_HEADER) + "\n0,0,10,")
 
     def test_sparse_id_space_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "sparse.txt"

@@ -14,9 +14,7 @@ from crawlcount import (
     builtin_pattern,
     parse_pattern,
     require_feasible,
-    validate_segmentation,
 )
-from crawlcount.patterns import _order_slack
 
 import util
 
@@ -65,7 +63,7 @@ class TestBuiltins:
         assert len(p.edges) == edges
         assert p.slack == slack
         require_feasible(p, seg)
-        assert validate_segmentation(p, seg).min_slack == slack
+        assert seg.min_slack == slack
 
     def test_unknown_name_lists_roster(self):
         with pytest.raises(ValueError, match="g33.*g45.*g46.*g510.*g59"):
@@ -78,27 +76,18 @@ class TestSegmentation:
         with pytest.raises(ValueError):
             Segmentation(p, (0, 1, 1))
 
-    def test_level_range(self):
-        p, seg = builtin_pattern("g46")
-        with pytest.raises(ValueError):
-            seg.level(1)
-        with pytest.raises(ValueError):
-            seg.level(5)
-
     def test_levels_shrink_correctly(self):
         p, seg = builtin_pattern("g45")
         for i, edges in ((4, 5), (3, 3), (2, 1)):
-            assert sum(row.bit_count() for row in seg.level(i)) == 2 * edges
+            assert sum(row.bit_count() for row in util.level_bits(seg, i)) == 2 * edges
             assert seg.missing[i] == i * (i - 1) // 2 - edges
 
     def test_disconnected_level_named_in_report(self):
         # path 0-1-2-3 inserted as 0, 2: level 2 has no edge
         p = Pattern(4, [(0, 1), (1, 2), (2, 3)], slack=2)
         seg = Segmentation(p, (0, 2, 1, 3))
-        report = validate_segmentation(p, seg)
-        assert not report.ok
-        assert 2 in report.disconnected_levels
-        assert report.min_slack is None
+        assert seg.disconnected == (2,)
+        assert seg.min_slack is None
         with pytest.raises(ValueError, match="disconnected"):
             require_feasible(Pattern(4, p.edges, slack=1), seg)
 
@@ -107,30 +96,44 @@ class TestSegmentation:
             p, _ = builtin_pattern(name)
             for order in permutations(range(p.size)):
                 seg = Segmentation(p, order)
-                report = validate_segmentation(p, seg)
                 ref = util.brute_min_slack(p.size, p.edges, order)
-                if ref is None:
-                    assert not report.ok
-                else:
-                    assert report.ok
-                    assert report.min_slack == ref
+                assert seg.min_slack == ref
+                assert bool(seg.disconnected) == (ref is None)
+
+    def test_levels_against_recomputed_rows(self):
+        """On every connected graph on 3-5 vertices and every order, the
+        disconnected levels and missing pairs match the per-level rows,
+        checked by an independent search."""
+        for h in nx.graph_atlas_g():
+            k = h.number_of_nodes()
+            if not (3 <= k <= 5 and nx.is_connected(h)):
+                continue
+            p = Pattern(k, h.edges())
+            for order in permutations(range(k)):
+                seg = Segmentation(p, order)
+                rows = {i: util.level_bits(seg, i) for i in range(2, k + 1)}
+                assert seg.disconnected == tuple(
+                    i for i, bits in rows.items() if not util.bits_connected(list(bits))
+                )
+                for i, bits in rows.items():
+                    assert seg.missing[i] == i * (i - 1) // 2 - sum(b.bit_count() for b in bits) // 2
 
 
 class TestAutoSegment:
     def test_diamond_needs_slack_one(self):
         p = Pattern(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], slack=1)
         seg = auto_segment(p)
-        assert validate_segmentation(p, seg).min_slack == 1
+        assert seg.min_slack == 1
 
     def test_five_cycle_needs_slack_two(self):
         p = Pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], slack=2)
         seg = auto_segment(p)
-        assert validate_segmentation(p, seg).min_slack == 2
+        assert seg.min_slack == 2
 
     def test_two_triangles_sharing_a_vertex_needs_slack_two(self):
         p = Pattern(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], slack=2)
         seg = auto_segment(p)
-        assert validate_segmentation(p, seg).min_slack == 2
+        assert seg.min_slack == 2
 
     def test_matches_exhaustive_minimum(self):
         cases = [
@@ -141,7 +144,7 @@ class TestAutoSegment:
         ]
         for p in cases:
             seg = auto_segment(p)
-            got = validate_segmentation(p, seg).min_slack
+            got = seg.min_slack
             ref = min(
                 (
                     s
@@ -178,7 +181,7 @@ class TestAutoSegment:
                 assert seg.order == next(o for o, s in needs.items() if s is not None)
                 assert seg.min_slack == want
                 for order, need in needs.items():
-                    assert _order_slack(p.bits, order) == need
+                    assert Segmentation(p, order).min_slack == need
 
     def test_k8_minus_a_path_needs_slack_two(self):
         # 0-1 and 1-2 are gone, so 1 waits until 3 is placed
@@ -324,7 +327,7 @@ class TestParsePattern:
         # parsing never judges feasibility; require_feasible does
         text = "5 0\n0 1\n1 2\n2 3\n3 4\n0 4\n"
         p, seg = parse_pattern(io.StringIO(text))
-        assert validate_segmentation(p, seg).min_slack == 2
+        assert seg.min_slack == 2
 
     def test_bad_header(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -258,19 +258,29 @@ def bits_connected(bits: list[int]) -> bool:
     return len(seen) == len(bits)
 
 
+@cache
+def level_bits(seg: Segmentation, i: int) -> tuple[int, ...]:
+    """Level i of ``seg`` on local indices 0..i-1, one neighbor bitmask per vertex."""
+    chosen = seg.order[:i]
+    return tuple(
+        sum(1 << j for j, w in enumerate(chosen) if seg.pattern.bits[v] >> w & 1)
+        for v in chosen
+    )
+
+
 def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
     """What :func:`classify_by_rule` must return for a k-vertex tuple with
     these neighbor bitmasks: the backtracking isomorphism test against level
     k, then the first local vertex whose removal leaves a connected copy of
     level k-1."""
-    if not bits_isomorphic(bits, seg.level(k)):
+    if not bits_isomorphic(bits, level_bits(seg, k)):
         return None
     for drop in range(k):
         keep = [i for i in range(k) if i != drop]
         sub = [
             sum(((bits[a] >> b) & 1) << j for j, b in enumerate(keep)) for a in keep
         ]
-        if bits_connected(sub) and bits_isomorphic(sub, seg.level(k - 1)):
+        if bits_connected(sub) and bits_isomorphic(sub, level_bits(seg, k - 1)):
             return drop
     return None
 
@@ -377,7 +387,7 @@ def naive_copies(g: Graph, target_matrix: list[list[int]]) -> list[tuple[int, ..
 
 def level_matrix(seg: Segmentation, level: int) -> list[list[int]]:
     """Adjacency matrix of one segmentation level, for :func:`naive_copies`."""
-    return [[(row >> j) & 1 for j in range(level)] for row in seg.level(level)]
+    return [[(row >> j) & 1 for j in range(level)] for row in level_bits(seg, level)]
 
 
 def naive_assign(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> tuple[int, ...] | None:

@@ -241,7 +241,7 @@ def run_experiment(
     exact: float | None = spec.exact_total
     if exact is None:
         try:
-            exact = float(exact_count(g, p, budget=spec.budget))
+            exact = float(exact_count(g, p, spec.budget, seg))
         except EnumerationBudgetError as e:
             raise ValueError(
                 f"exact count is out of reach ({e}); pass the known total instead"

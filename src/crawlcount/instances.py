@@ -6,7 +6,8 @@ adjacency, and its callers charge the queries in bulk (a layer's fetches in
 ``LayerState.build``, a trial's grown tuple in the trial loop) or keep no
 ledger (the exact side).  The representative rule is
 :func:`representative`, the subset, and :func:`representative_hood`, the
-neighborhood whose size is a copy's sampling weight.
+neighborhood whose size is a copy's sampling weight; the sampler stores it
+because its trials index into it.
 
 Accepted patterns are cliques minus a matching, and under a feasible order
 so is each level i, missing ``seg.missing[i]`` pairs; the next level misses
@@ -18,8 +19,10 @@ pair more, else its smallest vertex in none.  Relative to the parent this
 is one rule, stated once here: :func:`parent_rule` reads a copy once and
 returns its threshold, the vertices its missing pairs cover and whether the
 next level grows; :func:`is_child` then decides each candidate vertex with
-at most one probe per parent vertex, and :func:`child_vertices` decides a
-whole neighborhood at once by set algebra.  None keeps state between calls.
+at most one probe per parent vertex, and :func:`weight_and_children`, for
+the exact tally, decides every candidate at once by set algebra over the
+members' pairwise common neighbors and gives the copy's weight without
+building its neighborhood.  None keeps state between calls.
 """
 
 from __future__ import annotations
@@ -156,32 +159,66 @@ def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> 
     return len(missed) == 1 and missed[0] > u and missed[0] not in covered
 
 
-def child_vertices(
-    lookups: Sequence[dict[int, None]], verts: Sequence[int], hood: Sequence[int], rule: Rule
-) -> list[int]:
-    """Every u of the sorted ``hood`` for which :func:`is_child` holds, sorted.
+def weight_and_children(
+    adj: Sequence[tuple[int, ...]],
+    lookups: Sequence[dict[int, None]],
+    verts: Sequence[int],
+    slack: int,
+    rule: Rule | None,
+) -> tuple[int, list[int]]:
+    """A copy's sampling weight and, sorted, every u for which :func:`is_child` holds.
 
-    ``lookups`` is the graph's :meth:`~Graph.raw_neighbor_lookups`.  The
-    same rule, by set algebra over ``hood`` cut at the threshold: if the
-    level does not grow, the cut hood intersected with the neighbor set of
-    every vertex of ``verts``, which also drops ``verts`` itself; if it
-    grows, for each w outside the missing pairs, the hood cut below w as
-    well, intersected with the other vertices' sets, minus w's.  Each
-    intersection reads the smaller side only.
+    ``adj``, ``lookups`` and ``verts`` are as for :func:`representative_hood`,
+    whose length the weight is, without building that neighborhood;
+    ``rule`` is :func:`parent_rule` of ``verts``, and None, for a tuple
+    that is no copy, gives no children.  At slack 0 the weight is the
+    length of the representative's list, and the children are that list
+    cut below the threshold, intersected with every member's neighbor set.
+    At slack 1 one pass over the member pairs takes each pair's common
+    neighbors, and the weight is the least union size by
+    inclusion-exclusion.  If the level does not grow, the children are the
+    first pair's common set intersected with the other members' sets, cut
+    below the threshold.  If it grows, each w outside the missing pairs
+    adds the common set of the first two other members (at two members,
+    the other's own set) intersected with the rest, cut below w and the
+    threshold, minus w's set; no u misses two members, so the parts are
+    disjoint.  Each intersection reads the smaller side only.
     """
-    threshold, covered, grows = rule
-    if not grows:
-        found = set(hood[: bisect_left(hood, threshold)])
+    if slack == 0:
+        if len(verts) == 2:  # without min(): at g33 every copy is a pair
+            a, b = verts
+            hood = adj[b] if len(adj[b]) < len(adj[a]) else adj[a]
+        else:
+            hood = min(map(adj.__getitem__, verts), key=len)
+        if rule is None:
+            return len(hood), []
+        found = set(hood[: bisect_left(hood, rule[0])])
         for v in verts:
             found = lookups[v].keys() & found
-        return sorted(found)
-    found = set()
-    for w in verts:
+        return len(hood), sorted(found)
+    common = {}
+    weight = -1
+    for a, b in combinations(verts, 2):
+        both = common[a, b] = lookups[a].keys() & lookups[b].keys()
+        size = len(adj[a]) + len(adj[b]) - len(both)
+        if weight < 0 or size < weight:
+            weight = size
+    if rule is None:
+        return weight, []
+    threshold, covered, grows = rule
+    if not grows:
+        found = common[verts[0], verts[1]]
+        for v in verts[2:]:
+            found = lookups[v].keys() & found
+        return weight, sorted(filter(threshold.__gt__, found))
+    children: list[int] = []
+    for i, w in enumerate(verts):
         if w in covered:
             continue
-        missing_w = set(hood[: bisect_left(hood, min(w, threshold))])
-        for v in verts:
-            if v != w:
-                missing_w = lookups[v].keys() & missing_w
-        found.update(missing_w.difference(lookups[w]))
-    return sorted(found)
+        rest = verts[:i] + verts[i + 1 :]
+        found = common[rest[0], rest[1]] if len(rest) > 1 else lookups[rest[0]].keys()
+        for v in rest[2:]:
+            found = lookups[v].keys() & found
+        below = set(filter(min(w, threshold).__gt__, found))
+        children += below.difference(lookups[w])
+    return weight, sorted(children)

@@ -3,21 +3,21 @@
 Everything here may read the graph without metering: the tally gives the
 exact count the sampling estimator only approximates, and the degeneracy
 stands in for the arboricity when layers are sized.  Copies are found by
-the sampler's own structure: level 2 is the edge set, and the children of a
-level-i copy are the accepted extensions by vertices of its representative
-neighborhood (:func:`~crawlcount.instances.representative_hood`, read
-unmetered: no ledger is kept).  Each copy is reached exactly once, from
-its assigned parent, so the work is one
+the sampler's own rule: level 2 is the edge set, and the children of a
+level-i copy are its accepted extensions.  Each copy is reached exactly
+once, from its assigned parent, so the work is one
 :func:`~crawlcount.instances.parent_rule` per copy plus set algebra over
-its sorted neighborhood cut at the rule's threshold
-(:func:`~crawlcount.instances.child_vertices`): if the level does not
-grow, the children are the cut neighborhood intersected with every
-member's neighbor set; if it grows, each member w outside the missing
-pairs adds the neighborhood cut below w, intersected with the other
-members' sets, minus w's.  That is :func:`~crawlcount.instances.is_child`
-for all candidates at once.  The work budget counts every neighborhood
-vertex, cut off or not: the sum of seg-degrees over every level below the
-full pattern.  Completeness needs a feasible order at slack at most 1, so
+its members' neighbor sets
+(:func:`~crawlcount.instances.weight_and_children`): if the level does not
+grow, the children are the common neighbors of all members; if it grows,
+each member w outside the missing pairs adds the common neighbors of the
+others that w misses.  Each is cut below the rule's threshold (and below
+w), and is :func:`~crawlcount.instances.is_child` for all candidates at
+once.  No neighborhood is built.  The work budget counts each copy's
+sampling weight, the size of the representative neighborhood the sampler
+would store for it (at slack 1 by inclusion-exclusion over the pair's
+common neighbors): the sum of seg-degrees over every level below the full
+pattern.  Completeness needs a feasible order at slack at most 1, so
 patterns that fail :func:`require_feasible` are rejected here as well.
 
 Copies are sorted vertex tuples, as on the crawl side, and are tallied
@@ -26,17 +26,16 @@ chain count, the number of full-size copies whose assignment chain
 passes through it, and only counts above 0 are kept.  A copy one level
 below the full pattern counts its children in place.  No level is listed
 whole; beyond those tables a count holds one path of at most seven
-copies and their cut neighborhoods.
+copies and their children.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .graph import Graph
-from .instances import child_vertices, parent_rule, representative_hood
+from .instances import parent_rule, weight_and_children
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -47,9 +46,16 @@ class EnumerationBudgetError(RuntimeError):
 DEFAULT_BUDGET = 100_000_000
 
 
-def exact_count(g: Graph, pattern: Pattern, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of copies of the pattern in the graph."""
-    return count_profile(g, pattern, auto_segment(pattern), budget).total
+def exact_count(
+    g: Graph, pattern: Pattern, budget: int = DEFAULT_BUDGET, seg: Segmentation | None = None
+) -> int:
+    """Exact number of copies of the pattern in the graph.
+
+    Tallied under ``seg``, or the automatic order when it is None: the
+    count is the same under every feasible order, but the work that
+    ``budget`` bounds is not.
+    """
+    return count_profile(g, pattern, auto_segment(pattern) if seg is None else seg, budget).total
 
 
 @dataclass
@@ -91,15 +97,13 @@ def count_profile(
         nonlocal checks
         level = len(verts)
         counts[level] += 1
-        hood = representative_hood(adj, lookups, verts, slack)
-        checks += len(hood)
+        weight, new = weight_and_children(adj, lookups, verts, slack, parent_rule(g, verts, seg))
+        checks += weight
         if checks > budget:
             raise EnumerationBudgetError(
                 f"enumeration exceeded {budget} extension checks; "
                 "use a smaller graph or raise the budget"
             )
-        rule = parent_rule(g, verts, seg)
-        new = [] if rule is None else child_vertices(lookups, verts, hood, rule)
         if level + 1 == k:
             counts[k] += len(new)
             for u in new:
@@ -135,24 +139,38 @@ def degeneracy(g: Graph) -> int:
 
     Trees give 1, cycles 2, the complete graph on n vertices n-1.  The
     value upper-bounds arboricity, so it is the plug-in for alpha when
-    sizing layers and the true arboricity is out of reach.
+    sizing layers and the true arboricity is out of reach.  Peels in
+    linear time by bin sort (Matula and Beck 1983; Batagelj and Zaversnik
+    2003): ``order`` lists the vertices by current degree, ``start[d]`` is
+    where degree d begins in it, and a neighbor whose degree drops swaps
+    to the front of its bin, which then starts one place later.
     """
     adj = g.raw_adjacency()
-    n = len(adj)
     deg = [len(nbrs) for nbrs in adj]
-    removed = [False] * n
-    heap = [(deg[v], v) for v in range(n)]
-    heapify(heap)
+    order = sorted(range(len(adj)), key=deg.__getitem__)
+    pos = [0] * len(adj)
+    for i, v in enumerate(order):
+        pos[v] = i
+    start = [0] * (max(deg, default=0) + 2)
+    for d in deg:
+        start[d + 1] += 1
+    for d in range(1, len(start)):
+        start[d] += start[d - 1]
     value = 0
-    while heap:
-        d, v = heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
+    for v in order:  # swaps below touch only bins above d, later in the list
+        d = deg[v]
         if d > value:
             value = d
         for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heappush(heap, (deg[w], w))
+            dw = deg[w]
+            if dw > d:
+                # w moves to the front of bin dw, swapping with the vertex there
+                front = start[dw]
+                u = order[front]
+                if u != w:
+                    i = pos[w]
+                    order[front], order[i] = w, u
+                    pos[w], pos[u] = front, i
+                start[dw] = front + 1
+                deg[w] = dw - 1
     return value

@@ -22,6 +22,7 @@ from random import Random
 import pytest
 
 from crawlcount import (
+    EnumerationBudgetError,
     EstimateConfig,
     Graph,
     Pattern,
@@ -102,13 +103,27 @@ def test_tally_by_set_algebra_matches_is_child(name, p, seg):
     found = 0
     for g in (util.er_graph(12, 0.7, 2), util.er_graph(16, 0.8, 4)):
         prof = count_profile(g, p, seg)
-        want_counts, want_tables = util.reference_tally(g, p, seg, p.size)
+        want_counts, want_tables, _ = util.reference_tally(g, p, seg, p.size)
         assert prof.per_level_counts == want_counts
         assert {i: list(t.items()) for i, t in prof.f_tables.items()} == {
             i: list(t.items()) for i, t in want_tables.items()
         }
         found += prof.total
     assert found > 0
+
+
+SLACK_ONE = [t for t in ACCEPTED if t[1].slack == 1]
+
+
+@pytest.mark.parametrize("name,p,seg", SLACK_ONE, ids=[t[0] for t in SLACK_ONE])
+def test_budget_trips_at_the_reference_hood_sum(name, p, seg):
+    # --budget bounds the sum of representative neighborhood sizes over
+    # every copy below the top: that sum passes and one less raises
+    for g in (util.er_graph(16, 0.8, 4), util.hk_graph(60, 4, 0.7, 3)):
+        _, _, work = util.reference_tally(g, p, seg, p.size)
+        count_profile(g, p, seg, budget=work)
+        with pytest.raises(EnumerationBudgetError, match=f"exceeded {work - 1} "):
+            count_profile(g, p, seg, budget=work - 1)
 
 
 # Connected ER(18, 0.8) where every accepted pattern has T > 0 (K8 minus a

@@ -367,6 +367,31 @@ class TestExperiment:
         rows = list(csv.reader(io.StringIO(out_csv.read_text())))
         assert rows[1][4] == "2.000000"
 
+    @pytest.mark.parametrize("budget", [2500, 3572])
+    def test_exact_count_follows_the_order_flag(self, budget, tmp_path, capsys):
+        # g45 here needs 2164 extension checks under its automatic order
+        # (0,1,2,3) and 3572 under (0,2,3,1): experiment must count under
+        # the run's own order, as exact does, and refuse or agree with it
+        g = util.er_graph(16, 0.5, 4)
+        gf = tmp_path / "g.txt"
+        gf.write_text(f"# n={g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in util.edges(g)))
+        flags = ["--graph", str(gf), "--pattern", "g45", "--order", "0,2,3,1",
+                 "--budget", str(budget)]
+        exact_code = main(["exact", *flags])
+        exact = capsys.readouterr()
+        out_csv = tmp_path / "r.csv"
+        run_code = main(["experiment", *flags, "--walk-len", "20", "--reps", "1",
+                         "--layers", "10,10", "--seed", "1", "--out", str(out_csv)])
+        run = capsys.readouterr()
+        assert exact_code == run_code == (2 if budget < 3572 else 0)
+        if exact_code:
+            assert f"exceeded {budget} extension checks" in exact.err
+            assert f"exceeded {budget} extension checks" in run.err
+        else:
+            assert exact.out.startswith("T=271\n")
+            rows = list(csv.reader(io.StringIO(out_csv.read_text())))
+            assert rows[1][4] == "271.000000"
+
     def test_pattern_file_with_estimator(self, tmp_path, capsys):
         # diamond pattern over the bowtie-plus graph, slack 1 path
         gf = tmp_path / "g.txt"

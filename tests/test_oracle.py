@@ -225,6 +225,12 @@ class TestDegeneracy:
             return
         assert degeneracy(g) == max(nx.core_number(nx_of(g)).values())
 
+    def test_pa_graph_with_isolated_ids_matches_networkx(self):
+        # every even id is isolated, so the peel starts on a full bin 0
+        pa = util.pa_graph(400, 3, seed=5)
+        g = Graph(2 * pa.vertex_count + 1, [(2 * u + 1, 2 * v + 1) for u, v in util.edges(pa)])
+        assert degeneracy(g) == max(nx.core_number(nx_of(g)).values())
+
 
 class TestArboricityBound:
     def test_triangle_example(self, triangle):

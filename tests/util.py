@@ -556,21 +556,27 @@ def reference_extend(
 
 def reference_tally(
     g: Graph, p: Pattern, seg: Segmentation, top: int
-) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]]]:
+) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]], int]:
     """The exact tally decided one candidate at a time: each copy's
     :func:`metered_hood`, then ``is_child`` on every vertex of it, every copy
-    visited, leaves included.  Counts and chain tables in the package's order."""
+    visited, leaves included.  Counts and chain tables in the package's
+    order, and the work the budget counts: the sum of hood sizes over every
+    copy below ``top``."""
     counts = dict.fromkeys(range(2, top + 1), 0)
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     lookups = g.raw_neighbor_lookups()
+    work = 0
 
     def grow(verts: tuple[int, ...]) -> int:
+        nonlocal work
         counts[len(verts)] += 1
         chains = 1
         if len(verts) < top:
             chains = 0
             rule = parent_rule(g, verts, seg)
-            for u in metered_hood(g, QueryLedger(), verts, p.slack):
+            hood = metered_hood(g, QueryLedger(), verts, p.slack)
+            work += len(hood)
+            for u in hood:
                 if rule is not None and u not in verts and is_child(lookups[u], verts, u, rule):
                     chains += grow(tuple(sorted(verts + (u,))))
         if chains:
@@ -579,7 +585,7 @@ def reference_tally(
 
     for u, v in edges(g):
         grow((u, v))
-    return counts, tables
+    return counts, tables, work
 
 
 def reference_start(g: Graph, rng: Random) -> int:

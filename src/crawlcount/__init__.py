@@ -10,9 +10,7 @@ from .estimator import (
     DegenerateLayerError,
     EstimateConfig,
     EstimateResult,
-    LayerBuild,
     LayerState,
-    build_layers,
     estimate_count,
     final_level_successes,
     initial_layer,

@@ -162,7 +162,7 @@ class SummaryRecord:
 
 
 def _record_from_result(
-    run: int, seed: int, res: EstimateResult, exact: float | None
+    run: int, seed: int, walk_len: int, res: EstimateResult, exact: float | None
 ) -> RunRecord:
     rel = None
     if exact is not None and exact != 0:
@@ -170,7 +170,7 @@ def _record_from_result(
     return RunRecord(
         run=run,
         seed=seed,
-        walk_len=res.walk_length,
+        walk_len=walk_len,
         estimate=res.estimate,
         exact=exact,
         rel_err_pct=rel,
@@ -253,7 +253,7 @@ def run_experiment(
         for j in range(spec.repetitions):
             seed = spec.base_seed + j
             res = estimate_count(g, p, seg, spec.config(walk_len, seed))
-            block.append(_record_from_result(j, seed, res, exact))
+            block.append(_record_from_result(j, seed, walk_len, res, exact))
         records.extend(block)
         rels = [r.rel_err_pct for r in block if r.rel_err_pct is not None]
         if rels:
@@ -329,7 +329,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     spec = _sized(spec, g, p, args)
     res = estimate_count(g, p, seg, spec.config(args.walk_len, args.seed))
-    rec = _record_from_result(0, args.seed, res, None)
+    rec = _record_from_result(0, args.seed, args.walk_len, res, None)
     _write_csv(sys.stdout, CSV_HEADER, [rec.row()])
     return 0
 
@@ -346,6 +346,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     # file that was there as they were; each is emptied only once the sweep
     # is done.  A file this command created is removed when it fails.
     paths = (args.out, summary_path(args.out))
+    for path in paths:  # writing it would destroy the input, symlinks included
+        if os.path.exists(path) and os.path.samefile(path, args.graph):
+            raise ValueError(f"{path} is the --graph file; give --out another path")
     created = [path for path in paths if not os.path.lexists(path)]
     try:
         with (

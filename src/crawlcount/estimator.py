@@ -1,7 +1,8 @@
 """Layered sampling estimator for pattern counts over the metered oracle.
 
-The sampler materializes a chain of layers.  Level 2 is the multiset of
-edges collected by a random walk.  A layer holds each member's
+:func:`estimate_count` is one sampling run, and :class:`EstimateResult`
+its one result.  The run materializes a chain of layers.  Level 2 is the
+multiset of edges collected by a random walk.  A layer holds each member's
 representative neighborhood, fetched once per distinct member when the
 layer is built; its size is the member's weight.  Each next level is
 filled by one extension loop: pick a member with probability proportional
@@ -167,7 +168,7 @@ def _extend(
         try:
             rule = rules[verts]
         except KeyError:
-            rule = rules[verts] = parent_rule(g, verts, seg)
+            rule = rules[verts] = parent_rule(lookups, verts, seg)
         if rule is not None and u < rule[0] and is_child(lookups[u], verts, u, rule):
             accepted.append(tuple(sorted(verts + (u,))))
     ledger.oracle_calls += calls
@@ -184,70 +185,6 @@ def final_level_successes(
 ) -> int:
     """Run the last-level loop against a frozen layer and count successes."""
     return len(_extend(g, ledger, layer, seg, trials, rng))
-
-
-@dataclass
-class LayerBuild:
-    """Everything a build produced: edge total, layers 2..k-1, final successes, ledger."""
-
-    edge_total: float
-    layers: list[LayerState]
-    successes: int
-    final_trials: int
-    ledger: QueryLedger
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(self.warnings)
-
-
-def build_layers(
-    g: Graph, pattern: Pattern, seg: Segmentation, cfg: EstimateConfig
-) -> LayerBuild:
-    """Edge total, walk, layers 3..k-1, then the final counting loop, on one ledger.
-
-    The edge total is ``g.edge_count`` under exact-m; under estimated-m it
-    is a collision count charged to the ledger ahead of the walk.  A layer
-    that ends up empty stops the build with zero successes and a warning;
-    that outcome is a legitimate sample, not an error.
-    """
-    if len(cfg.layer_sizes) != pattern.size - 2:
-        raise ValueError(
-            f"pattern of size {pattern.size} needs {pattern.size - 2} layer sizes "
-            f"(l_3..l_{pattern.size}), got {len(cfg.layer_sizes)}"
-        )
-    require_feasible(pattern, seg)
-    ledger = QueryLedger()
-    root = Random(cfg.seed)
-    walk_seed = root.getrandbits(63)
-    trial_seed = root.getrandbits(63)
-    edge_seed = root.getrandbits(63)
-    if cfg.edge_count_mode == "exact-m":
-        edge_total: float = float(g.edge_count)
-    else:
-        samples = max(EDGE_COUNT_MIN_SAMPLES, math.ceil(10 * math.sqrt(g.vertex_count)))
-        edge_total = estimate_edge_count(
-            g, ledger, samples, EDGE_COUNT_GAP, seed=edge_seed
-        ).edge_estimate
-    k = pattern.size
-    edges = simple_random_walk(g, ledger, cfg.walk, walk_seed)
-    rng = Random(trial_seed)
-
-    layers = [initial_layer(g, ledger, edges, pattern.slack)]
-    warnings: list[str] = []
-    successes = 0
-    for level, trials in enumerate(cfg.layer_sizes, start=3):
-        cur = layers[-1]
-        if cur.total_degree <= 0:
-            warnings.append(f"degenerate layer at level {cur.level}")
-            break
-        if level == k:
-            successes = final_level_successes(g, ledger, cur, seg, trials, rng)
-        else:
-            members = _extend(g, ledger, cur, seg, trials, rng)
-            layers.append(LayerState.build(g, ledger, level, members, trials, pattern.slack))
-    return LayerBuild(edge_total, layers, successes, cfg.layer_sizes[-1], ledger, warnings)
 
 
 def scaling_constant(
@@ -297,14 +234,17 @@ class LayerDiagnostic:
 
 @dataclass
 class EstimateResult:
-    """Outcome of one estimation run plus the cost of obtaining it."""
+    """Outcome of one estimation run plus the cost of obtaining it.
+
+    ``layers`` are the stored layers 2..k-1, ending early at an empty one;
+    ``per_layer`` summarizes them and the final loop.
+    """
 
     estimate: float
     successes: int
     scaling: float | None
-    final_trials: int
-    walk_length: int
     edge_total_used: float
+    layers: list[LayerState]
     per_layer: list[LayerDiagnostic]
     oracle_calls: int
     edges_observed: float
@@ -315,52 +255,79 @@ class EstimateResult:
 def estimate_count(
     g: Graph, pattern: Pattern, seg: Segmentation, cfg: EstimateConfig
 ) -> EstimateResult:
-    """One full estimation run: walk, layers, final loop, normalization."""
-    build = build_layers(g, pattern, seg, cfg)
+    """One sampling run: edge total, walk, layers 3..k-1, final loop, normalization.
+
+    Every query is charged to one ledger.  The edge total is
+    ``g.edge_count`` under exact-m; under estimated-m it is a collision
+    count charged ahead of the walk.  A layer that ends up empty stops the
+    run with zero successes, an estimate of 0 and a warning; that outcome
+    is a legitimate sample, not an error.
+    """
     k = pattern.size
-    diags = [
-        LayerDiagnostic(
-            level=ls.level,
-            size=len(ls),
-            total_degree=ls.total_degree,
-            trials=ls.trials,
-            acceptance_rate=None if ls.level == 2 else len(ls) / ls.trials,
+    if len(cfg.layer_sizes) != k - 2:
+        raise ValueError(
+            f"pattern of size {k} needs {k - 2} layer sizes "
+            f"(l_3..l_{k}), got {len(cfg.layer_sizes)}"
         )
-        for ls in build.layers
-    ]
-    warnings = list(build.warnings)
-    if build.degenerate:
+    require_feasible(pattern, seg)
+    ledger = QueryLedger()
+    root = Random(cfg.seed)
+    walk_seed = root.getrandbits(63)
+    trial_seed = root.getrandbits(63)
+    edge_seed = root.getrandbits(63)
+    if cfg.edge_count_mode == "exact-m":
+        edge_total: float = float(g.edge_count)
+    else:
+        samples = max(EDGE_COUNT_MIN_SAMPLES, math.ceil(10 * math.sqrt(g.vertex_count)))
+        edge_total = estimate_edge_count(
+            g, ledger, samples, EDGE_COUNT_GAP, seed=edge_seed
+        ).edge_estimate
+    edges = simple_random_walk(g, ledger, cfg.walk, walk_seed)
+    rng = Random(trial_seed)
+
+    layers = [initial_layer(g, ledger, edges, pattern.slack)]
+    warnings: list[str] = []
+    successes = 0
+    for level, trials in enumerate(cfg.layer_sizes, start=3):
+        cur = layers[-1]
+        if cur.total_degree <= 0:
+            warnings.append(f"degenerate layer at level {cur.level}")
+            break
+        if level == k:
+            successes = final_level_successes(g, ledger, cur, seg, trials, rng)
+        else:
+            members = _extend(g, ledger, cur, seg, trials, rng)
+            layers.append(LayerState.build(g, ledger, level, members, trials, pattern.slack))
+
+    l_k = cfg.layer_sizes[-1]
+    if warnings:
         estimate = 0.0
         scaling = None
     else:
-        degrees = [ls.total_degree for ls in build.layers]
-        sizes = list(cfg.layer_sizes[: k - 3])
-        c_k = scaling_constant(k, build.edge_total, cfg.walk.length, sizes, degrees)
+        degrees = [ls.total_degree for ls in layers]
+        c_k = scaling_constant(k, edge_total, cfg.walk.length, cfg.layer_sizes[:-1], degrees)
         scaling = float(c_k)
-        estimate = float(Fraction(build.successes) * c_k / build.final_trials)
-    diags.append(
+        estimate = float(Fraction(successes) * c_k / l_k)
+    diags = [
         LayerDiagnostic(
-            level=k,
-            size=build.successes,
-            total_degree=None,
-            trials=build.final_trials,
-            acceptance_rate=(
-                build.successes / build.final_trials if not build.degenerate else None
-            ),
+            ls.level, len(ls), ls.total_degree, ls.trials,
+            None if ls.level == 2 else len(ls) / ls.trials,
         )
-    )
+        for ls in layers
+    ]
+    rate = None if warnings else successes / l_k
+    diags.append(LayerDiagnostic(k, successes, None, l_k, rate))
     return EstimateResult(
         estimate=estimate,
-        successes=build.successes,
+        successes=successes,
         scaling=scaling,
-        final_trials=build.final_trials,
-        walk_length=cfg.walk.length,
-        edge_total_used=build.edge_total,
+        edge_total_used=edge_total,
+        layers=layers,
         per_layer=diags,
-        oracle_calls=build.ledger.oracle_calls,
-        edges_observed=edges_observed_fraction(build.ledger, g),
+        oracle_calls=ledger.oracle_calls,
+        edges_observed=edges_observed_fraction(ledger, g),
         warnings=warnings,
-        ledger=build.ledger,
+        ledger=ledger,
     )
 
 

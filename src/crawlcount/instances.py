@@ -31,7 +31,6 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import AbstractSet, Container, Sequence
 
-from .graph import Graph
 from .patterns import Segmentation
 
 
@@ -72,13 +71,15 @@ def representative_hood(
 ) -> tuple[int, ...]:
     """Sorted union of the neighbor lists of the representative subset of ``verts``.
 
-    ``adj`` and ``lookups`` are the graph's :meth:`~Graph.raw_adjacency` and
-    :meth:`~Graph.raw_neighbor_lookups`; ``verts`` must be sorted and longer
-    than ``slack``.  Reads the graph unmetered: callers charge for it.  A
-    pair takes a shortcut: at slack 0 its lower-degree endpoint (ties to
-    the lower id), at slack 1 the pair itself.  Vertices of ``verts`` are
-    not excluded; trials reject them later, which keeps every trial's
-    landing probability at exactly one over the size of this set.
+    ``adj`` and ``lookups`` are the graph's
+    :meth:`~crawlcount.graph.Graph.raw_adjacency` and
+    :meth:`~crawlcount.graph.Graph.raw_neighbor_lookups`; ``verts`` must be
+    sorted and longer than ``slack``.  Reads the graph unmetered: callers
+    charge for it.  A pair takes a shortcut: at slack 0 its lower-degree
+    endpoint (ties to the lower id), at slack 1 the pair itself.  Vertices
+    of ``verts`` are not excluded; trials reject them later, which keeps
+    every trial's landing probability at exactly one over the size of this
+    set.
     """
     if len(verts) == 2:
         a, b = verts
@@ -96,7 +97,9 @@ Rule = tuple[int, AbstractSet[int], bool]
 _NONE: AbstractSet[int] = frozenset()  # shared by every rule of a copy missing no pair
 
 
-def parent_rule(g: Graph, verts: Sequence[int], seg: Segmentation) -> Rule | None:
+def parent_rule(
+    lookups: Sequence[dict[int, None]], verts: Sequence[int], seg: Segmentation
+) -> Rule | None:
     """What a sorted copy ``verts`` of a level of ``seg`` asks of its children.
 
     Returns None when ``verts`` is not a copy of its level.  Otherwise
@@ -104,8 +107,9 @@ def parent_rule(g: Graph, verts: Sequence[int], seg: Segmentation) -> Rule | Non
     vertices lying in the copy's missing pairs, ``grows`` whether the next
     level misses one pair more, and ``threshold`` the bound every child's
     new vertex lies below, the smallest vertex of ``covered`` if the level
-    grows and else the smallest one outside it (``g.vertex_count`` when
-    there is none).  Reads the graph unmetered.  Raises ValueError unless
+    grows and else the smallest one outside it (the vertex count,
+    ``len(lookups)``, when there is none).  ``lookups`` is as for
+    :func:`representative_hood`, read unmetered.  Raises ValueError unless
     the order needs slack at most 1, the condition under which every level
     is a clique minus a matching, and when ``verts`` has no next level.
     """
@@ -119,7 +123,6 @@ def parent_rule(g: Graph, verts: Sequence[int], seg: Segmentation) -> Rule | Non
             f"a copy of level {k} has no next level in a pattern of size {len(seg.order)}"
         )
     want = seg.missing[k]
-    lookups = g.raw_neighbor_lookups()
     covered: set[int] = set()
     for i in range(1, k):
         v = verts[i]
@@ -134,10 +137,10 @@ def parent_rule(g: Graph, verts: Sequence[int], seg: Segmentation) -> Rule | Non
     if len(covered) != 2 * want:
         return None
     if seg.missing[k + 1] > want:
-        return min(covered, default=g.vertex_count), covered or _NONE, True
+        return min(covered, default=len(lookups)), covered or _NONE, True
     if not covered:
         return verts[0], _NONE, False
-    return next((v for v in verts if v not in covered), g.vertex_count), covered, False
+    return next((v for v in verts if v not in covered), len(lookups)), covered, False
 
 
 def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> bool:

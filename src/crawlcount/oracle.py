@@ -97,7 +97,7 @@ def count_profile(
         nonlocal checks
         level = len(verts)
         counts[level] += 1
-        weight, new = weight_and_children(adj, lookups, verts, slack, parent_rule(g, verts, seg))
+        weight, new = weight_and_children(adj, lookups, verts, slack, parent_rule(lookups, verts, seg))
         checks += weight
         if checks > budget:
             raise EnumerationBudgetError(

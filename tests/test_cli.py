@@ -514,6 +514,37 @@ class TestErrors:
             assert out_csv.read_text().startswith(",".join(CSV_HEADER) + "\n")
             assert "old" not in out_csv.read_text() + sidecar.read_text()
 
+    def test_out_that_is_the_graph_is_refused(self, tmp_path, capsys):
+        # by its own name or through a symlink: one error line, the graph's
+        # bytes kept, no output created
+        graph = tmp_path / "g.txt"
+        graph.write_text(BOWTIE_TXT)
+        link = tmp_path / "link.txt"
+        link.symlink_to(graph)
+        for out in (graph, link):
+            code = main(
+                ["experiment", "--graph", str(graph), "--pattern", "g33",
+                 "--walk-len", "20", "--layers", "10", "--out", str(out)]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {out} is the --graph file; give --out another path\n"
+            assert graph.read_text() == BOWTIE_TXT
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["g.txt", "link.txt"]
+
+    def test_summary_that_is_the_graph_is_refused(self, tmp_path, capsys):
+        graph = tmp_path / "runs.summary.csv"
+        graph.write_text(BOWTIE_TXT)
+        code = main(
+            ["experiment", "--graph", str(graph), "--pattern", "g33",
+             "--walk-len", "20", "--layers", "10", "--out", str(tmp_path / "runs.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {graph} is the --graph file; give --out another path\n"
+        assert graph.read_text() == BOWTIE_TXT
+        assert [f.name for f in tmp_path.iterdir()] == ["runs.summary.csv"]
+
     def test_failed_sidecar_open_removes_the_created_runs_file(self, bowtie_file, tmp_path, capsys):
         out_csv = tmp_path / "runs.csv"
         (tmp_path / "runs.summary.csv").mkdir()

@@ -12,7 +12,6 @@ from crawlcount import (
     LayerState,
     QueryLedger,
     WalkConfig,
-    build_layers,
     builtin_pattern,
     count_profile,
     estimate_count,
@@ -238,6 +237,8 @@ class TestUnbiasednessStructure:
 
 
 class TestBuildLayers:
+    """The layers one run builds, as ``EstimateResult.layers`` holds them."""
+
     def cfg(self, sizes, length=40, seed=0):
         return EstimateConfig(
             layer_sizes=sizes, walk=WalkConfig(length=length, burn_in=30), seed=seed
@@ -245,32 +246,30 @@ class TestBuildLayers:
 
     def test_triangle_pattern_has_single_stored_layer(self, bowtie):
         p, seg = builtin_pattern("g33")
-        build = build_layers(bowtie, p, seg, self.cfg([50]))
-        assert [ls.level for ls in build.layers] == [2]
-        assert build.final_trials == 50
-        assert 0 <= build.successes <= 50
-        assert not build.degenerate
+        res = estimate_count(bowtie, p, seg, self.cfg([50]))
+        assert [ls.level for ls in res.layers] == [2]
+        assert 0 <= res.successes <= 50
+        assert not res.warnings
 
     def test_explicit_walk_seed_reproduces_walk(self, bowtie):
         p, seg = builtin_pattern("g33")
         cfg = self.cfg([50], seed=11)
         walk_seed = Random(cfg.seed).getrandbits(63)  # the first draw of the run's root
         edges = simple_random_walk(bowtie, QueryLedger(), cfg.walk, walk_seed)
-        assert build_layers(bowtie, p, seg, cfg).layers[0].members == edges
+        assert estimate_count(bowtie, p, seg, cfg).layers[0].members == edges
 
     def test_deterministic_in_master_seed(self, k5):
         p, seg = builtin_pattern("g46")
-        a = build_layers(k5, p, seg, self.cfg([30, 30], seed=5))
-        b = build_layers(k5, p, seg, self.cfg([30, 30], seed=5))
-        c = build_layers(k5, p, seg, self.cfg([30, 30], seed=6))
+        a = estimate_count(k5, p, seg, self.cfg([30, 30], seed=5))
+        b = estimate_count(k5, p, seg, self.cfg([30, 30], seed=5))
+        c = estimate_count(k5, p, seg, self.cfg([30, 30], seed=6))
         assert a.successes == b.successes
         assert a.layers[1].members == b.layers[1].members
         assert a.successes != c.successes or a.layers[1].members != c.layers[1].members
 
     def test_middle_layers_store_only_accepted_copies(self, k5):
         p, seg = builtin_pattern("g46")
-        build = build_layers(k5, p, seg, self.cfg([40, 40], seed=2))
-        lvl3 = build.layers[1]
+        lvl3 = estimate_count(k5, p, seg, self.cfg([40, 40], seed=2)).layers[1]
         assert lvl3.trials == 40
         assert len(lvl3) <= 40
         tri = set(truth.copies(k5, p, seg, 3))
@@ -279,10 +278,9 @@ class TestBuildLayers:
     def test_degenerate_layer_warns_and_zeroes(self):
         star = util.star4()
         p, seg = builtin_pattern("g46")
-        build = build_layers(star, p, seg, self.cfg([25, 25]))
-        assert build.degenerate
-        assert build.successes == 0
-        assert any("degenerate" in w for w in build.warnings)
+        res = estimate_count(star, p, seg, self.cfg([25, 25]))
+        assert res.successes == 0
+        assert any("degenerate" in w for w in res.warnings)
 
     def test_final_successes_reproducible(self, bowtie):
         p, seg = builtin_pattern("g33")
@@ -332,20 +330,20 @@ class TestOneFetchPerMember:
         cfg = EstimateConfig(
             layer_sizes=sizes, walk=WalkConfig(length=60, burn_in=20), seed=4
         )
-        build = build_layers(g, p, seg, cfg)
-        assert not build.degenerate and len(build.layers) == p.size - 2
-        assert len(build.layers[-1]) > 0
+        res = estimate_count(g, p, seg, cfg)
+        assert not res.warnings and len(res.layers) == p.size - 2
+        assert len(res.layers[-1]) > 0
 
-        distinct = [set(ls.members) for ls in build.layers]
+        distinct = [set(ls.members) for ls in res.layers]
         assert len(fetched) == len(set(fetched))
         assert set(fetched) == set().union(*distinct)
         assert [trials for trials, _ in trial_calls] == sizes
         want = (
             20 + 60
-            + sum(ls.level * len(d) for ls, d in zip(build.layers, distinct))
+            + sum(ls.level * len(d) for ls, d in zip(res.layers, distinct))
             + sum(calls for _, calls in trial_calls)
         )
-        assert build.ledger.oracle_calls == want
+        assert res.ledger.oracle_calls == want
 
 
 class TestBulkLayerCharge:
@@ -380,10 +378,8 @@ class TestEstimateCount:
         res = estimate_count(bowtie, p, seg, self.cfg([80]))
         assert res.scaling is not None
         assert math.isclose(
-            res.estimate, res.successes * res.scaling / res.final_trials
+            res.estimate, res.successes * res.scaling / 80
         )
-        assert res.final_trials == 80
-        assert res.walk_length == 40
         assert res.edge_total_used == 6.0
 
     def test_layer_diagnostics_cover_all_levels(self, k5):
@@ -394,6 +390,21 @@ class TestEstimateCount:
         assert res.per_layer[-1].trials == 30
         assert res.oracle_calls == res.ledger.oracle_calls
         assert 0 < res.edges_observed <= 1
+
+    def test_per_layer_agrees_with_layers(self):
+        p, seg = builtin_pattern("g46")
+        # one healthy run, and one that stops at an empty layer
+        for g, sizes, degenerate in ((util.k5(), [30, 30], False), (util.star4(), [25, 25], True)):
+            cfg = self.cfg(sizes)
+            res = estimate_count(g, p, seg, cfg)
+            assert bool(res.warnings) == degenerate
+            assert len(res.per_layer) == len(res.layers) + 1
+            for d, ls in zip(res.per_layer, res.layers):
+                assert (d.level, d.size, d.total_degree, d.trials) == (
+                    ls.level, len(ls), ls.total_degree, ls.trials
+                )
+            assert res.per_layer[0].trials == cfg.walk.length
+            assert res.per_layer[-1].trials == cfg.layer_sizes[-1]
 
     def test_zero_copy_graph_estimates_zero(self, c5):
         p, seg = builtin_pattern("g33")
@@ -481,8 +492,8 @@ class TestNiceness:
         p, seg = builtin_pattern("g33")
         prof = count_profile(c5, p, seg)
         cfg = EstimateConfig(layer_sizes=[30], walk=WalkConfig(length=25, burn_in=25), seed=1)
-        build = build_layers(c5, p, seg, cfg)
-        report = truth.niceness_report(c5, p, seg, build.layers, prof, eps=0.5)
+        layers = estimate_count(c5, p, seg, cfg).layers
+        report = truth.niceness_report(c5, p, seg, layers, prof, eps=0.5)
         assert len(report) == 1
         assert report[0].level == 2
         assert report[0].nice
@@ -496,8 +507,8 @@ class TestNiceness:
             cfg = EstimateConfig(
                 layer_sizes=[10], walk=WalkConfig(length=40, burn_in=30), seed=seed
             )
-            build = build_layers(bowtie, p, seg, cfg)
-            rep = truth.niceness_report(bowtie, p, seg, build.layers, prof, eps=0.5)
+            layers = estimate_count(bowtie, p, seg, cfg).layers
+            rep = truth.niceness_report(bowtie, p, seg, layers, prof, eps=0.5)
             if all(r.nice for r in rep):
                 nice += 1
         assert nice >= 0.9 * runs
@@ -506,9 +517,9 @@ class TestNiceness:
         p, seg = builtin_pattern("g33")
         prof = count_profile(bowtie, p, seg)
         cfg = EstimateConfig(layer_sizes=[10], walk=WalkConfig(length=10, burn_in=10), seed=0)
-        build = build_layers(bowtie, p, seg, cfg)
+        layers = estimate_count(bowtie, p, seg, cfg).layers
         with pytest.raises(ValueError):
-            truth.niceness_report(bowtie, p, seg, build.layers, prof, eps=1.5)
+            truth.niceness_report(bowtie, p, seg, layers, prof, eps=1.5)
 
     def test_range_bounds_use_realized_factor(self, k5):
         p, seg = builtin_pattern("g46")
@@ -516,8 +527,8 @@ class TestNiceness:
         cfg = EstimateConfig(
             layer_sizes=[40, 40], walk=WalkConfig(length=30, burn_in=30), seed=2
         )
-        build = build_layers(k5, p, seg, cfg)
-        rep = truth.niceness_report(k5, p, seg, build.layers, prof, eps=0.5)
+        layers = estimate_count(k5, p, seg, cfg).layers
+        rep = truth.niceness_report(k5, p, seg, layers, prof, eps=0.5)
         assert [r.level for r in rep] == [2, 3]
         lvl2 = rep[0]
         want = (1 - 0.5) ** 2 * (30 / 10) * prof.total

@@ -95,7 +95,7 @@ class TestWeightAndChildren:
             seen = 0
             for level in range(2, p.size):
                 for verts in truth.copies(g, p, seg, level):
-                    rule = parent_rule(g, verts, seg)
+                    rule = parent_rule(lookups, verts, seg)
                     nbhd = representative_hood(adj, lookups, verts, p.slack)
                     want = [u for u in nbhd if u not in verts and is_child(lookups[u], verts, u, rule)]
                     assert weight_and_children(adj, lookups, verts, p.slack, rule) == (len(nbhd), want)

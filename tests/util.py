@@ -293,7 +293,7 @@ def classify_by_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> int
     lookups = g.raw_neighbor_lookups()
     for j, u in enumerate(verts):
         parent = verts[:j] + verts[j + 1 :]
-        rule = parent_rule(g, parent, seg)
+        rule = parent_rule(lookups, parent, seg)
         if rule is not None and is_child(lookups[u], parent, u, rule):
             return j
     return None
@@ -529,8 +529,9 @@ def metered_check(
     grown = tuple(sorted(verts + (u,)))
     for v in grown:
         neighbors(g, ledger, v)
-    rule = parent_rule(g, verts, seg)
-    if rule is None or not is_child(g.raw_neighbor_lookups()[u], verts, u, rule):
+    lookups = g.raw_neighbor_lookups()
+    rule = parent_rule(lookups, verts, seg)
+    if rule is None or not is_child(lookups[u], verts, u, rule):
         return None
     return grown
 
@@ -573,7 +574,7 @@ def reference_tally(
         chains = 1
         if len(verts) < top:
             chains = 0
-            rule = parent_rule(g, verts, seg)
+            rule = parent_rule(lookups, verts, seg)
             hood = metered_hood(g, QueryLedger(), verts, p.slack)
             work += len(hood)
             for u in hood:

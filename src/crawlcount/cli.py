@@ -18,7 +18,6 @@ from typing import IO, Sequence
 
 from .estimator import (
     EstimateConfig,
-    EstimateResult,
     check_sizing_args,
     estimate_count,
     recommend_sample_sizes,
@@ -69,32 +68,8 @@ SUMMARY_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One estimation run as a CSV row."""
-
-    run: int
-    seed: int
-    walk_len: int
-    estimate: float
-    exact: float | None
-    rel_err_pct: float | None
-    oracle_calls: int
-    edges_observed_pct: float
-    warnings: str
-
-    def row(self) -> list[str]:
-        return [
-            str(self.run),
-            str(self.seed),
-            str(self.walk_len),
-            f"{self.estimate:.6f}",
-            "" if self.exact is None else f"{self.exact:.6f}",
-            "" if self.rel_err_pct is None else f"{self.rel_err_pct:.6f}",
-            str(self.oracle_calls),
-            f"{self.edges_observed_pct:.4f}",
-            self.warnings,
-        ]
+def _fixed(x: float | None, places: int = 6) -> str:
+    return "" if x is None else f"{x:.{places}f}"
 
 
 def _check_budget(budget: int) -> None:
@@ -138,46 +113,6 @@ class ExperimentSpec:
         walk = WalkConfig(walk_len, burn_in=self.burn_in, lazy=self.lazy_walk)
         mode = "estimated-m" if self.estimate_m else "exact-m"
         return EstimateConfig(self.layer_sizes or (), walk, mode, seed)
-
-
-@dataclass(frozen=True)
-class SummaryRecord:
-    walk_len: int
-    runs: int
-    median_rel_err_pct: float | None
-    median_abs_rel_err_pct: float | None
-    iqr_rel_err_pct: float | None
-    median_edges_observed_pct: float
-
-    def row(self) -> list[str]:
-        fmt = lambda x: "" if x is None else f"{x:.6f}"
-        return [
-            str(self.walk_len),
-            str(self.runs),
-            fmt(self.median_rel_err_pct),
-            fmt(self.median_abs_rel_err_pct),
-            fmt(self.iqr_rel_err_pct),
-            f"{self.median_edges_observed_pct:.4f}",
-        ]
-
-
-def _record_from_result(
-    run: int, seed: int, walk_len: int, res: EstimateResult, exact: float | None
-) -> RunRecord:
-    rel = None
-    if exact is not None and exact != 0:
-        rel = (exact - res.estimate) * 100.0 / exact
-    return RunRecord(
-        run=run,
-        seed=seed,
-        walk_len=walk_len,
-        estimate=res.estimate,
-        exact=exact,
-        rel_err_pct=rel,
-        oracle_calls=res.oracle_calls,
-        edges_observed_pct=res.edges_observed * 100.0,
-        warnings="; ".join(res.warnings),
-    )
 
 
 def _pattern_args(args: argparse.Namespace) -> tuple[Pattern, Segmentation]:
@@ -233,52 +168,47 @@ def _load_graph(path: str) -> Graph:
 
 
 def run_experiment(
-    spec: ExperimentSpec, g: Graph, p: Pattern, seg: Segmentation
-) -> tuple[list[RunRecord], list[SummaryRecord]]:
-    """Execute the sweep; returns per-run rows and per-walk-length medians."""
+    spec: ExperimentSpec, g: Graph, p: Pattern, seg: Segmentation, exact: float | None
+) -> tuple[list[list[str]], list[list[str]]]:
+    """Execute the sweep; returns its CSV rows, one per run and one summary per walk length.
+
+    Relative errors are taken against ``exact``; when it is None or 0 their
+    columns stay empty.
+    """
     if spec.layer_sizes is None:
         raise ValueError("experiment needs explicit layer sizes")
-    exact: float | None = spec.exact_total
-    if exact is None:
-        try:
-            exact = float(exact_count(g, p, spec.budget, seg))
-        except EnumerationBudgetError as e:
-            raise ValueError(
-                f"exact count is out of reach ({e}); pass the known total instead"
-            ) from None
-    records: list[RunRecord] = []
-    summaries: list[SummaryRecord] = []
+    rows: list[list[str]] = []
+    summaries: list[list[str]] = []
     for walk_len in spec.walk_lengths:
-        block: list[RunRecord] = []
+        rels: list[float] = []
+        observed: list[float] = []
         for j in range(spec.repetitions):
             seed = spec.base_seed + j
             res = estimate_count(g, p, seg, spec.config(walk_len, seed))
-            block.append(_record_from_result(j, seed, walk_len, res, exact))
-        records.extend(block)
-        rels = [r.rel_err_pct for r in block if r.rel_err_pct is not None]
+            rel = None
+            if exact is not None and exact != 0:
+                rel = (exact - res.estimate) * 100.0 / exact
+                rels.append(rel)
+            pct = res.edges_observed * 100.0
+            observed.append(pct)
+            rows.append([
+                str(j), str(seed), str(walk_len), _fixed(res.estimate), _fixed(exact),
+                _fixed(rel), str(res.oracle_calls), _fixed(pct, 4),
+                "; ".join(res.warnings),
+            ])
+        med = med_abs = iqr = None
         if rels:
             med = statistics.median(rels)
             med_abs = statistics.median(abs(x) for x in rels)
+            iqr = 0.0
             if len(rels) >= 2:
                 q = statistics.quantiles(rels, n=4, method="inclusive")
                 iqr = q[2] - q[0]
-            else:
-                iqr = 0.0
-        else:
-            med = med_abs = iqr = None
-        summaries.append(
-            SummaryRecord(
-                walk_len=walk_len,
-                runs=len(block),
-                median_rel_err_pct=med,
-                median_abs_rel_err_pct=med_abs,
-                iqr_rel_err_pct=iqr,
-                median_edges_observed_pct=statistics.median(
-                    r.edges_observed_pct for r in block
-                ),
-            )
-        )
-    return records, summaries
+        summaries.append([
+            str(walk_len), str(spec.repetitions), _fixed(med), _fixed(med_abs),
+            _fixed(iqr), _fixed(statistics.median(observed), 4),
+        ])
+    return rows, summaries
 
 
 def _write_csv(fh: IO[str], header: list[str], rows: list[list[str]]) -> None:
@@ -327,10 +257,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     require_feasible(p, seg)
     spec = _run_spec(args, p, (args.walk_len,), repetitions=1)
     g = _load_graph(args.graph)
-    spec = _sized(spec, g, p, args)
-    res = estimate_count(g, p, seg, spec.config(args.walk_len, args.seed))
-    rec = _record_from_result(0, args.seed, args.walk_len, res, None)
-    _write_csv(sys.stdout, CSV_HEADER, [rec.row()])
+    rows, _ = run_experiment(_sized(spec, g, p, args), g, p, seg, None)
+    _write_csv(sys.stdout, CSV_HEADER, rows)
     return 0
 
 
@@ -346,9 +274,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     # file that was there as they were; each is emptied only once the sweep
     # is done.  A file this command created is removed when it fails.
     paths = (args.out, summary_path(args.out))
-    for path in paths:  # writing it would destroy the input, symlinks included
-        if os.path.exists(path) and os.path.samefile(path, args.graph):
-            raise ValueError(f"{path} is the --graph file; give --out another path")
+    inputs = (("--graph file", args.graph), ("--pattern-file", args.pattern_file))
+    for path in paths:  # writing it would destroy an input, symlinks included
+        for name, given in inputs:
+            if given is not None and os.path.exists(path) and os.path.samefile(path, given):
+                raise ValueError(f"{path} is the {name}; give --out another path")
     created = [path for path in paths if not os.path.lexists(path)]
     try:
         with (
@@ -356,17 +286,26 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             open(paths[1], "a", encoding="utf-8", newline="") as summary_fh,
         ):
             g = _load_graph(args.graph)
-            records, summaries = run_experiment(_sized(spec, g, p, args), g, p, seg)
+            spec = _sized(spec, g, p, args)
+            exact = spec.exact_total
+            if exact is None:
+                try:
+                    exact = float(exact_count(g, p, spec.budget, seg))
+                except EnumerationBudgetError as e:
+                    raise ValueError(
+                        f"exact count is out of reach ({e}); pass the known total instead"
+                    ) from None
+            rows, summaries = run_experiment(spec, g, p, seg, exact)
             runs_fh.truncate(0)
-            _write_csv(runs_fh, CSV_HEADER, [r.row() for r in records])
+            _write_csv(runs_fh, CSV_HEADER, rows)
             summary_fh.truncate(0)
-            _write_csv(summary_fh, SUMMARY_HEADER, [s.row() for s in summaries])
+            _write_csv(summary_fh, SUMMARY_HEADER, summaries)
     except BaseException:
         for path in created:
             if os.path.lexists(path):
                 os.remove(path)
         raise
-    _write_csv(sys.stdout, SUMMARY_HEADER, [s.row() for s in summaries])
+    _write_csv(sys.stdout, SUMMARY_HEADER, summaries)
     return 0
 
 

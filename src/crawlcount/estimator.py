@@ -375,25 +375,13 @@ def recommend_sample_sizes(
     ln = math.log(n)
     base = 2.0 * m * (n**c)
     sizes: dict[int, int] = {}
-    for i in range(3, k):
-        val = (
-            (ln**3)
-            / (eps**3 * (1 - eps) ** i)
-            * fmax_guess
-            * base
-            * ((c + 1) * alpha) ** (i - (c + 1))
-            / t_guess
-        )
+    for i in range(3, k + 1):
+        if i < k:
+            head = (ln**3) / (eps**3 * (1 - eps) ** i) * fmax_guess
+        else:
+            head = 3 * (ln**2) / (eps**3 * (1 - eps) ** k)
+        val = head * base * ((c + 1) * alpha) ** (i - (c + 1)) / t_guess
         sizes[i] = _ceil_size(val, f"size l_{i}")
-    final = (
-        3
-        * (ln**2)
-        / (eps**3 * (1 - eps) ** k)
-        * base
-        * ((c + 1) * alpha) ** (k - (c + 1))
-        / t_guess
-    )
-    sizes[k] = _ceil_size(final, f"size l_{k}")
     return sizes
 
 

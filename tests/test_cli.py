@@ -36,6 +36,7 @@ BOWTIE_TXT = "# n=5\n0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n"
 K4_TXT = "# n=4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 FIVE_CYCLE_PATTERN = "5 2\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 DIAMOND_PATTERN = "4 1\norder 0 1 2 3\n0 1\n0 2\n0 3\n1 2\n1 3\n"
+TRIANGLE_PATTERN = "3 0\n0 1\n1 2\n0 2\n"
 # Two disjoint triangles and the isolated vertex 3.
 TWO_TRIANGLES_TXT = "# n=7\n0 1\n0 2\n1 2\n4 5\n4 6\n5 6\n"
 
@@ -367,6 +368,21 @@ class TestExperiment:
         rows = list(csv.reader(io.StringIO(out_csv.read_text())))
         assert rows[1][4] == "2.000000"
 
+    def test_zero_exact_total_leaves_the_rel_columns_empty(self, bowtie_file, tmp_path, capsys):
+        out_csv = tmp_path / "r.csv"
+        args = [
+            "experiment", "--graph", bowtie_file, "--pattern", "g33",
+            "--walk-len", "20,30", "--reps", "3", "--layers", "10",
+            "--out", str(out_csv), "--exact-t", "0",
+        ]
+        assert main(args) == 0
+        rows = list(csv.reader(io.StringIO(out_csv.read_text())))
+        assert len(rows) == 1 + 2 * 3
+        assert all(r[4:6] == ["0.000000", ""] for r in rows[1:])
+        assert capsys.readouterr().out == (
+            ",".join(SUMMARY_HEADER) + "\n20,3,,,,100.0000\n30,3,,,,100.0000\n"
+        )
+
     @pytest.mark.parametrize("budget", [2500, 3572])
     def test_exact_count_follows_the_order_flag(self, budget, tmp_path, capsys):
         # g45 here needs 2164 extension checks under its automatic order
@@ -514,36 +530,49 @@ class TestErrors:
             assert out_csv.read_text().startswith(",".join(CSV_HEADER) + "\n")
             assert "old" not in out_csv.read_text() + sidecar.read_text()
 
-    def test_out_that_is_the_graph_is_refused(self, tmp_path, capsys):
-        # by its own name or through a symlink: one error line, the graph's
-        # bytes kept, no output created
-        graph = tmp_path / "g.txt"
+    # each input the command reads: its flag, the name it is refused by,
+    # and the text it holds
+    INPUTS = [
+        ("--graph", "--graph file", BOWTIE_TXT),
+        ("--pattern-file", "--pattern-file", TRIANGLE_PATTERN),
+    ]
+
+    def experiment_argv(self, tmp_path, flag, given, out):
+        """An ``experiment`` that reads ``given`` through ``flag`` and writes ``out``."""
+        graph = tmp_path / "bowtie.txt"
         graph.write_text(BOWTIE_TXT)
+        if flag == "--graph":
+            inputs = ["--graph", str(given), "--pattern", "g33"]
+        else:
+            inputs = ["--graph", str(graph), "--pattern-file", str(given)]
+        return ["experiment", *inputs, "--walk-len", "20", "--layers", "10", "--out", str(out)]
+
+    @pytest.mark.parametrize("flag, name, text", INPUTS, ids=["graph", "pattern-file"])
+    def test_out_that_is_the_graph_is_refused(self, flag, name, text, tmp_path, capsys):
+        # by its own name or through a symlink: one error line, the input's
+        # bytes kept, no output created
+        given = tmp_path / "in.txt"
+        given.write_text(text)
         link = tmp_path / "link.txt"
-        link.symlink_to(graph)
-        for out in (graph, link):
-            code = main(
-                ["experiment", "--graph", str(graph), "--pattern", "g33",
-                 "--walk-len", "20", "--layers", "10", "--out", str(out)]
-            )
+        link.symlink_to(given)
+        for out in (given, link):
+            code = main(self.experiment_argv(tmp_path, flag, given, out))
             assert code == 2
             err = capsys.readouterr().err
-            assert err == f"error: {out} is the --graph file; give --out another path\n"
-            assert graph.read_text() == BOWTIE_TXT
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["g.txt", "link.txt"]
+            assert err == f"error: {out} is the {name}; give --out another path\n"
+            assert given.read_text() == text
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["bowtie.txt", "in.txt", "link.txt"]
 
-    def test_summary_that_is_the_graph_is_refused(self, tmp_path, capsys):
-        graph = tmp_path / "runs.summary.csv"
-        graph.write_text(BOWTIE_TXT)
-        code = main(
-            ["experiment", "--graph", str(graph), "--pattern", "g33",
-             "--walk-len", "20", "--layers", "10", "--out", str(tmp_path / "runs.csv")]
-        )
+    @pytest.mark.parametrize("flag, name, text", INPUTS, ids=["graph", "pattern-file"])
+    def test_summary_that_is_the_graph_is_refused(self, flag, name, text, tmp_path, capsys):
+        given = tmp_path / "runs.summary.csv"
+        given.write_text(text)
+        code = main(self.experiment_argv(tmp_path, flag, given, tmp_path / "runs.csv"))
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: {graph} is the --graph file; give --out another path\n"
-        assert graph.read_text() == BOWTIE_TXT
-        assert [f.name for f in tmp_path.iterdir()] == ["runs.summary.csv"]
+        assert err == f"error: {given} is the {name}; give --out another path\n"
+        assert given.read_text() == text
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["bowtie.txt", "runs.summary.csv"]
 
     def test_failed_sidecar_open_removes_the_created_runs_file(self, bowtie_file, tmp_path, capsys):
         out_csv = tmp_path / "runs.csv"
@@ -758,11 +787,9 @@ class TestDisconnectedWarning:
         spec = ExperimentSpec(
             repetitions=3, walk_lengths=(10, 20), layer_sizes=(15,), base_seed=5
         )
-        records, _ = run_experiment(spec, load_edge_list_path(path), p, seg)
+        rows, _ = run_experiment(spec, load_edge_list_path(path), p, seg, 2.0)
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            [CSV_HEADER] + [r.row() for r in records]
-        )
+        csv.writer(buf, lineterminator="\n").writerows([CSV_HEADER] + rows)
         assert out_csv.read_text() == buf.getvalue()
 
     def test_edgecount_warns_once_and_keeps_stdout(self, tmp_path, capsys):

@@ -486,6 +486,23 @@ class TestRecommendations:
         assert a[4] == b[4]
         assert b[3] > a[3]
 
+    @pytest.mark.parametrize(
+        "c, k, want",
+        [
+            (0, 3, {3: 16568432}),
+            (0, 8, {3: 76300448, 4: 508669649, 5: 3391130988, 6: 22607539915,
+                    7: 150716932763, 8: 218185107428}),
+            (1, 3, {3: 8284215798}),
+            (1, 8, {3: 38150223606, 4: 508669648074, 5: 6782261974312,
+                    6: 90430159657488, 7: 1205735462099838, 8: 3490961718833514}),
+        ],
+    )
+    def test_pinned_sizes(self, c, k, want):
+        # the middle and final bounds, to the last unit of the rounded size
+        assert recommend_sample_sizes(
+            1000, 5000, 4, c, k, eps=0.4, t_guess=100, fmax_guess=2
+        ) == want
+
 
 class TestNiceness:
     def test_zero_copy_graph_is_trivially_nice(self, c5):

@@ -167,16 +167,16 @@ def weight_and_children(
     lookups: Sequence[dict[int, None]],
     verts: Sequence[int],
     slack: int,
-    rule: Rule | None,
+    rule: Rule,
 ) -> tuple[int, list[int]]:
     """A copy's sampling weight and, sorted, every u for which :func:`is_child` holds.
 
     ``adj``, ``lookups`` and ``verts`` are as for :func:`representative_hood`,
     whose length the weight is, without building that neighborhood;
-    ``rule`` is :func:`parent_rule` of ``verts``, and None, for a tuple
-    that is no copy, gives no children.  At slack 0 the weight is the
-    length of the representative's list, and the children are that list
-    cut below the threshold, intersected with every member's neighbor set.
+    ``rule`` is :func:`parent_rule` of ``verts``, so ``verts`` must be a
+    copy.  At slack 0 the weight is the length of the representative's
+    list, and the children are that list cut below the threshold,
+    intersected with every member's neighbor set.
     At slack 1 one pass over the member pairs takes each pair's common
     neighbors, and the weight is the least union size by
     inclusion-exclusion.  If the level does not grow, the children are the
@@ -193,8 +193,6 @@ def weight_and_children(
             hood = adj[b] if len(adj[b]) < len(adj[a]) else adj[a]
         else:
             hood = min(map(adj.__getitem__, verts), key=len)
-        if rule is None:
-            return len(hood), []
         found = set(hood[: bisect_left(hood, rule[0])])
         for v in verts:
             found = lookups[v].keys() & found
@@ -206,8 +204,6 @@ def weight_and_children(
         size = len(adj[a]) + len(adj[b]) - len(both)
         if weight < 0 or size < weight:
             weight = size
-    if rule is None:
-        return weight, []
     threshold, covered, grows = rule
     if not grows:
         found = common[verts[0], verts[1]]

@@ -140,37 +140,33 @@ def degeneracy(g: Graph) -> int:
     Trees give 1, cycles 2, the complete graph on n vertices n-1.  The
     value upper-bounds arboricity, so it is the plug-in for alpha when
     sizing layers and the true arboricity is out of reach.  Peels in
-    linear time by bin sort (Matula and Beck 1983; Batagelj and Zaversnik
-    2003): ``order`` lists the vertices by current degree, ``start[d]`` is
-    where degree d begins in it, and a neighbor whose degree drops swaps
-    to the front of its bin, which then starts one place later.
+    linear time from a lazy bucket queue (Matula and Beck 1983; Batagelj
+    and Zaversnik 2003): a vertex is filed under its degree, and again one
+    bucket lower each time a peeled neighbor lowers it; an entry whose
+    degree is gone, or -1 once peeled, is skipped.  No degree falls by more
+    than one per peel, so the scan then steps back one bucket.
     """
     adj = g.raw_adjacency()
     deg = [len(nbrs) for nbrs in adj]
-    order = sorted(range(len(adj)), key=deg.__getitem__)
-    pos = [0] * len(adj)
-    for i, v in enumerate(order):
-        pos[v] = i
-    start = [0] * (max(deg, default=0) + 2)
-    for d in deg:
-        start[d + 1] += 1
-    for d in range(1, len(start)):
-        start[d] += start[d - 1]
-    value = 0
-    for v in order:  # swaps below touch only bins above d, later in the list
-        d = deg[v]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, dv in enumerate(deg):
+        buckets[dv].append(v)
+    value = d = 0
+    for _ in adj:  # each round peels one vertex of least remaining degree
+        while True:
+            bucket = buckets[d]
+            if not bucket:
+                d += 1
+            elif deg[v := bucket.pop()] == d:
+                break
         if d > value:
             value = d
+        deg[v] = -1
         for w in adj[v]:
             dw = deg[w]
-            if dw > d:
-                # w moves to the front of bin dw, swapping with the vertex there
-                front = start[dw]
-                u = order[front]
-                if u != w:
-                    i = pos[w]
-                    order[front], order[i] = w, u
-                    pos[w], pos[u] = front, i
-                start[dw] = front + 1
+            if dw > 0:
                 deg[w] = dw - 1
+                buckets[dw - 1].append(w)
+        if d:
+            d -= 1
     return value

@@ -19,6 +19,7 @@ clique minus a matching.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 
@@ -161,23 +162,13 @@ def auto_segment(pattern: Pattern) -> Segmentation:
     return Segmentation(pattern, order)
 
 
-_BUILTINS: dict[str, tuple[int, int, tuple[tuple[int, int], ...], tuple[int, ...]]] = {
-    # name: (size, slack, edges, order)
-    "g33": (3, 0, ((0, 1), (0, 2), (1, 2)), (0, 1, 2)),
-    "g45": (4, 1, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), (0, 1, 2, 3)),
-    "g46": (4, 0, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (0, 1, 2, 3)),
-    "g59": (
-        5,
-        1,
-        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)),
-        (0, 1, 2, 3, 4),
-    ),
-    "g510": (
-        5,
-        0,
-        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
-        (0, 1, 2, 3, 4),
-    ),
+_BUILTINS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
+    # name: (size, pairs the clique misses)
+    "g33": (3, ()),
+    "g45": (4, ((2, 3),)),
+    "g46": (4, ()),
+    "g59": (5, ((3, 4),)),
+    "g510": (5, ()),
 }
 
 
@@ -185,15 +176,18 @@ def builtin_pattern(name: str) -> tuple[Pattern, Segmentation]:
     """Named library of small clique and near-clique patterns.
 
     g33: triangle.  g46: 4-clique.  g45: 4-clique minus an edge.
-    g510: 5-clique.  g59: 5-clique minus an edge.
+    g510: 5-clique.  g59: 5-clique minus an edge.  Each is K_k minus the
+    listed pairs, declares slack 1 exactly when it misses one, and comes
+    with the order :func:`auto_segment` picks.
     """
     try:
-        size, slack, edges, order = _BUILTINS[name]
+        size, missing = _BUILTINS[name]
     except KeyError:
         valid = ", ".join(sorted(_BUILTINS))
         raise ValueError(f"unknown pattern {name!r}; valid names: {valid}") from None
-    p = Pattern(size, edges, slack=slack)
-    return p, Segmentation(p, order)
+    edges = [e for e in combinations(range(size), 2) if e not in missing]
+    p = Pattern(size, edges, slack=1 if missing else 0)
+    return p, auto_segment(p)
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -9,6 +9,7 @@ import pytest
 
 from crawlcount import (
     EstimateConfig,
+    Graph,
     Pattern,
     QueryLedger,
     Segmentation,
@@ -695,6 +696,16 @@ class TestErrors:
             ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=-2)
         with pytest.raises(ValueError, match="exact total must be at least 0"):
             ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=float("nan"))
+
+    def test_spec_needs_a_walk_length(self):
+        with pytest.raises(ValueError, match="at least one walk length"):
+            ExperimentSpec(walk_lengths=())
+
+    def test_unsized_spec_is_not_run(self):
+        p, seg = builtin_pattern("g33")
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError, match="explicit layer sizes"):
+            run_experiment(ExperimentSpec(walk_lengths=(10,)), g, p, seg, None)
 
     def test_budget_below_one_is_refused_with_a_known_total(self):
         ExperimentSpec(walk_lengths=(10,), layer_sizes=(5,), exact_total=2, budget=1)

@@ -118,6 +118,8 @@ class TestScalingConstant:
             scaling_constant(4, 6, 3, [2], [4])
         with pytest.raises(ValueError, match="zero"):
             scaling_constant(3, 6, 3, [], [0])
+        with pytest.raises(ValueError, match="layer sizes must be positive"):
+            scaling_constant(4, 6, 3, [0], [4, 5])
 
 
 class TestConfigValidation:
@@ -449,6 +451,12 @@ class TestRecommendations:
             recommend_sample_sizes(100, 300, 3, 0, 4, eps=0.5, t_guess=0, fmax_guess=1)
         with pytest.raises(ValueError):
             recommend_sample_sizes(100, 300, 0, 0, 4, eps=0.5, t_guess=10, fmax_guess=1)
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            recommend_sample_sizes(1, 300, 3, 0, 4, eps=0.5, t_guess=10, fmax_guess=1)
+        with pytest.raises(ValueError, match="pattern size must be at least 3"):
+            recommend_sample_sizes(100, 300, 3, 0, 2, eps=0.5, t_guess=10, fmax_guess=1)
+        with pytest.raises(ValueError, match="slack must be nonnegative"):
+            recommend_sample_sizes(100, 300, 3, -1, 4, eps=0.5, t_guess=10, fmax_guess=1)
 
     @pytest.mark.parametrize(
         "t_guess, fmax_guess, what",

@@ -41,6 +41,10 @@ class TestGraphStore:
         assert g.raw_adjacency()[0] == (1,)
         assert g.raw_adjacency()[1] == (0, 2)
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="vertex_count must be positive"):
+            Graph(0, [])
+
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
@@ -160,6 +164,8 @@ class TestLoader:
     def test_edgeless_input_rejected(self):
         with pytest.raises(EdgeListParseError):
             load_edge_list(io.StringIO("# n=4\n"))
+        with pytest.raises(EdgeListParseError, match="edge list declares no vertices"):
+            load_edge_list(io.StringIO(""))
 
     def test_sparse_id_space_refused_before_allocating(self):
         # one edge claims 10**8 ids, which a Graph would need tens of GB for

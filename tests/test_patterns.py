@@ -34,6 +34,10 @@ class TestPattern:
         with pytest.raises(ValueError):
             Pattern(3, [(0, 0), (0, 1), (1, 2)])
 
+    def test_edge_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"pattern edge \(1, 3\) out of range"):
+            Pattern(3, [(0, 1), (1, 3)])
+
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
             Pattern(3, [(0, 1), (1, 2), (0, 2)], slack=-1)
@@ -48,20 +52,22 @@ class TestBuiltins:
         assert builtin_names() == ("g33", "g45", "g46", "g510", "g59")
 
     @pytest.mark.parametrize(
-        "name,size,edges,slack",
+        "name,size,edges,slack,missing,order",
         [
-            ("g33", 3, 3, 0),
-            ("g45", 4, 5, 1),
-            ("g46", 4, 6, 0),
-            ("g59", 5, 9, 1),
-            ("g510", 5, 10, 0),
+            pytest.param("g33", 3, 3, 0, (), (0, 1, 2), id="g33-3-3-0"),
+            pytest.param("g45", 4, 5, 1, ((2, 3),), (0, 1, 2, 3), id="g45-4-5-1"),
+            pytest.param("g46", 4, 6, 0, (), (0, 1, 2, 3), id="g46-4-6-0"),
+            pytest.param("g59", 5, 9, 1, ((3, 4),), (0, 1, 2, 3, 4), id="g59-5-9-1"),
+            pytest.param("g510", 5, 10, 0, (), (0, 1, 2, 3, 4), id="g510-5-10-0"),
         ],
     )
-    def test_shapes(self, name, size, edges, slack):
+    def test_shapes(self, name, size, edges, slack, missing, order):
         p, seg = builtin_pattern(name)
         assert p.size == size
         assert len(p.edges) == edges
         assert p.slack == slack
+        assert set(combinations(range(size), 2)) - p.edges == set(missing)
+        assert seg.order == order
         require_feasible(p, seg)
         assert seg.min_slack == slack
 
@@ -117,6 +123,12 @@ class TestSegmentation:
                 )
                 for i, bits in rows.items():
                     assert seg.missing[i] == i * (i - 1) // 2 - sum(b.bit_count() for b in bits) // 2
+
+    def test_order_of_another_pattern_refused(self):
+        g45, _ = builtin_pattern("g45")
+        _, seg = builtin_pattern("g46")
+        with pytest.raises(ValueError, match="different pattern"):
+            require_feasible(g45, seg)
 
 
 class TestAutoSegment:
@@ -332,6 +344,12 @@ class TestParsePattern:
     def test_bad_header(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_pattern(io.StringIO("three zero\n0 1\n"))
+        with pytest.raises(ValueError, match="line 1"):
+            parse_pattern(io.StringIO("3\n0 1\n1 2\n0 2\n"))
+
+    def test_bad_edge_line(self):
+        with pytest.raises(ValueError, match="bad edge line '0 1 2'"):
+            parse_pattern(io.StringIO("3 0\n0 1 2\n1 2\n0 2\n"))
 
     def test_empty_file(self):
         with pytest.raises(ValueError, match="empty"):

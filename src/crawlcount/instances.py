@@ -188,11 +188,7 @@ def weight_and_children(
     disjoint.  Each intersection reads the smaller side only.
     """
     if slack == 0:
-        if len(verts) == 2:  # without min(): at g33 every copy is a pair
-            a, b = verts
-            hood = adj[b] if len(adj[b]) < len(adj[a]) else adj[a]
-        else:
-            hood = min(map(adj.__getitem__, verts), key=len)
+        hood = min(map(adj.__getitem__, verts), key=len)
         found = set(hood[: bisect_left(hood, rule[0])])
         for v in verts:
             found = lookups[v].keys() & found

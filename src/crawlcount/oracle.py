@@ -6,8 +6,8 @@ stands in for the arboricity when layers are sized.  Copies are found by
 the sampler's own rule: level 2 is the edge set, and the children of a
 level-i copy are its accepted extensions.  Each copy is reached exactly
 once, from its assigned parent, so the work is one
-:func:`~crawlcount.instances.parent_rule` per copy plus set algebra over
-its members' neighbor sets
+:func:`~crawlcount.instances.parent_rule` per copy above the edges plus
+set algebra over its members' neighbor sets
 (:func:`~crawlcount.instances.weight_and_children`): if the level does not
 grow, the children are the common neighbors of all members; if it grows,
 each member w outside the missing pairs adds the common neighbors of the
@@ -19,6 +19,18 @@ would store for it (at slack 1 by inclusion-exclusion over the pair's
 common neighbors): the sum of seg-degrees over every level below the full
 pattern.  Completeness needs a feasible order at slack at most 1, so
 patterns that fail :func:`require_feasible` are rejected here as well.
+
+Level 2 takes no :func:`~crawlcount.instances.parent_rule`: an edge
+u < v misses no pair, so its rule is fixed by the order.  If level 3
+grows, every edge goes through the set algebra above under the rule
+(n, {}, True).  If it does not, the edge loop works in place: the
+children are the common neighbors below u, and the weight is
+min(deg u, deg v) at slack 0, deg u + deg v minus the number of common
+neighbors at slack 1.  At slack 0 the common neighbors are not counted,
+so u's lower neighbors are put in a set once per u and intersected with
+each neighbor's set.  An edge adds its weight before its children are
+tallied, as every copy does, so the budget trips at the same copy as it
+would through the helpers.
 
 Copies are sorted vertex tuples, as on the crawl side, and are tallied
 depth first, edge by edge, children in sorted order: each returns its
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .graph import Graph
 from .instances import parent_rule, weight_and_children
@@ -44,6 +57,14 @@ class EnumerationBudgetError(RuntimeError):
 
 
 DEFAULT_BUDGET = 100_000_000
+
+
+def _over_budget(budget: int) -> NoReturn:
+    """Raise the error for extension checks that passed ``budget``."""
+    raise EnumerationBudgetError(
+        f"enumeration exceeded {budget} extension checks; "
+        "use a smaller graph or raise the budget"
+    )
 
 
 def exact_count(
@@ -80,31 +101,27 @@ def count_profile(
     """Tally every copy's chain count depth first.
 
     A full-size copy's chain count is 1, a lower copy's the sum over its
-    children.  Tables hold counts above 0 only.  Raises as soon as the
-    extension checks pass ``budget``.
+    children.  Tables hold counts above 0 only.  The edges take their rule
+    from the order in the edge loop itself (see the module docstring); only
+    level-3 copies and above go through ``grow``.  Every copy, edge or
+    not, adds its weight before its children are visited, so the tables
+    keep their order and the extension checks reach ``budget`` at the same
+    copy.  Raises as soon as they pass it.
     """
     require_feasible(pattern, seg)
     adj = g.raw_adjacency()
     lookups = g.raw_neighbor_lookups()
     slack = pattern.slack
     k = pattern.size
+    pair_grows = seg.missing[3] > 0
     counts = dict.fromkeys(range(2, k + 1), 0)
     f_tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     leaves = f_tables[k]
     checks = 0
 
-    def grow(verts: tuple[int, ...]) -> int:
-        nonlocal checks
-        level = len(verts)
-        counts[level] += 1
-        weight, new = weight_and_children(adj, lookups, verts, slack, parent_rule(lookups, verts, seg))
-        checks += weight
-        if checks > budget:
-            raise EnumerationBudgetError(
-                f"enumeration exceeded {budget} extension checks; "
-                "use a smaller graph or raise the budget"
-            )
-        if level + 1 == k:
+    def tally(verts: tuple[int, ...], new: list[int]) -> int:
+        """Tally the children ``new`` of the copy ``verts``; return its chain count."""
+        if len(verts) + 1 == k:
             counts[k] += len(new)
             for u in new:
                 leaves[tuple(sorted(verts + (u,)))] = 1
@@ -114,13 +131,44 @@ def count_profile(
             for u in new:
                 chains += grow(tuple(sorted(verts + (u,))))
         if chains:
-            f_tables[level][verts] = chains
+            f_tables[len(verts)][verts] = chains
         return chains
 
+    def grow(verts: tuple[int, ...]) -> int:
+        nonlocal checks
+        counts[len(verts)] += 1
+        weight, new = weight_and_children(adj, lookups, verts, slack, parent_rule(lookups, verts, seg))
+        checks += weight
+        if checks > budget:
+            _over_budget(budget)
+        return tally(verts, new)
+
+    # Level 2, the edge set: an edge misses no pair, so its rule is fixed by
+    # the order, (u, {}, False) or, if level 3 grows, (n, {}, True).
+    pair_rule = (len(adj), frozenset(), True)
     for u, nbrs in enumerate(adj):
-        for v in nbrs[bisect_right(nbrs, u) :]:
-            grow((u, v))
-    del grow  # grow's closure refers to grow: free it now, not at a collection
+        upper = bisect_right(nbrs, u)
+        counts[2] += len(nbrs) - upper
+        mine = lookups[u].keys()
+        if slack == 0:  # the weight needs no common neighbors: cut u's set once
+            lower = set(nbrs[:upper])
+        for v in nbrs[upper:]:
+            theirs = lookups[v]
+            if slack == 0:
+                weight = min(len(nbrs), len(theirs))
+                new = sorted(theirs.keys() & lower)
+            elif pair_grows:
+                weight, new = weight_and_children(adj, lookups, (u, v), 1, pair_rule)
+            else:
+                both = mine & theirs.keys()
+                weight = len(nbrs) + len(theirs) - len(both)
+                new = sorted(filter(u.__gt__, both))
+            checks += weight
+            if checks > budget:
+                _over_budget(budget)
+            if new:
+                tally((u, v), new)
+    del grow  # grow and tally refer to each other: free them now, not at a collection
     total = counts[k]
     for i in range(2, k + 1):
         assert sum(f_tables[i].values()) == total, "chain tallies must sum to total"

@@ -101,7 +101,7 @@ def test_tally_by_set_algebra_matches_is_child(name, p, seg):
     # the tables must match entry for entry and in insertion order, since
     # children are visited in sorted order on both sides
     found = 0
-    for g in (util.er_graph(12, 0.7, 2), util.er_graph(16, 0.8, 4)):
+    for g in (util.er_graph(12, 0.7, 2), util.er_graph(16, 0.8, 4), util.hk_graph(60, 4, 0.7, 3)):
         prof = count_profile(g, p, seg)
         want_counts, want_tables, _ = util.reference_tally(g, p, seg, p.size)
         assert prof.per_level_counts == want_counts
@@ -112,10 +112,7 @@ def test_tally_by_set_algebra_matches_is_child(name, p, seg):
     assert found > 0
 
 
-SLACK_ONE = [t for t in ACCEPTED if t[1].slack == 1]
-
-
-@pytest.mark.parametrize("name,p,seg", SLACK_ONE, ids=[t[0] for t in SLACK_ONE])
+@pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_budget_trips_at_the_reference_hood_sum(name, p, seg):
     # --budget bounds the sum of representative neighborhood sizes over
     # every copy below the top: that sum passes and one less raises

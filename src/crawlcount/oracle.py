@@ -35,10 +35,13 @@ would through the helpers.
 Copies are sorted vertex tuples, as on the crawl side, and are tallied
 depth first, edge by edge, children in sorted order: each returns its
 chain count, the number of full-size copies whose assignment chain
-passes through it, and only counts above 0 are kept.  A copy one level
-below the full pattern counts its children in place.  No level is listed
-whole; beyond those tables a count holds one path of at most seven
-copies and their children.
+passes through it, to its parent.  Chain counts are passed up the
+recursion and never stored; each level keeps only its copy count and its
+largest chain count.  A copy one level below the full pattern counts its
+children in place.  No level is listed whole and no copy is kept: a
+count holds one path of at most seven copies and their children.  The
+per-copy chain tables the analysis reasons about come from the test
+suite's independent reference tally (``util.reference_tally``).
 """
 
 from __future__ import annotations
@@ -81,16 +84,15 @@ def exact_count(
 
 @dataclass
 class CountProfile:
-    """Exact copy counts and assignment-chain tallies per level.
+    """Exact copy counts and the largest assignment-chain count per level.
 
-    ``f_tables[i]`` maps a level-i vertex tuple to the number of full-size
-    copies whose assignment chain passes through it; each table sums to the
-    total, because every copy owns exactly one chain.
+    ``f_max_per_level[i]`` is the most full-size copies whose assignment
+    chains pass through one level-i copy; at the top level it is 1 when
+    the total is above 0.  No copy's own chain count is kept.
     """
 
     total: int
     per_level_counts: dict[int, int]
-    f_tables: dict[int, dict[tuple[int, ...], int]]
     f_max_per_level: dict[int, int]
     f_max: int
 
@@ -101,12 +103,13 @@ def count_profile(
     """Tally every copy's chain count depth first.
 
     A full-size copy's chain count is 1, a lower copy's the sum over its
-    children.  Tables hold counts above 0 only.  The edges take their rule
-    from the order in the edge loop itself (see the module docstring); only
+    children; each count goes up to the parent and into its level's
+    running maximum, and is then dropped.  The edges take their rule from
+    the order in the edge loop itself (see the module docstring); only
     level-3 copies and above go through ``grow``.  Every copy, edge or
-    not, adds its weight before its children are visited, so the tables
-    keep their order and the extension checks reach ``budget`` at the same
-    copy.  Raises as soon as they pass it.
+    not, adds its weight before its children are visited, so the
+    extension checks reach ``budget`` at the same copy.  Raises as soon as
+    they pass it.
     """
     require_feasible(pattern, seg)
     adj = g.raw_adjacency()
@@ -115,23 +118,20 @@ def count_profile(
     k = pattern.size
     pair_grows = seg.missing[3] > 0
     counts = dict.fromkeys(range(2, k + 1), 0)
-    f_tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
-    leaves = f_tables[k]
+    f_max = dict.fromkeys(counts, 0)
     checks = 0
 
     def tally(verts: tuple[int, ...], new: list[int]) -> int:
         """Tally the children ``new`` of the copy ``verts``; return its chain count."""
         if len(verts) + 1 == k:
             counts[k] += len(new)
-            for u in new:
-                leaves[tuple(sorted(verts + (u,)))] = 1
             chains = len(new)
         else:
             chains = 0
             for u in new:
                 chains += grow(tuple(sorted(verts + (u,))))
-        if chains:
-            f_tables[len(verts)][verts] = chains
+        if chains > f_max[len(verts)]:
+            f_max[len(verts)] = chains
         return chains
 
     def grow(verts: tuple[int, ...]) -> int:
@@ -169,16 +169,9 @@ def count_profile(
             if new:
                 tally((u, v), new)
     del grow  # grow and tally refer to each other: free them now, not at a collection
-    total = counts[k]
-    for i in range(2, k + 1):
-        assert sum(f_tables[i].values()) == total, "chain tallies must sum to total"
-    f_max_per_level = {i: max(f_tables[i].values(), default=0) for i in counts}
+    f_max[k] = min(counts[k], 1)  # a full-size copy's chain count is 1
     return CountProfile(
-        total=total,
-        per_level_counts=counts,
-        f_tables=f_tables,
-        f_max_per_level=f_max_per_level,
-        f_max=max(f_max_per_level.values()),
+        total=counts[k], per_level_counts=counts, f_max_per_level=f_max, f_max=max(f_max.values())
     )
 
 

@@ -6,8 +6,9 @@ records what a change that claims identical outputs must leave alone:
 - per estimation run: the estimate (repr), successes, oracle calls, a hash
   of the sorted queried-vertex set, ``edges_observed`` (repr) and each
   layer's (level, size, total_degree, trials), or the error it raised;
-- per exact count: the total, the per-level copy counts and a hash of each
-  level's chain-count table;
+- per exact count: the total and the per-level copy counts of
+  ``count_profile``, and a hash of each level's chain-count table from the
+  reference tally (``util.reference_tally``);
 - per CLI command: the exit code and hashes of stdout, stderr and any CSV
   it wrote.
 
@@ -98,10 +99,11 @@ def _run(g, p, seg, mode: str, seed: int, walk: int) -> dict:
 
 def _profile(g, p, seg) -> dict:
     prof = count_profile(g, p, seg)
+    tables = util.reference_tally(g, p, seg, p.size)[1]
     return {
         "total": prof.total,
         "counts": [prof.per_level_counts[i] for i in sorted(prof.per_level_counts)],
-        "f_tables": [_digest(repr(sorted(prof.f_tables[i].items()))) for i in sorted(prof.f_tables)],
+        "f_tables": [_digest(repr(sorted(tables[i].items()))) for i in sorted(tables)],
     }
 
 

@@ -77,12 +77,15 @@ def test_c02_chain_tallies_sum_to_total_exactly():
         for name in builtin_names():
             p, seg = builtin_pattern(name)
             prof = count_profile(g, p, seg)
-            t = exact_count(g, p)
-            if prof.total != t or sum(prof.f_tables[2].values()) != t:
+            # the tables come from the reference, which shares no tally
+            # code with count_profile: a copy the tally reaches from two
+            # parents, or a child it drops, moves a level's count or T
+            counts, tables, _ = util.reference_tally(g, p, seg, p.size)
+            if counts != prof.per_level_counts:
                 ok = False
-                bad = (i, name, prof.total, t)
+                bad = (i, name, counts, prof.per_level_counts)
             for lvl in range(2, p.size + 1):
-                if sum(prof.f_tables[lvl].values()) != t:
+                if sum(tables[lvl].values()) != prof.total:
                     ok = False
                     bad = (i, name, lvl)
             checked += 1
@@ -151,12 +154,12 @@ def test_c04_arboricity_bound_never_violated(corpus):
 
 def test_c05_frozen_layer_expectation(bowtie):
     p, seg = builtin_pattern("g33")
-    prof = count_profile(bowtie, p, seg)
+    f2 = util.reference_tally(bowtie, p, seg, p.size)[1][2]
     cfg = EstimateConfig(
         layer_sizes=[60], walk=WalkConfig(length=30, burn_in=40), seed=0
     )
     layer = estimate_count(bowtie, p, seg, cfg).layers[-1]
-    f_frozen = sum(prof.f_tables[2].get(m, 0) for m in layer.members)
+    f_frozen = sum(f2.get(m, 0) for m in layer.members)
     expected = 60 * f_frozen / layer.total_degree
     reruns = 10_000
     ys = []

@@ -226,16 +226,16 @@ class TestUnbiasednessStructure:
         """E[(m / r) * f2(walk)] equals T up to mixing error, computed in
         exact rational arithmetic over transition-matrix powers."""
         p, seg = builtin_pattern("g33")
-        prof = count_profile(bowtie, p, seg)
-        exact = util.exact_walk_expectation(bowtie, prof.f_tables[2], burn_in=40, length=30)
-        assert abs(float(exact) - prof.total) < 1e-12
+        f2 = util.reference_tally(bowtie, p, seg, p.size)[1][2]
+        exact = util.exact_walk_expectation(bowtie, f2, burn_in=40, length=30)
+        assert abs(float(exact) - count_profile(bowtie, p, seg).total) < 1e-12
 
     def test_walk_layer_expectation_on_richer_graph(self):
         g = util.bowtie_plus()
         p, seg = builtin_pattern("g45")
-        prof = count_profile(g, p, seg)
-        exact = util.exact_walk_expectation(g, prof.f_tables[2], burn_in=60, length=25)
-        assert abs(float(exact) - prof.total) < 1e-10
+        f2 = util.reference_tally(g, p, seg, p.size)[1][2]
+        exact = util.exact_walk_expectation(g, f2, burn_in=60, length=25)
+        assert abs(float(exact) - count_profile(g, p, seg).total) < 1e-10
 
 
 class TestBuildLayers:
@@ -515,17 +515,15 @@ class TestRecommendations:
 class TestNiceness:
     def test_zero_copy_graph_is_trivially_nice(self, c5):
         p, seg = builtin_pattern("g33")
-        prof = count_profile(c5, p, seg)
         cfg = EstimateConfig(layer_sizes=[30], walk=WalkConfig(length=25, burn_in=25), seed=1)
         layers = estimate_count(c5, p, seg, cfg).layers
-        report = truth.niceness_report(c5, p, seg, layers, prof, eps=0.5)
+        report = truth.niceness_report(c5, p, seg, layers, eps=0.5)
         assert len(report) == 1
         assert report[0].level == 2
         assert report[0].nice
 
     def test_bowtie_walk_layer_usually_nice(self, bowtie):
         p, seg = builtin_pattern("g33")
-        prof = count_profile(bowtie, p, seg)
         nice = 0
         runs = 300
         for seed in range(runs):
@@ -533,28 +531,26 @@ class TestNiceness:
                 layer_sizes=[10], walk=WalkConfig(length=40, burn_in=30), seed=seed
             )
             layers = estimate_count(bowtie, p, seg, cfg).layers
-            rep = truth.niceness_report(bowtie, p, seg, layers, prof, eps=0.5)
+            rep = truth.niceness_report(bowtie, p, seg, layers, eps=0.5)
             if all(r.nice for r in rep):
                 nice += 1
         assert nice >= 0.9 * runs
 
     def test_eps_validation(self, bowtie):
         p, seg = builtin_pattern("g33")
-        prof = count_profile(bowtie, p, seg)
         cfg = EstimateConfig(layer_sizes=[10], walk=WalkConfig(length=10, burn_in=10), seed=0)
         layers = estimate_count(bowtie, p, seg, cfg).layers
         with pytest.raises(ValueError):
-            truth.niceness_report(bowtie, p, seg, layers, prof, eps=1.5)
+            truth.niceness_report(bowtie, p, seg, layers, eps=1.5)
 
     def test_range_bounds_use_realized_factor(self, k5):
         p, seg = builtin_pattern("g46")
-        prof = count_profile(k5, p, seg)
         cfg = EstimateConfig(
             layer_sizes=[40, 40], walk=WalkConfig(length=30, burn_in=30), seed=2
         )
         layers = estimate_count(k5, p, seg, cfg).layers
-        rep = truth.niceness_report(k5, p, seg, layers, prof, eps=0.5)
+        rep = truth.niceness_report(k5, p, seg, layers, eps=0.5)
         assert [r.level for r in rep] == [2, 3]
         lvl2 = rep[0]
-        want = (1 - 0.5) ** 2 * (30 / 10) * prof.total
+        want = (1 - 0.5) ** 2 * (30 / 10) * count_profile(k5, p, seg).total
         assert math.isclose(lvl2.range_low, want)

@@ -61,15 +61,15 @@ class TestEnumeration:
     def test_level_two_is_edge_set(self, corpus):
         p, seg = builtin_pattern("g33")
         for name, g in corpus:
-            prof = count_profile(g, p, seg)
-            assert prof.per_level_counts[2] == g.edge_count, name
-            assert set(prof.f_tables[2]) <= set(util.edges(g)), name
+            assert count_profile(g, p, seg).per_level_counts[2] == g.edge_count, name
+            tables = util.reference_tally(g, p, seg, p.size)[1]
+            assert set(tables[2]) <= set(util.edges(g)), name
 
     def test_sorted_and_unique(self, corpus):
         # a table's keys are unique; each must be a sorted tuple of distinct vertices
         p, seg = builtin_pattern("g33")
         for name, g in corpus:
-            for lvl, table in count_profile(g, p, seg).f_tables.items():
+            for lvl, table in util.reference_tally(g, p, seg, p.size)[1].items():
                 assert all(v == tuple(sorted(set(v))) and len(v) == lvl for v in table), name
 
     def test_triangle_counts_match_networkx(self, corpus):
@@ -83,9 +83,10 @@ class TestEnumeration:
     def test_matches_naive_subset_scan(self, seed, n):
         g = util.er_graph(n, 0.4, seed)
         p, seg = builtin_pattern("g33")
-        got = count_profile(g, p, seg).f_tables[3]
+        got = util.reference_tally(g, p, seg, p.size)[1][3]
         assert sorted(got) == util.naive_copies(g, TRIANGLE_M)
         assert set(got.values()) <= {1}
+        assert count_profile(g, p, seg).total == len(got)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -93,21 +94,23 @@ class TestEnumeration:
         g = util.er_graph(10, 0.45, seed)
         p, seg = builtin_pattern("g45")
         tgt = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
-        got = count_profile(g, p, seg).f_tables[4]
+        got = util.reference_tally(g, p, seg, p.size)[1][4]
         assert sorted(got) == util.naive_copies(g, tgt)
         assert set(got.values()) <= {1}
+        assert count_profile(g, p, seg).total == len(got)
 
     @pytest.mark.parametrize("name,p,seg", PATTERNS, ids=[t[0] for t in PATTERNS])
     def test_every_level_matches_naive_subset_scan(self, name, p, seg):
         for seed in range(4):
             g = util.er_graph(9, 0.55, seed)
             prof = count_profile(g, p, seg)
+            tables = util.reference_tally(g, p, seg, p.size)[1]
             for lvl in range(2, p.size + 1):
                 want = util.naive_copies(g, util.level_matrix(seg, lvl))
                 # below the top, a table keeps only copies that some full copy extends
-                assert set(prof.f_tables[lvl]) <= set(want), (seed, lvl)
+                assert set(tables[lvl]) <= set(want), (seed, lvl)
                 assert prof.per_level_counts[lvl] == len(want), (seed, lvl)
-            assert sorted(prof.f_tables[p.size]) == want, seed
+            assert sorted(tables[p.size]) == want, seed
             assert exact_count(g, p) == len(want), seed
 
     def test_underdeclared_slack_rejected(self, bowtie_plus):
@@ -139,53 +142,61 @@ class TestEnumeration:
 class TestCountProfile:
     @pytest.mark.parametrize("name,p,seg", PATTERNS, ids=[t[0] for t in PATTERNS])
     def test_f_tables_match_assign_chain_walk(self, corpus, name, p, seg):
+        # the reference's chain tables against the naive assignment walk,
+        # and the tally's per-level maxima against those tables
         for gname, g in corpus[:14]:
-            prof = count_profile(g, p, seg)
-            assert prof.f_tables == util.chain_walk_tables(g, seg), gname
+            tables = util.chain_walk_tables(g, seg)
+            assert util.reference_tally(g, p, seg, p.size)[1] == tables, gname
+            want = {i: max(t.values(), default=0) for i, t in tables.items()}
+            assert count_profile(g, p, seg).f_max_per_level == want, gname
 
     def test_chain_tallies_sum_to_total(self, corpus):
         for name, g in corpus[:12]:
             for pat in ("g33", "g45", "g46"):
                 p, seg = builtin_pattern(pat)
-                prof = count_profile(g, p, seg)
-                for i in range(2, p.size + 1):
-                    assert sum(prof.f_tables[i].values()) == prof.total
+                total = count_profile(g, p, seg).total
+                for table in util.reference_tally(g, p, seg, p.size)[1].values():
+                    assert sum(table.values()) == total
 
     def test_bowtie_profile(self, bowtie):
         p, seg = builtin_pattern("g33")
         prof = count_profile(bowtie, p, seg)
         assert prof.total == 2
         assert prof.per_level_counts == {2: 6, 3: 2}
-        assert prof.f_tables[2] == {(1, 2): 1, (3, 4): 1}
+        assert prof.f_max_per_level == {2: 1, 3: 1}
         assert prof.f_max == 1
+        assert util.reference_tally(bowtie, p, seg, 3)[1][2] == {(1, 2): 1, (3, 4): 1}
 
     def test_k5_top_table_is_all_ones(self, k5):
         p, seg = builtin_pattern("g46")
         prof = count_profile(k5, p, seg)
         assert prof.total == 5
-        assert all(v == 1 for v in prof.f_tables[4].values())
-        assert sum(prof.f_tables[2].values()) == 5
         assert prof.f_max_per_level[4] == 1
+        tables = util.reference_tally(k5, p, seg, 4)[1]
+        assert all(v == 1 for v in tables[4].values())
+        assert sum(tables[2].values()) == 5
 
     def test_memory_stays_flat_without_copies(self):
-        # K_{40,40}: 1600 edges, 64000 extension checks, no triangle.  The
-        # tally keeps no copy whose count is 0, so all that grows is the
-        # scratch ledger's set of 80 queried vertices.
-        g = Graph(80, [(a, 40 + b) for a in range(40) for b in range(40)])
+        # K_{40,40}: 1600 edges, 64000 extension checks, no triangle.  K60:
+        # 1770 edges and 34220 triangles.  The tally keeps no copy, only
+        # per-level counts and maxima, so neither grows with the copies.
+        k40_40 = Graph(80, [(a, 40 + b) for a in range(40) for b in range(40)])
+        k60 = Graph(60, [(a, b) for a in range(60) for b in range(a + 1, 60)])
         p, seg = builtin_pattern("g33")
-        # warm-up, so that the traced count sees only its own working set
-        assert count_profile(g, p, seg).total == 0
-        tracemalloc.start()
-        try:
-            prof = count_profile(g, p, seg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert prof.per_level_counts == {2: 1600, 3: 0}
-        assert peak < 64 * 1024, peak
+        for g, counts in ((k40_40, {2: 1600, 3: 0}), (k60, {2: 1770, 3: 34220})):
+            # warm-up, so that the traced count sees only its own working set
+            count_profile(g, p, seg)
+            tracemalloc.start()
+            try:
+                prof = count_profile(g, p, seg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert prof.per_level_counts == counts
+            assert peak < 64 * 1024, (g.vertex_count, peak)
 
     def test_leaves_no_reference_cycle(self, bowtie_plus):
-        # garbage in a cycle would keep the tables alive until a collection
+        # garbage in a cycle would keep the tally's closures alive until a collection
         p, seg = builtin_pattern("g45")
         gc.collect()
         gc.disable()
@@ -201,8 +212,9 @@ class TestCountProfile:
         prof = count_profile(c5, p, seg)
         assert prof.total == 0
         assert prof.per_level_counts[2] == 5
-        assert prof.f_tables[2] == {}
+        assert prof.f_max_per_level == {2: 0, 3: 0}
         assert prof.f_max == 0
+        assert util.reference_tally(c5, p, seg, 3)[1][2] == {}
 
 
 class TestDegeneracy:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from crawlcount import (
-    CountProfile,
     Graph,
     LayerState,
     Pattern,
@@ -86,18 +85,18 @@ def niceness_report(
     p: Pattern,
     seg: Segmentation,
     layers: Sequence[LayerState],
-    profile: CountProfile,
     eps: float,
 ) -> list[Niceness]:
-    """Judge realized layers against the exact chain counts in ``profile``."""
+    """Judge realized layers against the reference tally's exact chain counts."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
-    t, m, walk = profile.total, g.edge_count, layers[0].trials
+    counts, tables, _ = util.reference_tally(g, p, seg, p.size)
+    t, m, walk = counts[p.size], g.edge_count, layers[0].trials
     ln_n = math.log(max(g.vertex_count, 2))
     out = []
     for pos, layer in enumerate(layers):
         i, weight = layer.level, layer.total_degree
-        f = sum(profile.f_tables[i].get(verts, 0) for verts in layer.members)
+        f = sum(tables[i].get(verts, 0) for verts in layer.members)
         if i == 2:
             factor = Fraction(walk, m)
         else:

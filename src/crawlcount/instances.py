@@ -16,20 +16,18 @@ exactly when no vertex lies in two of its missing pairs and it misses that
 many pairs.  A copy of the next level is assigned to the copy left by
 removing its smallest vertex in a missing pair if that level misses one
 pair more, else its smallest vertex in none.  Relative to the parent this
-is one rule, stated once here: :func:`parent_rule` reads a copy once and
-returns its threshold, the vertices its missing pairs cover and whether the
-next level grows; :func:`is_child` then decides each candidate vertex with
-at most one probe per parent vertex, and :func:`weight_and_children`, for
-the exact tally, decides every candidate at once by set algebra over the
-members' pairwise common neighbors and gives the copy's weight without
-building its neighborhood.  None keeps state between calls.
+is one rule, stated once here: :func:`parent_rule` reads a copy once for
+the vertices its missing pairs cover and whether the next level grows, and
+:func:`covered_rule` turns those into the rule, with its threshold; the
+exact tally, which hands each copy its covered set, calls it directly.
+:func:`is_child` then decides each candidate vertex with at most one probe
+per parent vertex.  None keeps state between calls.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import combinations
-from typing import AbstractSet, Container, Sequence
+from itertools import combinations, filterfalse
+from typing import AbstractSet, Container, Iterable, Sequence
 
 from .patterns import Segmentation
 
@@ -136,11 +134,27 @@ def parent_rule(
             covered.add(v)
     if len(covered) != 2 * want:
         return None
-    if seg.missing[k + 1] > want:
-        return min(covered, default=len(lookups)), covered or _NONE, True
+    grows = seg.missing[k + 1] > want
+    if not covered:  # covered_rule's answer without its call, which the trial loop would pay
+        return (len(lookups) if grows else verts[0]), _NONE, grows
+    return covered_rule(verts, covered, grows, len(lookups))
+
+
+def covered_rule(verts: Iterable[int], covered: AbstractSet[int], grows: bool, n: int) -> Rule:
+    """The rule of a copy ``verts`` whose missing pairs cover ``covered``.
+
+    ``grows`` says whether the next level misses one pair more, and ``n``
+    is the vertex count.  The threshold is the least vertex of ``covered``
+    if the level grows, else the least member outside it, and ``n`` when
+    there is none: :func:`parent_rule` past its probes.  The exact tally
+    calls it with the covered set it passes down, the parent's plus the
+    new vertex and the member it misses when the level grows.
+    """
+    if grows:
+        return min(covered, default=n), covered or _NONE, True
     if not covered:
-        return verts[0], _NONE, False
-    return next((v for v in verts if v not in covered), len(lookups)), covered, False
+        return min(verts), _NONE, False
+    return min(filterfalse(covered.__contains__, verts), default=n), covered, False
 
 
 def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> bool:
@@ -160,60 +174,3 @@ def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> 
         return all(map(nbrs.__contains__, verts))
     missed = [w for w in verts if w not in nbrs]
     return len(missed) == 1 and missed[0] > u and missed[0] not in covered
-
-
-def weight_and_children(
-    adj: Sequence[tuple[int, ...]],
-    lookups: Sequence[dict[int, None]],
-    verts: Sequence[int],
-    slack: int,
-    rule: Rule,
-) -> tuple[int, list[int]]:
-    """A copy's sampling weight and, sorted, every u for which :func:`is_child` holds.
-
-    ``adj``, ``lookups`` and ``verts`` are as for :func:`representative_hood`,
-    whose length the weight is, without building that neighborhood;
-    ``rule`` is :func:`parent_rule` of ``verts``, so ``verts`` must be a
-    copy.  At slack 0 the weight is the length of the representative's
-    list, and the children are that list cut below the threshold,
-    intersected with every member's neighbor set.
-    At slack 1 one pass over the member pairs takes each pair's common
-    neighbors, and the weight is the least union size by
-    inclusion-exclusion.  If the level does not grow, the children are the
-    first pair's common set intersected with the other members' sets, cut
-    below the threshold.  If it grows, each w outside the missing pairs
-    adds the common set of the first two other members (at two members,
-    the other's own set) intersected with the rest, cut below w and the
-    threshold, minus w's set; no u misses two members, so the parts are
-    disjoint.  Each intersection reads the smaller side only.
-    """
-    if slack == 0:
-        hood = min(map(adj.__getitem__, verts), key=len)
-        found = set(hood[: bisect_left(hood, rule[0])])
-        for v in verts:
-            found = lookups[v].keys() & found
-        return len(hood), sorted(found)
-    common = {}
-    weight = -1
-    for a, b in combinations(verts, 2):
-        both = common[a, b] = lookups[a].keys() & lookups[b].keys()
-        size = len(adj[a]) + len(adj[b]) - len(both)
-        if weight < 0 or size < weight:
-            weight = size
-    threshold, covered, grows = rule
-    if not grows:
-        found = common[verts[0], verts[1]]
-        for v in verts[2:]:
-            found = lookups[v].keys() & found
-        return weight, sorted(filter(threshold.__gt__, found))
-    children: list[int] = []
-    for i, w in enumerate(verts):
-        if w in covered:
-            continue
-        rest = verts[:i] + verts[i + 1 :]
-        found = common[rest[0], rest[1]] if len(rest) > 1 else lookups[rest[0]].keys()
-        for v in rest[2:]:
-            found = lookups[v].keys() & found
-        below = set(filter(min(w, threshold).__gt__, found))
-        children += below.difference(lookups[w])
-    return weight, sorted(children)

@@ -5,53 +5,65 @@ exact count the sampling estimator only approximates, and the degeneracy
 stands in for the arboricity when layers are sized.  Copies are found by
 the sampler's own rule: level 2 is the edge set, and the children of a
 level-i copy are its accepted extensions.  Each copy is reached exactly
-once, from its assigned parent, so the work is one
-:func:`~crawlcount.instances.parent_rule` per copy above the edges plus
-set algebra over its members' neighbor sets
-(:func:`~crawlcount.instances.weight_and_children`): if the level does not
-grow, the children are the common neighbors of all members; if it grows,
-each member w outside the missing pairs adds the common neighbors of the
-others that w misses.  Each is cut below the rule's threshold (and below
-w), and is :func:`~crawlcount.instances.is_child` for all candidates at
-once.  No neighborhood is built.  The work budget counts each copy's
-sampling weight, the size of the representative neighborhood the sampler
-would store for it (at slack 1 by inclusion-exclusion over the pair's
-common neighbors): the sum of seg-degrees over every level below the full
-pattern.  Completeness needs a feasible order at slack at most 1, so
+once, from its assigned parent, and is handed the state its parent
+already held, so it computes only the intersections that involve its new
+vertex u (the recursion of kClist, Danisch, Balalau and Sozio 2018, on
+the order of Chiba and Nishizeki 1985).  No neighborhood is built.
+
+- At slack 0 a copy holds its members' common neighbors below its least
+  member, which are its children.  A child's set is that set cut below
+  u and intersected with N(u), and its weight is min(parent weight,
+  deg u).
+- At slack 1 a copy holds the set its missing pairs cover (the parent's,
+  plus u and the member w it misses when the level grows), from which
+  :func:`~crawlcount.instances.covered_rule` gives its rule; its
+  members' common neighbors; and, while a level from its own on grows,
+  each uncovered member's others-common set, the common neighbors of
+  the other members.  Each set is the parent's intersected with N(u).
+  If the level does not grow, the children are the common neighbors
+  below the threshold; if it grows, each uncovered w adds its
+  others-common set cut below w and the threshold, minus w's set.  The
+  weight is the parent's least pair union, lowered where a pair (a, u)
+  does better; a union is no smaller than either list, so only members
+  of lower degree than the running least are intersected with u.
+
+The work budget counts each copy's sampling weight, the size of the
+representative neighborhood the sampler would store for it (at slack 1
+by inclusion-exclusion over the pair's common neighbors): the sum of
+seg-degrees over every level below the full pattern.  Every copy adds
+its weight before its children are visited, and children are visited in
+no particular order: the weights sum to the same total in any order and
+the error names no copy, so the budget trips at the same count whatever
+the order.  Completeness needs a feasible order at slack at most 1, so
 patterns that fail :func:`require_feasible` are rejected here as well.
 
-Level 2 takes no :func:`~crawlcount.instances.parent_rule`: an edge
-u < v misses no pair, so its rule is fixed by the order.  If level 3
-grows, every edge goes through the set algebra above under the rule
-(n, {}, True).  If it does not, the edge loop works in place: the
-children are the common neighbors below u, and the weight is
-min(deg u, deg v) at slack 0, deg u + deg v minus the number of common
-neighbors at slack 1.  At slack 0 the common neighbors are not counted,
-so u's lower neighbors are put in a set once per u and intersected with
-each neighbor's set.  An edge adds its weight before its children are
-tallied, as every copy does, so the budget trips at the same copy as it
-would through the helpers.
+Level 2 takes no rule call: an edge x < y misses no pair, so its rule is
+fixed by the order, (x, {}, False), or (n, {}, True) when level 3 grows.
+The edge loop computes the weight in place, min(deg x, deg y) at slack 0
+and deg x + deg y minus the number of common neighbors at slack 1.  At
+slack 0 the common neighbors are not counted, so x's lower neighbors are
+put in a set once per x and intersected with each neighbor's set.
 
-Copies are sorted vertex tuples, as on the crawl side, and are tallied
-depth first, edge by edge, children in sorted order: each returns its
-chain count, the number of full-size copies whose assignment chain
-passes through it, to its parent.  Chain counts are passed up the
-recursion and never stored; each level keeps only its copy count and its
-largest chain count.  A copy one level below the full pattern counts its
-children in place.  No level is listed whole and no copy is kept: a
-count holds one path of at most seven copies and their children.  The
-per-copy chain tables the analysis reasons about come from the test
-suite's independent reference tally (``util.reference_tally``).
+Copies are tallied depth first, edge by edge: each returns its chain
+count, the number of full-size copies whose assignment chain passes
+through it, to its parent.  Chain counts are passed up the recursion and
+never stored; each level keeps only its copy count and its largest chain
+count.  The level just below the full pattern counts its children by set
+size, without listing them.  No level is listed whole and no copy is
+kept: a count holds one path of at most seven copies, with their children
+and the sets each was handed.  The per-copy chain tables the analysis
+reasons about come from the test suite's independent reference tally
+(``util.reference_tally``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import AbstractSet, NoReturn
 
 from .graph import Graph
-from .instances import parent_rule, weight_and_children
+from .instances import covered_rule
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -60,6 +72,7 @@ class EnumerationBudgetError(RuntimeError):
 
 
 DEFAULT_BUDGET = 100_000_000
+_UNCOVERED: frozenset[int] = frozenset()
 
 
 def _over_budget(budget: int) -> NoReturn:
@@ -104,71 +117,172 @@ def count_profile(
 
     A full-size copy's chain count is 1, a lower copy's the sum over its
     children; each count goes up to the parent and into its level's
-    running maximum, and is then dropped.  The edges take their rule from
-    the order in the edge loop itself (see the module docstring); only
-    level-3 copies and above go through ``grow``.  Every copy, edge or
-    not, adds its weight before its children are visited, so the
-    extension checks reach ``budget`` at the same copy.  Raises as soon as
-    they pass it.
+    running maximum, and is then dropped.  Each copy is handed the state
+    its parent held, grown by its new vertex (see the module docstring),
+    and adds its weight before its children are visited, in no particular
+    order; the weights sum to the same total in any order, so the
+    extension checks pass ``budget`` at the same count.  Raises as soon
+    as they do.  The level just below the top counts its children by set
+    size.
     """
     require_feasible(pattern, seg)
     adj = g.raw_adjacency()
     lookups = g.raw_neighbor_lookups()
+    n = len(adj)
     slack = pattern.slack
     k = pattern.size
-    pair_grows = seg.missing[3] > 0
+    grows = [seg.missing[i + 1] > seg.missing[i] for i in range(k)]
+    # a copy keeps its others-common sets while its level or a later one grows
+    keeps = [any(grows[i:]) for i in range(k)]
     counts = dict.fromkeys(range(2, k + 1), 0)
     f_max = dict.fromkeys(counts, 0)
     checks = 0
 
-    def tally(verts: tuple[int, ...], new: list[int]) -> int:
-        """Tally the children ``new`` of the copy ``verts``; return its chain count."""
-        if len(verts) + 1 == k:
-            counts[k] += len(new)
-            chains = len(new)
-        else:
-            chains = 0
-            for u in new:
-                chains += grow(tuple(sorted(verts + (u,))))
-        if chains > f_max[len(verts)]:
-            f_max[len(verts)] = chains
+    def cliques(level: int, weight: int, common: set[int]) -> int:
+        """Chain count of a slack-0 copy at ``level`` < k - 1, counted and weighed already.
+
+        ``common`` holds its members' common neighbors below its least
+        member, which are its children.
+        """
+        nonlocal checks
+        chains = 0
+        counts[level + 1] += len(common)
+        leaf = level + 2 == k
+        for u in common:
+            du = len(adj[u])
+            weight_u = du if du < weight else weight
+            checks += weight_u
+            if checks > budget:
+                _over_budget(budget)
+            new = lookups[u].keys() & set(filter(u.__gt__, common))
+            if leaf:  # the level below the top counts its children
+                c = len(new)
+                counts[k] += c
+                if c > f_max[k - 1]:
+                    f_max[k - 1] = c
+            elif new:
+                c = cliques(level + 1, weight_u, new)
+            else:
+                continue
+            chains += c
+        if chains > f_max[level]:
+            f_max[level] = chains
         return chains
 
-    def grow(verts: tuple[int, ...]) -> int:
+    def tally(
+        verts: tuple[int, ...],
+        covered: AbstractSet[int],
+        weight: int,
+        common: AbstractSet[int],
+        others: dict[int, AbstractSet[int]] | None,
+    ) -> int:
+        """Chain count of a slack-1 copy ``verts``, counted and weighed already.
+
+        ``covered`` is the set its missing pairs cover and ``common`` its
+        members' common neighbors.  While a level from this one on grows,
+        ``others`` maps each member outside ``covered`` to the other
+        members' common neighbors; after, it is None.
+        """
         nonlocal checks
-        counts[len(verts)] += 1
-        weight, new = weight_and_children(adj, lookups, verts, slack, parent_rule(lookups, verts, seg))
-        checks += weight
-        if checks > budget:
-            _over_budget(budget)
-        return tally(verts, new)
+        level = len(verts)
+        threshold, _, grow = covered_rule(verts, covered, grows[level], n)
+        if grow:  # a child misses one member w outside the missing pairs, and lies below it
+            kids = {}
+            for w, theirs in others.items():
+                kids[w] = new = set(filter((w if w < threshold else threshold).__gt__, theirs))
+                new.difference_update(lookups[w])
+        else:
+            kids = {None: set(filter(threshold.__gt__, common))}
+        chains = 0
+        if level + 1 == k:  # an edge of a 3-vertex pattern: its children are full-size
+            for new in kids.values():
+                chains += len(new)
+            counts[k] += chains
+            if chains > f_max[level]:
+                f_max[level] = chains
+            return chains
+        leaf = level + 2 == k
+        for w, new in kids.items():
+            counts[level + 1] += len(new)
+            for u in new:
+                mine = lookups[u].keys()
+                du = len(mine)
+                weight_u = weight
+                if du < weight_u:  # a pair's union is no smaller than either list
+                    for a in verts:
+                        da = len(adj[a])
+                        if da < weight_u:
+                            size = da + du - len(mine & lookups[a].keys())
+                            if size < weight_u:
+                                weight_u = size
+                checks += weight_u
+                if checks > budget:
+                    _over_budget(budget)
+                grown = covered if w is None else covered | {u, w}
+                if not leaf:
+                    nxt = None
+                    if keeps[level + 1]:
+                        nxt = {b: mine & theirs for b, theirs in others.items() if b != w}
+                        if w is None:
+                            nxt[u] = common
+                    chains += tally(verts + (u,), grown, weight_u, mine & common, nxt)
+                    continue
+                # the level below the top counts its children here, by tally's
+                # rules: a call per copy would cost more than the count itself
+                t, _, leaf_grows = covered_rule(verts + (u,), grown, grows[level + 1], n)
+                if leaf_grows:
+                    c = 0
+                    for b, theirs in others.items():
+                        if b != w:
+                            below = set(filter((b if b < t else t).__gt__, mine & theirs))
+                            below.difference_update(lookups[b])
+                            c += len(below)
+                    if w is None:
+                        below = set(filter((u if u < t else t).__gt__, common))
+                        below.difference_update(mine)
+                        c += len(below)
+                else:
+                    c = len(set(filter(t.__gt__, mine & common)))
+                counts[k] += c
+                if c > f_max[level + 1]:
+                    f_max[level + 1] = c
+                chains += c
+        if chains > f_max[level]:
+            f_max[level] = chains
+        return chains
 
     # Level 2, the edge set: an edge misses no pair, so its rule is fixed by
-    # the order, (u, {}, False) or, if level 3 grows, (n, {}, True).
-    pair_rule = (len(adj), frozenset(), True)
-    for u, nbrs in enumerate(adj):
-        upper = bisect_right(nbrs, u)
+    # the order, (x, {}, False) or, if level 3 grows, (n, {}, True).
+    pair_grows = grows[2]
+    keep = keeps[2]
+    for x, nbrs in enumerate(adj):
+        upper = bisect_right(nbrs, x)
         counts[2] += len(nbrs) - upper
-        mine = lookups[u].keys()
-        if slack == 0:  # the weight needs no common neighbors: cut u's set once
+        mine = lookups[x].keys()
+        if slack == 0:  # the weight needs no common neighbors: cut x's set once
             lower = set(nbrs[:upper])
-        for v in nbrs[upper:]:
-            theirs = lookups[v]
+        for y in nbrs[upper:]:
+            theirs = lookups[y]
             if slack == 0:
                 weight = min(len(nbrs), len(theirs))
-                new = sorted(theirs.keys() & lower)
-            elif pair_grows:
-                weight, new = weight_and_children(adj, lookups, (u, v), 1, pair_rule)
+                new = theirs.keys() & lower
             else:
                 both = mine & theirs.keys()
                 weight = len(nbrs) + len(theirs) - len(both)
-                new = sorted(filter(u.__gt__, both))
             checks += weight
             if checks > budget:
                 _over_budget(budget)
-            if new:
-                tally((u, v), new)
-    del grow  # grow and tally refer to each other: free them now, not at a collection
+            if slack == 0:
+                if k == 3:
+                    counts[3] += len(new)
+                    if len(new) > f_max[2]:
+                        f_max[2] = len(new)
+                elif new:
+                    cliques(2, weight, new)
+            elif pair_grows or min(both, default=n) < x:  # else it has no child
+                others = {x: theirs.keys(), y: mine} if keep else None
+                tally((x, y), _UNCOVERED, weight, both, others)
+    del cliques, tally  # each refers to itself: free them now, not at a collection
     f_max[k] = min(counts[k], 1)  # a full-size copy's chain count is 1
     return CountProfile(
         total=counts[k], per_level_counts=counts, f_max_per_level=f_max, f_max=max(f_max.values())

@@ -30,13 +30,15 @@ from crawlcount import (
     Segmentation,
     WalkConfig,
     auto_segment,
+    builtin_names,
+    builtin_pattern,
     count_profile,
     estimate_count,
     exact_count,
     representative,
     require_feasible,
 )
-from crawlcount.instances import is_child, parent_rule, representative_hood
+from crawlcount.instances import covered_rule, is_child, parent_rule, representative_hood
 
 import truth
 import util
@@ -44,6 +46,17 @@ import util
 CONNECTED = util.connected_atlas()
 ACCEPTED = util.accepted_patterns()
 IDS = [name for name, _, _ in ACCEPTED]
+# Every feasible order of each builtin, the automatic one included.  Under
+# g45's 0,2,3,1 and g59's 0,3,4,1,2 level 3 grows, so copies carry a covered
+# set from level 3 on.
+EVERY_ORDER = [
+    (f"{name}-every-order", p, util.feasible_orders(p))
+    for name in builtin_names()
+    for p in [builtin_pattern(name)[0]]
+]
+# the accepted patterns under their automatic orders, then the builtins under all
+WITH_EVERY_ORDER = [(name, p, [seg]) for name, p, seg in ACCEPTED] + EVERY_ORDER
+WITH_EVERY_ORDER_IDS = [name for name, _, _ in WITH_EVERY_ORDER]
 
 
 def test_accepted_exactly_when_complement_is_a_matching():
@@ -111,6 +124,60 @@ def test_tally_by_set_algebra_matches_is_child(name, p, seg):
     assert found > 0
 
 
+@pytest.mark.parametrize("name,p,segs", EVERY_ORDER, ids=[name for name, _, _ in EVERY_ORDER])
+def test_tally_under_every_feasible_builtin_order(name, p, segs):
+    # the two checks above under every order of the builtins: copies and
+    # largest chain count per level against the reference, and the budget
+    # passing at the reference hood sum and raising one below it
+    grown = 0
+    for g in (util.er_graph(12, 0.7, 2), util.hk_graph(60, 4, 0.7, 3)):
+        for seg in segs:
+            want_counts, want_tables, work = util.reference_tally(g, p, seg, p.size)
+            prof = count_profile(g, p, seg, budget=work)
+            assert prof.per_level_counts == want_counts, seg.order
+            want_max = {i: max(t.values(), default=0) for i, t in want_tables.items()}
+            assert prof.f_max_per_level == want_max, seg.order
+            assert prof.total == want_counts[p.size]
+            with pytest.raises(EnumerationBudgetError, match=f"exceeded {work - 1} "):
+                count_profile(g, p, seg, budget=work - 1)
+            grown += seg.missing[3] > 0
+    if p.slack == 0:
+        assert len(segs) == math.factorial(p.size)
+    else:
+        assert grown > 0
+
+
+@pytest.mark.parametrize("name,p,segs", WITH_EVERY_ORDER, ids=WITH_EVERY_ORDER_IDS)
+def test_child_rule_follows_from_the_parent_covered_set(name, p, segs):
+    # the tally derives each copy's rule from the covered set its parent
+    # hands down, plus u and the member w it misses when the level grows;
+    # that must be parent_rule's reading of the copy itself
+    g = util.hk_graph(60, 4, 0.7, 3)
+    lookups = g.raw_neighbor_lookups()
+    n = g.vertex_count
+    for seg in segs:
+        seen = 0
+
+        def check(verts, rule, u, child):
+            nonlocal seen
+            level = len(child)
+            if level == p.size:
+                return
+            _, covered, grew = rule
+            if grew:
+                (w,) = [v for v in verts if v not in lookups[u]]
+                covered = covered | {u, w}
+            grows = seg.missing[level + 1] > seg.missing[level]
+            assert covered_rule(child, covered, grows, n) == parent_rule(lookups, child, seg), child
+            seen += 1
+
+        pair_grows = seg.missing[3] > seg.missing[2]
+        for edge in util.edges(g):
+            assert covered_rule(edge, frozenset(), pair_grows, n) == parent_rule(lookups, edge, seg)
+        util.reference_tally(g, p, seg, p.size, on_child=check)
+        assert seen > 0 or p.size == 3, seg.order
+
+
 @pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_budget_trips_at_the_reference_hood_sum(name, p, seg):
     # --budget bounds the sum of representative neighborhood sizes over
@@ -154,29 +221,34 @@ def test_estimator_mean_within_three_se(name, p, seg):
     assert abs(statistics.fmean(ests) - t) <= 3 * se, (t, statistics.fmean(ests), se)
 
 
-@pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
-def test_chain_counts_pass_through_stored_hoods(name, p, seg):
+@pytest.mark.parametrize("name,p,segs", WITH_EVERY_ORDER, ids=WITH_EVERY_ORDER_IDS)
+def test_chain_counts_pass_through_stored_hoods(name, p, segs):
     # On a seeded run's stored layers, f_i(m) = sum of f_(i+1)(m + u) over
     # the u in m's stored hood that is_child accepts: every child the tally
     # counts can be drawn from the member's stored neighborhood, so each
-    # trial carries the layer's f-mass over its weight into the next level
+    # trial carries the layer's f-mass over its weight into the next level.
+    # f is the reference's, computed only below the members; under every
+    # order of a builtin, layers of 10 trials keep that quick.
     lookups = MEAN_GRAPH.raw_neighbor_lookups()
-    tables = util.reference_tally(MEAN_GRAPH, p, seg, p.size)[1]
-    cfg = EstimateConfig(layer_sizes=[30] * (p.size - 2), walk=WalkConfig(length=60), seed=0)
-    checked = carried = 0
-    for layer in estimate_count(MEAN_GRAPH, p, seg, cfg).layers:
-        below, above = tables[layer.level], tables[layer.level + 1]
-        for m, hood in dict(zip(layer.members, layer.hoods)).items():
-            rule = parent_rule(lookups, m, seg)
-            f = sum(
-                above.get(tuple(sorted(m + (u,))), 0)
-                for u in hood
-                if u not in m and is_child(lookups[u], m, u, rule)
-            )
-            assert f == below.get(m, 0), (layer.level, m)
-            checked += 1
-            carried += f > 0
-    assert checked >= 46 and carried > 0
+    trials = 30 if len(segs) == 1 else 10
+    for seg in segs:
+        f = util.reference_chain_count(MEAN_GRAPH, p, seg)
+        cfg = EstimateConfig(
+            layer_sizes=[trials] * (p.size - 2), walk=WalkConfig(length=60), seed=0
+        )
+        checked = carried = 0
+        for layer in estimate_count(MEAN_GRAPH, p, seg, cfg).layers:
+            for m, hood in dict(zip(layer.members, layer.hoods)).items():
+                rule = parent_rule(lookups, m, seg)
+                got = sum(
+                    f(tuple(sorted(m + (u,))))
+                    for u in hood
+                    if u not in m and is_child(lookups[u], m, u, rule)
+                )
+                assert got == f(m), (seg.order, layer.level, m)
+                checked += 1
+                carried += got > 0
+        assert checked >= 46 and carried > 0, seg.order
 
 
 def test_every_copy_is_assignable_under_every_feasible_order():

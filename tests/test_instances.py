@@ -14,7 +14,7 @@ from crawlcount import (
     parse_pattern,
     representative,
 )
-from crawlcount.instances import is_child, parent_rule, representative_hood, weight_and_children
+from crawlcount.instances import representative_hood
 
 import truth
 import util
@@ -82,33 +82,6 @@ class TestSegNeighborhood:
         tri = util.naive_copies(g, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         for verts in tri[:6]:
             assert len(hood(g, verts, 0)) == min(g.raw_degree(v) for v in verts)
-
-
-class TestWeightAndChildren:
-    PAIRS_GROW = {"g45": (0, 2, 3, 1), "g59": (0, 3, 4, 1, 2)}
-
-    @pytest.mark.parametrize("name", builtin_names())
-    def test_matches_hood_length_and_is_child(self, name):
-        # copy by copy: the weight is the representative neighborhood's
-        # size, and the children are the vertices of it that is_child
-        # accepts; at slack 1 also under an order whose level 3 grows
-        p, seg = builtin_pattern(name)
-        segs = [seg]
-        if name in self.PAIRS_GROW:
-            segs.append(Segmentation(p, self.PAIRS_GROW[name]))
-            assert segs[-1].missing[3] == 1
-        for g in (util.er_graph(14, 0.7, 5), util.hk_graph(60, 4, 0.7, 3)):
-            adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
-            for seg in segs:
-                seen = 0
-                for level in range(2, p.size):
-                    for verts in truth.copies(g, p, seg, level):
-                        rule = parent_rule(lookups, verts, seg)
-                        nbhd = representative_hood(adj, lookups, verts, p.slack)
-                        want = [u for u in nbhd if u not in verts and is_child(lookups[u], verts, u, rule)]
-                        assert weight_and_children(adj, lookups, verts, p.slack, rule) == (len(nbhd), want)
-                        seen += 1
-                assert seen
 
 
 class TestAssign:

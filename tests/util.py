@@ -299,6 +299,12 @@ def classify_by_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> int
     return None
 
 
+def feasible_orders(p: Pattern) -> list[Segmentation]:
+    """Every insertion order of ``p`` that its declared slack allows."""
+    segs = [Segmentation(p, order) for order in permutations(range(p.size))]
+    return [s for s in segs if s.min_slack is not None and s.min_slack <= p.slack]
+
+
 def first_order_within_slack_one(size: int, edges) -> tuple[int, ...] | None:
     """Lexicographically first insertion order needing slack at most 1, or
     None: a pruned search whose every prefix must be connected (each new
@@ -556,13 +562,14 @@ def reference_extend(
 
 
 def reference_tally(
-    g: Graph, p: Pattern, seg: Segmentation, top: int
+    g: Graph, p: Pattern, seg: Segmentation, top: int, on_child=None
 ) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]], int]:
     """The exact tally decided one candidate at a time: each copy's
     :func:`metered_hood`, then ``is_child`` on every vertex of it, every copy
     visited, leaves included.  Counts and chain tables in the package's
     order, and the work the budget counts: the sum of hood sizes over every
-    copy below ``top``."""
+    copy below ``top``.  ``on_child(verts, rule, u, child)``, when given, is
+    called on each accepted child before it is visited."""
     counts = dict.fromkeys(range(2, top + 1), 0)
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     lookups = g.raw_neighbor_lookups()
@@ -579,7 +586,10 @@ def reference_tally(
             work += len(hood)
             for u in hood:
                 if rule is not None and u not in verts and is_child(lookups[u], verts, u, rule):
-                    chains += grow(tuple(sorted(verts + (u,))))
+                    child = tuple(sorted(verts + (u,)))
+                    if on_child is not None:
+                        on_child(verts, rule, u, child)
+                    chains += grow(child)
         if chains:
             tables[len(verts)][verts] = chains
         return chains
@@ -587,6 +597,28 @@ def reference_tally(
     for u, v in edges(g):
         grow((u, v))
     return counts, tables, work
+
+
+def reference_chain_count(g: Graph, p: Pattern, seg: Segmentation):
+    """One copy's chain count by :func:`reference_tally`'s rule, computed on
+    demand: only the copies below the ones asked about are visited, each
+    once."""
+    lookups = g.raw_neighbor_lookups()
+
+    @cache
+    def chains(verts: tuple[int, ...]) -> int:
+        if len(verts) == p.size:
+            return 1
+        rule = parent_rule(lookups, verts, seg)
+        if rule is None:
+            return 0
+        return sum(
+            chains(tuple(sorted(verts + (u,))))
+            for u in metered_hood(g, QueryLedger(), verts, p.slack)
+            if u not in verts and is_child(lookups[u], verts, u, rule)
+        )
+
+    return chains
 
 
 def reference_start(g: Graph, rng: Random) -> int:

@@ -74,10 +74,13 @@ def representative_hood(
     :meth:`~crawlcount.graph.Graph.raw_neighbor_lookups`; ``verts`` must be
     sorted and longer than ``slack``.  Reads the graph unmetered: callers
     charge for it.  A pair takes a shortcut: at slack 0 its lower-degree
-    endpoint (ties to the lower id), at slack 1 the pair itself.  Vertices
-    of ``verts`` are not excluded; trials reject them later, which keeps
-    every trial's landing probability at exactly one over the size of this
-    set.
+    endpoint (ties to the lower id), at slack 1 the pair itself.  At slack 1
+    the union is a merge of the two sorted lists, not a set: the longer
+    list, then the shorter one's vertices missing from the longer one's
+    lookup, two sorted runs that ``sorted`` merges in linear time into the
+    same tuple as the sorted set union.  Vertices of ``verts`` are not
+    excluded; trials reject them later, which keeps every trial's landing
+    probability at exactly one over the size of this set.
     """
     if len(verts) == 2:
         a, b = verts
@@ -88,7 +91,9 @@ def representative_hood(
         if slack == 0:
             return adj[rep[0]]
         a, b = rep
-    return tuple(sorted(lookups[a].keys() | lookups[b].keys()))
+    if len(adj[a]) < len(adj[b]):
+        a, b = b, a
+    return tuple(sorted([*adj[a], *filterfalse(lookups[a].__contains__, adj[b])]))
 
 
 Rule = tuple[int, AbstractSet[int], bool]
@@ -110,6 +115,8 @@ def parent_rule(
     :func:`representative_hood`, read unmetered.  Raises ValueError unless
     the order needs slack at most 1, the condition under which every level
     is a clique minus a matching, and when ``verts`` has no next level.
+    An edge, the usual case when level 2 misses no pair, takes one probe:
+    it is a copy exactly when its endpoints are adjacent.
     """
     if seg.min_slack is None or seg.min_slack > 1:
         raise ValueError(
@@ -121,6 +128,11 @@ def parent_rule(
             f"a copy of level {k} has no next level in a pattern of size {len(seg.order)}"
         )
     want = seg.missing[k]
+    if k == 2 and not want:
+        if verts[0] not in lookups[verts[1]]:
+            return None
+        grows = seg.missing[3] > 0
+        return (len(lookups) if grows else verts[0]), _NONE, grows
     covered: set[int] = set()
     for i in range(1, k):
         v = verts[i]

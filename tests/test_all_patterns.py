@@ -251,6 +251,23 @@ def test_chain_counts_pass_through_stored_hoods(name, p, segs):
         assert checked >= 46 and carried > 0, seg.order
 
 
+@pytest.mark.parametrize("name,p,segs", WITH_EVERY_ORDER, ids=WITH_EVERY_ORDER_IDS)
+def test_pair_rule_matches_the_probe_loop(name, p, segs):
+    # parent_rule answers a pair with one probe; on every pair of a small
+    # graph, adjacent or not, that must be the rule read by probing every
+    # member pair, under every order (level 3 grows under some of them)
+    g = util.er_graph(12, 0.5, 3)
+    lookups = g.raw_neighbor_lookups()
+    pairs = list(combinations(range(g.vertex_count), 2))
+    for seg in segs:
+        copies = 0
+        for pair in pairs:
+            got = parent_rule(lookups, pair, seg)
+            assert got == util.brute_parent_rule(g, pair, seg), (seg.order, pair)
+            copies += got is not None
+        assert 0 < copies < len(pairs), seg.order
+
+
 def test_every_copy_is_assignable_under_every_feasible_order():
     """Under an order of slack at most 1, every relabelled copy of every level
     classifies to a parent: dropping the vertex that plays the order's last

@@ -75,6 +75,38 @@ class TestSegNeighborhood:
             want |= set(bowtie_plus.raw_neighbor_lookups()[v])
         assert hood(bowtie_plus, verts, 1) == tuple(sorted(want))
 
+    def test_slack_one_merge_on_skewed_degrees(self):
+        # the slack-1 hood merges two sorted lists; on a hub-heavy graph it
+        # must be the sorted set union of the representative pair's lists,
+        # for every edge (hub first and hub second) and for the 3- and
+        # 4-member copies of g45, whose representative is a pair among them
+        g = util.hk_graph(300, 3, 0.8, 1)
+        adj = g.raw_adjacency()
+        p, seg = builtin_pattern("g45")
+        edges = util.edges(g)
+        shorter_first = sum(len(adj[a]) < len(adj[b]) for a, b in edges)
+        assert 0 < shorter_first < len(edges) and max(map(len, adj)) >= 10 * min(map(len, adj))
+        seen = {2: 0, 3: 0, 4: 0}
+        for verts in [*edges, *truth.copies(g, p, seg, 3), *truth.copies(g, p, seg, 4)]:
+            pair = util.brute_representative(g, verts, 1)
+            want = tuple(sorted(set(adj[pair[0]]) | set(adj[pair[1]])))
+            assert hood(g, verts, 1) == want, verts
+            assert util.metered_hood(g, QueryLedger(), verts, 1) == want, verts
+            seen[len(verts)] += 1
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 6), (4, 5), (2, 3)])
+    def test_slack_one_merge_with_nested_lists(self, pair):
+        # N(0) = {2, 3} inside N(1) = {2, 3, 4, 5} (shorter list first),
+        # N(6) = {2} inside N(1) (shorter second), N(4) = N(5) = {1}, and
+        # N(2), N(3) = {0, 1, 6} and {0, 1}
+        g = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)])
+        adj = g.raw_adjacency()
+        want = tuple(sorted(set(adj[pair[0]]) | set(adj[pair[1]])))
+        assert want == max(adj[pair[0]], adj[pair[1]], key=len)
+        assert hood(g, pair, 1) == want
+        assert util.metered_hood(g, QueryLedger(), pair, 1) == want
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_slack_zero_degree_is_min_member_degree(self, seed):

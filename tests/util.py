@@ -289,14 +289,18 @@ def classify_by_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> int
     """The index j for which ``verts[j]`` is a child of ``verts`` without
     ``verts[j]`` under ``parent_rule`` and ``is_child``, or None when there is
     no such j: the package's child rule read as a classifier of the grown
-    tuple."""
+    tuple.  Every index is tried, and an AssertionError raised when more
+    than one accepts: a rule that assigns a copy to two parents counts it
+    twice."""
     lookups = g.raw_neighbor_lookups()
+    accepting = []
     for j, u in enumerate(verts):
         parent = verts[:j] + verts[j + 1 :]
         rule = parent_rule(lookups, parent, seg)
         if rule is not None and is_child(lookups[u], parent, u, rule):
-            return j
-    return None
+            accepting.append(j)
+    assert len(accepting) <= 1, f"{verts} is a child of the parents without each of {accepting}"
+    return accepting[0] if accepting else None
 
 
 def feasible_orders(p: Pattern) -> list[Segmentation]:
@@ -437,6 +441,22 @@ def brute_representative(g: Graph, verts: tuple[int, ...], slack: int) -> tuple[
             best = sub
             best_size = len(hood)
     return best
+
+
+def brute_parent_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation):
+    """``parent_rule`` spelled from its definition: every member pair probed;
+    None unless the missing pairs are ``seg.missing[k]`` disjoint ones, else
+    the covered set, whether level k+1 misses one pair more, and the least
+    covered vertex (growing) or least uncovered member, ``n`` if none."""
+    lookups = g.raw_neighbor_lookups()
+    k = len(verts)
+    missing = [(a, b) for a, b in combinations(verts, 2) if b not in lookups[a]]
+    covered = frozenset(v for pair in missing for v in pair)
+    if len(missing) != seg.missing[k] or len(covered) != 2 * len(missing):
+        return None
+    grows = seg.missing[k + 1] > seg.missing[k]
+    pool = covered if grows else [v for v in verts if v not in covered]
+    return min(pool, default=g.vertex_count), covered, grows
 
 
 def brute_seg_degree(g: Graph, verts: tuple[int, ...], slack: int) -> int:

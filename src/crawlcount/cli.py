@@ -72,6 +72,17 @@ def _fixed(x: float | None, places: int = 6) -> str:
     return "" if x is None else f"{x:.{places}f}"
 
 
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers given to ``flag``."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag}: {token!r} in {text!r} is not an integer") from None
+    return tuple(values)
+
+
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise ValueError(f"--budget must be at least 1, not {budget}")
@@ -122,7 +133,7 @@ def _pattern_args(args: argparse.Namespace) -> tuple[Pattern, Segmentation]:
     commands stop on :func:`require_feasible`.
     """
     name, path = args.pattern, args.pattern_file
-    order = None if args.order is None else tuple(int(t) for t in args.order.split(","))
+    order = None if args.order is None else _int_list("--order", args.order)
     if (name is None) == (path is None):
         raise ValueError("give exactly one of a builtin pattern name or a pattern file")
     p, seg = builtin_pattern(name) if name is not None else load_pattern_path(path)
@@ -266,7 +277,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     p, seg = _pattern_args(args)
     require_feasible(p, seg)
     spec = _run_spec(
-        args, p, tuple(args.walk_len), repetitions=args.reps,
+        args, p, _int_list("--walk-len", args.walk_len), repetitions=args.reps,
         exact_total=args.exact_t, budget=args.budget,
     )
     # Both outputs open before the load, so an unwritable path fails first,
@@ -343,7 +354,7 @@ def _run_spec(
     """
     sizes = None
     if args.layers is not None:
-        sizes = tuple(int(t) for t in args.layers.split(","))
+        sizes = _int_list("--layers", args.layers)
         if len(sizes) != p.size - 2:
             raise ValueError(
                 f"--layers needs {p.size - 2} values l_3..l_{p.size} for this pattern"
@@ -434,12 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("experiment", help="repeated runs over a walk-length schedule")
     sp.add_argument("--graph", required=True)
     _add_pattern_flags(sp)
-    sp.add_argument(
-        "--walk-len",
-        type=lambda s: [int(t) for t in s.split(",")],
-        required=True,
-        help="schedule r1,r2,...",
-    )
+    sp.add_argument("--walk-len", required=True, help="schedule r1,r2,...")
     sp.add_argument("--reps", type=int, default=100)
     sp.add_argument("--out", required=True, help="CSV output path")
     sp.add_argument("--exact-t", type=float, default=None, help="known exact count")

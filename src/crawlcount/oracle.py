@@ -10,10 +10,11 @@ already held, so it computes only the intersections that involve its new
 vertex u (the recursion of kClist, Danisch, Balalau and Sozio 2018, on
 the order of Chiba and Nishizeki 1985).  No neighborhood is built.
 
-- At slack 0 a copy holds its members' common neighbors below its least
-  member, which are its children.  A child's set is that set cut below
-  u and intersected with N(u), and its weight is min(parent weight,
-  deg u).
+- At slack 0 the tally starts at each vertex x, a root whose children
+  are its lower neighbors.  Children are visited in increasing order, so
+  a child u's own children are its neighbors among the siblings visited
+  before it: its members' common neighbors below u.  Its weight is
+  min(parent weight, deg u), and the root's is deg x.
 - At slack 1 a copy holds the set its missing pairs cover (the parent's,
   plus u and the member w it misses when the level grows), from which
   :func:`~crawlcount.instances.covered_rule` gives its rule; its
@@ -31,29 +32,28 @@ The work budget counts each copy's sampling weight, the size of the
 representative neighborhood the sampler would store for it (at slack 1
 by inclusion-exclusion over the pair's common neighbors): the sum of
 seg-degrees over every level below the full pattern.  Every copy adds
-its weight before its children are visited, and children are visited in
-no particular order: the weights sum to the same total in any order and
-the error names no copy, so the budget trips at the same count whatever
-the order.  Completeness needs a feasible order at slack at most 1, so
-patterns that fail :func:`require_feasible` are rejected here as well.
+its weight before its children are visited, in increasing order at
+slack 0 and in any order at slack 1: the weights sum to the same total
+in any order and the error names no copy, so the budget trips at the
+same count whatever the order.  Completeness needs a feasible order at
+slack at most 1, so patterns that fail :func:`require_feasible` are
+rejected here as well.
 
-Level 2 takes no rule call: an edge x < y misses no pair, so its rule is
-fixed by the order, (x, {}, False), or (n, {}, True) when level 3 grows.
-The edge loop computes the weight in place, min(deg x, deg y) at slack 0
-and deg x + deg y minus the number of common neighbors at slack 1.  At
-slack 0 the common neighbors are not counted, so x's lower neighbors are
-put in a set once per x and intersected with each neighbor's set.
+At slack 1, level 2 is a loop over the edges and takes no rule call: an
+edge x < y misses no pair, so its rule is fixed by the order,
+(x, {}, False), or (n, {}, True) when level 3 grows, and its weight is
+deg x + deg y minus the number of common neighbors.
 
-Copies are tallied depth first, edge by edge: each returns its chain
-count, the number of full-size copies whose assignment chain passes
-through it, to its parent.  Chain counts are passed up the recursion and
-never stored; each level keeps only its copy count and its largest chain
-count.  The level just below the full pattern counts its children by set
-size, without listing them.  No level is listed whole and no copy is
-kept: a count holds one path of at most seven copies, with their children
-and the sets each was handed.  The per-copy chain tables the analysis
-reasons about come from the test suite's independent reference tally
-(``util.reference_tally``).
+Copies are tallied depth first, from each vertex at slack 0 and each
+edge at slack 1: each returns its chain count, the number of full-size
+copies whose assignment chain passes through it, to its parent.  Chain
+counts are passed up the recursion and never stored; each level keeps
+only its copy count and its largest chain count.  The level just below
+the full pattern counts its children by set size, without listing them.
+No level is listed whole and no copy is kept: a count holds one path of
+at most seven copies, with their children and the sets each was handed.
+The per-copy chain tables the analysis reasons about come from the test
+suite's independent reference tally (``util.reference_tally``).
 """
 
 from __future__ import annotations
@@ -119,49 +119,51 @@ def count_profile(
     children; each count goes up to the parent and into its level's
     running maximum, and is then dropped.  Each copy is handed the state
     its parent held, grown by its new vertex (see the module docstring),
-    and adds its weight before its children are visited, in no particular
-    order; the weights sum to the same total in any order, so the
-    extension checks pass ``budget`` at the same count.  Raises as soon
-    as they do.  The level just below the top counts its children by set
-    size.
+    and adds its weight before its children are visited, in increasing
+    order at slack 0 and in any order at slack 1; the weights sum to the
+    same total in any order, so the extension checks pass ``budget`` at
+    the same count.  Raises as soon as they do.  The level just below the
+    top counts its children by set size.
     """
     require_feasible(pattern, seg)
     adj = g.raw_adjacency()
     lookups = g.raw_neighbor_lookups()
     n = len(adj)
-    slack = pattern.slack
     k = pattern.size
     grows = [seg.missing[i + 1] > seg.missing[i] for i in range(k)]
     # a copy keeps its others-common sets while its level or a later one grows
     keeps = [any(grows[i:]) for i in range(k)]
     counts = dict.fromkeys(range(2, k + 1), 0)
-    f_max = dict.fromkeys(counts, 0)
+    f_max = dict.fromkeys(range(1, k + 1), 0)  # level 1 is slack 0's root, a vertex
     checks = 0
 
-    def cliques(level: int, weight: int, common: set[int]) -> int:
+    def cliques(level: int, weight: int, kids: list[int]) -> int:
         """Chain count of a slack-0 copy at ``level`` < k - 1, counted and weighed already.
 
-        ``common`` holds its members' common neighbors below its least
-        member, which are its children.
+        ``kids``, its children, come in increasing order (at level 1 the copy
+        is a vertex and they are its lower neighbors); a child's children
+        are its neighbors among the siblings before it, ``below``.
         """
         nonlocal checks
         chains = 0
-        counts[level + 1] += len(common)
+        counts[level + 1] += len(kids)
         leaf = level + 2 == k
-        for u in common:
+        below: set[int] = set()
+        for u in kids:
             du = len(adj[u])
             weight_u = du if du < weight else weight
             checks += weight_u
             if checks > budget:
                 _over_budget(budget)
-            new = lookups[u].keys() & set(filter(u.__gt__, common))
+            new = lookups[u].keys() & below
+            below.add(u)
             if leaf:  # the level below the top counts its children
                 c = len(new)
                 counts[k] += c
                 if c > f_max[k - 1]:
                     f_max[k - 1] = c
             elif new:
-                c = cliques(level + 1, weight_u, new)
+                c = cliques(level + 1, weight_u, sorted(new))
             else:
                 continue
             chains += c
@@ -251,38 +253,29 @@ def count_profile(
             f_max[level] = chains
         return chains
 
-    # Level 2, the edge set: an edge misses no pair, so its rule is fixed by
-    # the order, (x, {}, False) or, if level 3 grows, (n, {}, True).
-    pair_grows = grows[2]
-    keep = keeps[2]
-    for x, nbrs in enumerate(adj):
-        upper = bisect_right(nbrs, x)
-        counts[2] += len(nbrs) - upper
-        mine = lookups[x].keys()
-        if slack == 0:  # the weight needs no common neighbors: cut x's set once
-            lower = set(nbrs[:upper])
-        for y in nbrs[upper:]:
-            theirs = lookups[y]
-            if slack == 0:
-                weight = min(len(nbrs), len(theirs))
-                new = theirs.keys() & lower
-            else:
+    if pattern.slack == 0:  # each vertex is a root, its lower neighbors its children
+        for x, nbrs in enumerate(adj):
+            cliques(1, len(nbrs), nbrs[: bisect_right(nbrs, x)])
+    else:
+        # level 2, the edge set: an edge's rule is fixed by the order
+        pair_grows = grows[2]
+        keep = keeps[2]
+        for x, nbrs in enumerate(adj):
+            upper = bisect_right(nbrs, x)
+            counts[2] += len(nbrs) - upper
+            mine = lookups[x].keys()
+            for y in nbrs[upper:]:
+                theirs = lookups[y]
                 both = mine & theirs.keys()
                 weight = len(nbrs) + len(theirs) - len(both)
-            checks += weight
-            if checks > budget:
-                _over_budget(budget)
-            if slack == 0:
-                if k == 3:
-                    counts[3] += len(new)
-                    if len(new) > f_max[2]:
-                        f_max[2] = len(new)
-                elif new:
-                    cliques(2, weight, new)
-            elif pair_grows or min(both, default=n) < x:  # else it has no child
-                others = {x: theirs.keys(), y: mine} if keep else None
-                tally((x, y), _UNCOVERED, weight, both, others)
+                checks += weight
+                if checks > budget:
+                    _over_budget(budget)
+                if pair_grows or min(both, default=n) < x:  # else it has no child
+                    others = {x: theirs.keys(), y: mine} if keep else None
+                    tally((x, y), _UNCOVERED, weight, both, others)
     del cliques, tally  # each refers to itself: free them now, not at a collection
+    del f_max[1]  # a vertex is no copy
     f_max[k] = min(counts[k], 1)  # a full-size copy's chain count is 1
     return CountProfile(
         total=counts[k], per_level_counts=counts, f_max_per_level=f_max, f_max=max(f_max.values())

@@ -151,6 +151,12 @@ class TestValidate:
         assert out.err.startswith("error:") and out.err.count("\n") == 1
         assert "permutation" in out.err
 
+    def test_non_integer_order_names_the_flag_and_token(self, capsys):
+        assert main(["validate", "--pattern", "g45", "--order", "0,1,,3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --order: '' in '0,1,,3' is not an integer\n"
+
     def test_slack_two_is_unsupported(self, capsys):
         # g45 needs only slack 1, but a declared 2 is out of the sampler's reach
         assert main(["validate", "--pattern", "g45", "--c", "2"]) == 1
@@ -673,6 +679,17 @@ class TestErrors:
              "fmax_guess must be finite, not nan"),
             (["estimate", "--walk-len", "10", "--t-guess", "2", "--epsilon", "1e-200"],
              "eps 1e-200 is too close to 0 for finite sizes"),
+            # the three comma-list flags name themselves and the bad token
+            (["experiment", "--walk-len", "10,,20", "--layers", "10"],
+             "--walk-len: '' in '10,,20' is not an integer"),
+            (["estimate", "--walk-len", "20", "--layers", "5,a"],
+             "--layers: 'a' in '5,a' is not an integer"),
+            (["experiment", "--walk-len", "20", "--layers", "5,a"],
+             "--layers: 'a' in '5,a' is not an integer"),
+            (["exact", "--order", "0,1,"],
+             "--order: '' in '0,1,' is not an integer"),
+            (["estimate", "--walk-len", "20", "--layers", "10", "--order", "0,x,2"],
+             "--order: 'x' in '0,x,2' is not an integer"),
         ],
     )
     def test_bad_flag_is_reported_before_the_load(self, argv, line, tmp_path, monkeypatch, capsys):

@@ -230,6 +230,21 @@ class TestUnbiasednessStructure:
         exact = util.exact_walk_expectation(bowtie, f2, burn_in=40, length=30)
         assert abs(float(exact) - count_profile(bowtie, p, seg).total) < 1e-12
 
+    @pytest.mark.parametrize(
+        "graph,burn_in,length",
+        [
+            # vertex 5 has no edge: the walk never starts there
+            (Graph(6, util.edges(util.bowtie())), 40, 30),
+            (util.connected_er_graph(18, 0.8, 1), 30, 10),
+        ],
+        ids=["bowtie-isolated", "er18"],
+    )
+    def test_walk_layer_expectation_from_a_non_isolated_start(self, graph, burn_in, length):
+        p, seg = builtin_pattern("g33")
+        f2 = util.reference_tally(graph, p, seg, p.size)[1][2]
+        exact = util.exact_walk_expectation(graph, f2, burn_in=burn_in, length=length)
+        assert abs(float(exact) - count_profile(graph, p, seg).total) < 1e-12
+
     def test_walk_layer_expectation_on_richer_graph(self):
         g = util.bowtie_plus()
         p, seg = builtin_pattern("g45")

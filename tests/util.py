@@ -169,6 +169,16 @@ def hk_graph(n: int, attach: int, triad_p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def spread_ids(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertices moved to distinct seeded ids below 5000.
+
+    A set of small dense ints iterates in increasing order, which hides
+    code that reads a set as if it were sorted; spread ids do not.
+    """
+    ids = Random(seed).sample(range(5000), g.vertex_count)
+    return Graph(5000, [(ids[u], ids[v]) for u, v in edges(g)])
+
+
 def connected_er_graph(n: int, p: float, seed: int) -> Graph:
     """First seed at or above ``seed`` whose sample is connected."""
     s = seed
@@ -495,13 +505,15 @@ def brute_min_slack(size: int, edges, order) -> int | None:
 def exact_walk_expectation(
     g: Graph, f2: dict[tuple[int, int], int], burn_in: int, length: int
 ) -> Fraction:
-    """Exact E of (m/length) * sum of f2 over walk edges, uniform start.
+    """Exact E of (m/length) * sum of f2 over walk edges.
 
-    Transition-matrix powers in rational arithmetic; the independent route
-    to the estimator's expectation for 3-vertex patterns.
+    The walk starts at a uniform vertex of positive degree, as the
+    sampler's does.  Transition-matrix powers in rational arithmetic; the
+    independent route to the estimator's expectation for 3-vertex patterns.
     """
     n = g.vertex_count
-    dist = [Fraction(1, n)] * n
+    live = sum(1 for v in range(n) if g.raw_degree(v))
+    dist = [Fraction(1, live) if g.raw_degree(v) else Fraction(0) for v in range(n)]
 
     def step(d):
         out = [Fraction(0)] * n

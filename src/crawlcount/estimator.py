@@ -4,7 +4,10 @@
 its one result.  The run materializes a chain of layers.  Level 2 is the
 multiset of edges collected by a random walk.  A layer holds each member's
 representative neighborhood, fetched once per distinct member when the
-layer is built; its size is the member's weight.  Each next level is
+layer is built; its size is the member's weight.  Beside it the layer
+holds the member's rule: the set its missing pairs cover, which the trial
+that accepted it handed down (an edge covers nothing), and the threshold
+that set gives.  Each next level is
 filled by one extension loop: pick a member with probability proportional
 to its weight, pick a uniform vertex from its stored neighborhood, and
 keep the grown instance only if it is a copy of the next level whose
@@ -26,10 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from random import Random
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .graph import Graph, QueryLedger, edges_observed_fraction
-from .instances import Rule, is_child, parent_rule, representative_hood
+from .instances import UNCOVERED, child_covered, covered_rule, representative_hood
 from .patterns import Pattern, Segmentation, require_feasible
 from .walk import WalkConfig, estimate_edge_count, simple_random_walk
 
@@ -44,17 +47,23 @@ class DegenerateLayerError(ValueError):
 
 @dataclass
 class LayerState:
-    """One materialized layer: members, their representative neighborhoods, prefix weights.
+    """One materialized layer: members, their representative neighborhoods and rules.
 
     ``members`` are sorted vertex tuples, repeats kept.  ``hoods[i]`` is
     member i's representative neighborhood, whose size is the member's
-    sampling weight; repeated members share one tuple.
+    sampling weight; repeated members share one tuple.  ``covered[i]`` is
+    the set member i's missing pairs cover and ``thresholds[i]`` the bound
+    its children's new vertices lie below; ``grows`` says whether the next
+    level misses one pair more.  These are what a trial reads.
     """
 
     level: int
     members: Sequence[tuple[int, ...]]
     hoods: list[tuple[int, ...]]
     trials: int
+    thresholds: Sequence[int]
+    covered: Sequence[AbstractSet[int]]
+    grows: bool
     prefix_weights: list[int] = field(init=False)
     total_degree: int = field(init=False)
 
@@ -68,10 +77,21 @@ class LayerState:
         ledger: QueryLedger,
         level: int,
         members: Sequence[tuple[int, ...]],
+        covered: Sequence[AbstractSet[int]] | None,
         trials: int,
         slack: int,
+        seg: Segmentation,
     ) -> "LayerState":
         """The layer of ``members``, fetching each distinct member's neighborhood once.
+
+        ``covered`` holds each member's covered set, handed down by the
+        trial that accepted it, and a member's threshold is
+        :func:`~crawlcount.instances.covered_rule` of it.  It is None for
+        the walk's edges, which cover nothing: an edge's threshold is its
+        lower endpoint, or the vertex count when level 3 grows.  Raises
+        ValueError unless ``seg`` needs slack at most 1, under which every
+        level is a clique minus a matching, and when ``level`` has no next
+        level.
 
         The fetches are settled in one bulk charge: one neighbors query per
         vertex of each distinct member, the same calls and queried set as one
@@ -79,13 +99,30 @@ class LayerState:
         representative's lists are among those queries, so reading them
         costs nothing more.
         """
+        if seg.min_slack is None or seg.min_slack > 1:
+            raise ValueError(
+                "extensions are classified only under an order of slack at most 1, "
+                f"not {seg.order}"
+            )
+        if level + 1 >= len(seg.missing):
+            raise ValueError(
+                f"a copy of level {level} has no next level in a pattern of size {len(seg.order)}"
+            )
+        grows = seg.missing[level + 1] > seg.missing[level]
         adj, lookups = g.raw_adjacency(), g.raw_neighbor_lookups()
+        n = len(adj)
+        if covered is None:
+            thresholds = [n] * len(members) if grows else [x for x, _ in members]
+            covered = [UNCOVERED] * len(members)
+        else:
+            thresholds = [covered_rule(m, c, grows, n) for m, c in zip(members, covered)]
         fetched = dict.fromkeys(members)
         for verts in fetched:
             fetched[verts] = representative_hood(adj, lookups, verts, slack)
         ledger.oracle_calls += level * len(fetched)
         ledger.queried_vertices.update(chain.from_iterable(fetched))
-        return LayerState(level, members, [fetched[m] for m in members], trials)
+        hoods = [fetched[m] for m in members]
+        return LayerState(level, members, hoods, trials, thresholds, covered, grows)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -112,25 +149,22 @@ class EstimateConfig:
 
 
 def initial_layer(
-    g: Graph, ledger: QueryLedger, edges: Sequence[tuple[int, int]], slack: int
+    g: Graph, ledger: QueryLedger, edges: Sequence[tuple[int, int]], slack: int, seg: Segmentation
 ) -> LayerState:
     """The level-2 layer of the walk's ``(low, high)`` edges (a multiset, order preserved)."""
-    return LayerState.build(g, ledger, 2, edges, len(edges), slack)
+    return LayerState.build(g, ledger, 2, edges, None, len(edges), slack, seg)
 
 
 def _extend(
-    g: Graph,
-    ledger: QueryLedger,
-    layer: LayerState,
-    seg: Segmentation,
-    trials: int,
-    rng: Random,
-) -> list[tuple[int, ...]]:
-    """Run ``trials`` extension trials against ``layer``; the grown tuples accepted, in order.
+    g: Graph, ledger: QueryLedger, layer: LayerState, trials: int, rng: Random
+) -> tuple[list[tuple[int, ...]], list[AbstractSet[int]]]:
+    """Run ``trials`` extension trials against ``layer``: the grown tuples accepted,
+    in order, and the covered set each one holds.
 
     A trial draws a member by weight and a uniform vertex u of its
-    representative neighborhood, and keeps the grown tuple if u is a child
-    of the member under :func:`is_child`.  Each draw is ``randrange(n)``
+    representative neighborhood, rejects u at or above the member's
+    threshold before any probe, and otherwise keeps the grown tuple if
+    :func:`child_covered` accepts u.  Each draw is ``randrange(n)``
     spelled inline: ``getrandbits(n.bit_length())`` redrawn until below n,
     which is how ``Random`` implements it, so the draws are the same.  A
     trial whose u is not a member charges the grown tuple, one neighbors
@@ -143,10 +177,11 @@ def _extend(
     getrandbits = rng.getrandbits
     total_bits = total.bit_length()
     prefix, hoods, members = layer.prefix_weights, layer.hoods, layer.members
+    thresholds, covered, grows = layer.thresholds, layer.covered, layer.grows
     lookups = g.raw_neighbor_lookups()
     query = ledger.queried_vertices.add
-    rules: dict[tuple[int, ...], Rule | None] = {}
     accepted = []
+    sets = []
     calls = 0
     charge = layer.level + 1
     for _ in range(trials):
@@ -165,26 +200,21 @@ def _extend(
             continue
         calls += charge
         query(u)
-        try:
-            rule = rules[verts]
-        except KeyError:
-            rule = rules[verts] = parent_rule(lookups, verts, seg)
-        if rule is not None and u < rule[0] and is_child(lookups[u], verts, u, rule):
-            accepted.append(tuple(sorted(verts + (u,))))
+        threshold = thresholds[idx]
+        if u < threshold:
+            got = child_covered(lookups[u], verts, u, threshold, covered[idx], grows)
+            if got is not None:
+                accepted.append(tuple(sorted(verts + (u,))))
+                sets.append(got)
     ledger.oracle_calls += calls
-    return accepted
+    return accepted, sets
 
 
 def final_level_successes(
-    g: Graph,
-    ledger: QueryLedger,
-    layer: LayerState,
-    seg: Segmentation,
-    trials: int,
-    rng: Random,
+    g: Graph, ledger: QueryLedger, layer: LayerState, trials: int, rng: Random
 ) -> int:
     """Run the last-level loop against a frozen layer and count successes."""
-    return len(_extend(g, ledger, layer, seg, trials, rng))
+    return len(_extend(g, ledger, layer, trials, rng)[0])
 
 
 def scaling_constant(
@@ -285,7 +315,7 @@ def estimate_count(
     edges = simple_random_walk(g, ledger, cfg.walk, walk_seed)
     rng = Random(trial_seed)
 
-    layers = [initial_layer(g, ledger, edges, pattern.slack)]
+    layers = [initial_layer(g, ledger, edges, pattern.slack, seg)]
     warnings: list[str] = []
     successes = 0
     for level, trials in enumerate(cfg.layer_sizes, start=3):
@@ -294,10 +324,12 @@ def estimate_count(
             warnings.append(f"degenerate layer at level {cur.level}")
             break
         if level == k:
-            successes = final_level_successes(g, ledger, cur, seg, trials, rng)
+            successes = final_level_successes(g, ledger, cur, trials, rng)
         else:
-            members = _extend(g, ledger, cur, seg, trials, rng)
-            layers.append(LayerState.build(g, ledger, level, members, trials, pattern.slack))
+            members, covered = _extend(g, ledger, cur, trials, rng)
+            layers.append(
+                LayerState.build(g, ledger, level, members, covered, trials, pattern.slack, seg)
+            )
 
     l_k = cfg.layer_sizes[-1]
     if warnings:

@@ -11,25 +11,24 @@ because its trials index into it.
 
 Accepted patterns are cliques minus a matching, and under a feasible order
 so is each level i, missing ``seg.missing[i]`` pairs; the next level misses
-the same number or one more.  A sorted tuple is therefore a copy of level i
-exactly when no vertex lies in two of its missing pairs and it misses that
-many pairs.  A copy of the next level is assigned to the copy left by
-removing its smallest vertex in a missing pair if that level misses one
-pair more, else its smallest vertex in none.  Relative to the parent this
-is one rule, stated once here: :func:`parent_rule` reads a copy once for
-the vertices its missing pairs cover and whether the next level grows, and
-:func:`covered_rule` turns those into the rule, with its threshold; the
-exact tally, which hands each copy its covered set, calls it directly.
-:func:`is_child` then decides each candidate vertex with at most one probe
-per parent vertex.  None keeps state between calls.
+the same number or one more.  A copy of the next level is assigned to the
+copy left by removing its smallest vertex in a missing pair if that level
+misses one pair more, else its smallest vertex in none.  Relative to the
+parent this is one rule, stated once here.  A copy holds the set of
+vertices its missing pairs cover, handed down by its parent: an edge
+covers nothing, and a child covers its parent's set, plus its new vertex
+and the member it misses when its level grows.  :func:`covered_rule`
+turns that set into the copy's threshold, and :func:`child_covered`
+decides each candidate vertex with at most one probe per parent vertex,
+returning the set the child holds.  The sampler and the exact tally both
+pass covered sets down this way; neither reads a copy's pairs.  None
+keeps state between calls.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, filterfalse
 from typing import AbstractSet, Container, Iterable, Sequence
-
-from .patterns import Segmentation
 
 
 def representative(
@@ -96,93 +95,50 @@ def representative_hood(
     return tuple(sorted([*adj[a], *filterfalse(lookups[a].__contains__, adj[b])]))
 
 
-Rule = tuple[int, AbstractSet[int], bool]
-_NONE: AbstractSet[int] = frozenset()  # shared by every rule of a copy missing no pair
+UNCOVERED: frozenset[int] = frozenset()  # the covered set of every copy missing no pair
 
 
-def parent_rule(
-    lookups: Sequence[dict[int, None]], verts: Sequence[int], seg: Segmentation
-) -> Rule | None:
-    """What a sorted copy ``verts`` of a level of ``seg`` asks of its children.
-
-    Returns None when ``verts`` is not a copy of its level.  Otherwise
-    returns ``(threshold, covered, grows)``: ``covered`` is the set of
-    vertices lying in the copy's missing pairs, ``grows`` whether the next
-    level misses one pair more, and ``threshold`` the bound every child's
-    new vertex lies below, the smallest vertex of ``covered`` if the level
-    grows and else the smallest one outside it (the vertex count,
-    ``len(lookups)``, when there is none).  ``lookups`` is as for
-    :func:`representative_hood`, read unmetered.  Raises ValueError unless
-    the order needs slack at most 1, the condition under which every level
-    is a clique minus a matching, and when ``verts`` has no next level.
-    An edge, the usual case when level 2 misses no pair, takes one probe:
-    it is a copy exactly when its endpoints are adjacent.
-    """
-    if seg.min_slack is None or seg.min_slack > 1:
-        raise ValueError(
-            f"extensions are classified only under an order of slack at most 1, not {seg.order}"
-        )
-    k = len(verts)
-    if k + 1 >= len(seg.missing):
-        raise ValueError(
-            f"a copy of level {k} has no next level in a pattern of size {len(seg.order)}"
-        )
-    want = seg.missing[k]
-    if k == 2 and not want:
-        if verts[0] not in lookups[verts[1]]:
-            return None
-        grows = seg.missing[3] > 0
-        return (len(lookups) if grows else verts[0]), _NONE, grows
-    covered: set[int] = set()
-    for i in range(1, k):
-        v = verts[i]
-        nbrs = lookups[v]
-        for w in verts[:i]:
-            if w in nbrs:
-                continue
-            if len(covered) == 2 * want or w in covered or v in covered:
-                return None
-            covered.add(w)
-            covered.add(v)
-    if len(covered) != 2 * want:
-        return None
-    grows = seg.missing[k + 1] > want
-    if not covered:  # covered_rule's answer without its call, which the trial loop would pay
-        return (len(lookups) if grows else verts[0]), _NONE, grows
-    return covered_rule(verts, covered, grows, len(lookups))
-
-
-def covered_rule(verts: Iterable[int], covered: AbstractSet[int], grows: bool, n: int) -> Rule:
-    """The rule of a copy ``verts`` whose missing pairs cover ``covered``.
+def covered_rule(verts: Iterable[int], covered: AbstractSet[int], grows: bool, n: int) -> int:
+    """The threshold of a copy ``verts`` whose missing pairs cover ``covered``.
 
     ``grows`` says whether the next level misses one pair more, and ``n``
-    is the vertex count.  The threshold is the least vertex of ``covered``
-    if the level grows, else the least member outside it, and ``n`` when
-    there is none: :func:`parent_rule` past its probes.  The exact tally
-    calls it with the covered set it passes down, the parent's plus the
-    new vertex and the member it misses when the level grows.
+    is the vertex count.  Every child's new vertex lies below the
+    threshold: the least vertex of ``covered`` if the level grows, else
+    the least member outside it, and ``n`` when there is none.  A copy
+    never reads its own pairs for ``covered``: its parent hands it down
+    (see :func:`child_covered`).
     """
     if grows:
-        return min(covered, default=n), covered or _NONE, True
+        return min(covered, default=n)
     if not covered:
-        return min(verts), _NONE, False
-    return min(filterfalse(covered.__contains__, verts), default=n), covered, False
+        return min(verts)
+    return min(filterfalse(covered.__contains__, verts), default=n)
 
 
-def is_child(nbrs: Container[int], verts: Sequence[int], u: int, rule: Rule) -> bool:
-    """Whether ``verts + u`` is a copy of the next level assigned to ``verts``.
+def child_covered(
+    nbrs: Container[int],
+    verts: Sequence[int],
+    u: int,
+    threshold: int,
+    covered: AbstractSet[int],
+    grows: bool,
+) -> AbstractSet[int] | None:
+    """The covered set of ``verts + u`` if it is a child of ``verts``, else None.
 
-    ``nbrs`` holds u's neighbors, ``rule`` is :func:`parent_rule` of
-    ``verts``, and u must not be in ``verts``.  Under the assignment rule
-    (see the module docstring), if the level grows, u misses exactly one
-    vertex w of ``verts``, w outside its missing pairs, and u lies below w
-    and below every vertex in a missing pair; otherwise u is adjacent to
-    all of ``verts`` and lies below every vertex outside a missing pair.
+    ``nbrs`` holds u's neighbors, ``threshold``, ``covered`` and ``grows``
+    are those of the copy ``verts`` (see :func:`covered_rule`), and u must
+    not be in ``verts``.  Under the assignment rule (see the module
+    docstring), if the level grows, u misses exactly one vertex w of
+    ``verts``, w outside its missing pairs, and u lies below w and the
+    threshold; the child covers ``covered`` plus u and w.  Otherwise u is
+    adjacent to all of ``verts`` and lies below the threshold, and the
+    child covers ``covered`` itself.
     """
-    threshold, covered, grows = rule
     if u >= threshold:
-        return False
+        return None
     if not grows:
-        return all(map(nbrs.__contains__, verts))
+        return covered if all(map(nbrs.__contains__, verts)) else None
     missed = [w for w in verts if w not in nbrs]
-    return len(missed) == 1 and missed[0] > u and missed[0] not in covered
+    if len(missed) == 1 and (w := missed[0]) > u and w not in covered:
+        return covered | {u, w}
+    return None

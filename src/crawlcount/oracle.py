@@ -17,7 +17,7 @@ the order of Chiba and Nishizeki 1985).  No neighborhood is built.
   min(parent weight, deg u), and the root's is deg x.
 - At slack 1 a copy holds the set its missing pairs cover (the parent's,
   plus u and the member w it misses when the level grows), from which
-  :func:`~crawlcount.instances.covered_rule` gives its rule; its
+  :func:`~crawlcount.instances.covered_rule` gives its threshold; its
   members' common neighbors; and, while a level from its own on grows,
   each uncovered member's others-common set, the common neighbors of
   the other members.  Each set is the parent's intersected with N(u).
@@ -40,9 +40,9 @@ slack at most 1, so patterns that fail :func:`require_feasible` are
 rejected here as well.
 
 At slack 1, level 2 is a loop over the edges and takes no rule call: an
-edge x < y misses no pair, so its rule is fixed by the order,
-(x, {}, False), or (n, {}, True) when level 3 grows, and its weight is
-deg x + deg y minus the number of common neighbors.
+edge x < y covers nothing, so its threshold is fixed by the order, x, or
+n when level 3 grows, as in the sampler's level-2 layer, and its weight
+is deg x + deg y minus the number of common neighbors.
 
 Copies are tallied depth first, from each vertex at slack 0 and each
 edge at slack 1: each returns its chain count, the number of full-size
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, NoReturn
 
 from .graph import Graph
-from .instances import covered_rule
+from .instances import UNCOVERED, covered_rule
 from .patterns import Pattern, Segmentation, auto_segment, require_feasible
 
 
@@ -72,7 +72,6 @@ class EnumerationBudgetError(RuntimeError):
 
 
 DEFAULT_BUDGET = 100_000_000
-_UNCOVERED: frozenset[int] = frozenset()
 
 
 def _over_budget(budget: int) -> NoReturn:
@@ -187,8 +186,8 @@ def count_profile(
         """
         nonlocal checks
         level = len(verts)
-        threshold, _, grow = covered_rule(verts, covered, grows[level], n)
-        if grow:  # a child misses one member w outside the missing pairs, and lies below it
+        threshold = covered_rule(verts, covered, grows[level], n)
+        if grows[level]:  # a child misses one uncovered member w and lies below it
             kids = {}
             for w, theirs in others.items():
                 kids[w] = new = set(filter((w if w < threshold else threshold).__gt__, theirs))
@@ -231,8 +230,8 @@ def count_profile(
                     continue
                 # the level below the top counts its children here, by tally's
                 # rules: a call per copy would cost more than the count itself
-                t, _, leaf_grows = covered_rule(verts + (u,), grown, grows[level + 1], n)
-                if leaf_grows:
+                t = covered_rule(verts + (u,), grown, grows[level + 1], n)
+                if grows[level + 1]:
                     c = 0
                     for b, theirs in others.items():
                         if b != w:
@@ -273,7 +272,7 @@ def count_profile(
                     _over_budget(budget)
                 if pair_grows or min(both, default=n) < x:  # else it has no child
                     others = {x: theirs.keys(), y: mine} if keep else None
-                    tally((x, y), _UNCOVERED, weight, both, others)
+                    tally((x, y), UNCOVERED, weight, both, others)
     del cliques, tally  # each refers to itself: free them now, not at a collection
     del f_max[1]  # a vertex is no copy
     f_max[k] = min(counts[k], 1)  # a full-size copy's chain count is 1

@@ -223,14 +223,18 @@ def parse_pattern(source: Iterable[str] | IO[str]) -> tuple[Pattern, Segmentatio
         toks = rest[0].split()[1:]
         if len(toks) != size:
             raise ValueError(f"order line must list {size} vertices")
-        order = tuple(int(t) for t in toks)
+        try:
+            order = tuple(map(int, toks))
+        except ValueError:
+            raise ValueError(f"bad order line {rest[0]!r}") from None
         rest = rest[1:]
     edges = []
     for s in rest:
-        parts = s.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {s!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = map(int, s.split())
+        except ValueError:  # not two tokens, or not two integers
+            raise ValueError(f"bad edge line {s!r}") from None
+        edges.append((a, b))
     p = Pattern(size, edges, slack=slack)
     seg = Segmentation(p, order) if order is not None else auto_segment(p)
     return p, seg

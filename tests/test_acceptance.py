@@ -166,7 +166,7 @@ def test_c05_frozen_layer_expectation(bowtie):
     for i in range(reruns):
         ys.append(
             final_level_successes(
-                bowtie, QueryLedger(), layer, seg, 60, Random(1_000_000 + i)
+                bowtie, QueryLedger(), layer, 60, Random(1_000_000 + i)
             )
         )
     mean = statistics.fmean(ys)

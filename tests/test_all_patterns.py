@@ -35,10 +35,11 @@ from crawlcount import (
     count_profile,
     estimate_count,
     exact_count,
+    initial_layer,
     representative,
     require_feasible,
 )
-from crawlcount.instances import covered_rule, is_child, parent_rule, representative_hood
+from crawlcount.instances import UNCOVERED, child_covered, covered_rule, representative_hood
 
 import truth
 import util
@@ -117,7 +118,7 @@ def test_representative_hood_matches_exhaustive_argmin(name, p, seg, slack):
 @pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_tally_by_set_algebra_matches_is_child(name, p, seg):
     # copies per level and the largest chain count per level must match the
-    # reference, which decides every candidate of every hood with is_child
+    # reference, which decides every candidate of every hood with child_covered
     found = 0
     graphs = (util.er_graph(12, 0.7, 2), util.er_graph(16, 0.8, 4), util.hk_graph(60, 4, 0.7, 3))
     for g in graphs + (SPREAD,):
@@ -155,9 +156,10 @@ def test_tally_under_every_feasible_builtin_order(name, p, segs):
 
 @pytest.mark.parametrize("name,p,segs", WITH_EVERY_ORDER, ids=WITH_EVERY_ORDER_IDS)
 def test_child_rule_follows_from_the_parent_covered_set(name, p, segs):
-    # the tally derives each copy's rule from the covered set its parent
-    # hands down, plus u and the member w it misses when the level grows;
-    # that must be parent_rule's reading of the copy itself
+    # the sampler and the tally derive each copy's rule from the covered set
+    # its parent hands down, plus u and the member w it misses when the
+    # level grows, as child_covered returns it; covered set and threshold
+    # must be the copy's own, read by probing every member pair
     g = util.hk_graph(60, 4, 0.7, 3)
     lookups = g.raw_neighbor_lookups()
     n = g.vertex_count
@@ -169,17 +171,16 @@ def test_child_rule_follows_from_the_parent_covered_set(name, p, segs):
             level = len(child)
             if level == p.size:
                 return
-            _, covered, grew = rule
-            if grew:
-                (w,) = [v for v in verts if v not in lookups[u]]
-                covered = covered | {u, w}
+            covered = child_covered(lookups[u], verts, u, *rule)
             grows = seg.missing[level + 1] > seg.missing[level]
-            assert covered_rule(child, covered, grows, n) == parent_rule(lookups, child, seg), child
+            want = util.brute_parent_rule(g, child, seg)
+            assert (covered_rule(child, covered, grows, n), covered, grows) == want, child
             seen += 1
 
         pair_grows = seg.missing[3] > seg.missing[2]
         for edge in util.edges(g):
-            assert covered_rule(edge, frozenset(), pair_grows, n) == parent_rule(lookups, edge, seg)
+            want = util.brute_parent_rule(g, edge, seg)
+            assert (covered_rule(edge, UNCOVERED, pair_grows, n), UNCOVERED, pair_grows) == want
         util.reference_tally(g, p, seg, p.size, on_child=check)
         assert seen > 0 or p.size == 3, seg.order
 
@@ -227,16 +228,31 @@ def test_estimator_mean_within_three_se(name, p, seg):
     assert abs(statistics.fmean(ests) - t) <= 3 * se, (t, statistics.fmean(ests), se)
 
 
-@pytest.mark.parametrize("name,p,segs", WITH_EVERY_ORDER, ids=WITH_EVERY_ORDER_IDS)
+# The 4-cycle under every feasible order, and K8 minus a perfect matching
+# under three orders other than its automatic one: under the first and the
+# third level 3 grows, and the second keeps a clique to level 4.
+C4 = next(p for name, p, _ in ACCEPTED if p.size == 4 and len(p.edges) == 4)
+K8_MATCHING = next(p for name, p, _ in ACCEPTED if name == "k8minus4")
+K8_ORDERS = [(0, 2, 1, 3, 4, 5, 6, 7), (0, 2, 4, 6, 1, 3, 5, 7), (7, 5, 6, 4, 3, 1, 2, 0)]
+STORED = WITH_EVERY_ORDER + [
+    ("c4-every-order", C4, util.feasible_orders(C4)),
+    ("k8minus4-three-orders", K8_MATCHING, [Segmentation(K8_MATCHING, o) for o in K8_ORDERS]),
+]
+
+
+@pytest.mark.parametrize("name,p,segs", STORED, ids=[name for name, _, _ in STORED])
 def test_chain_counts_pass_through_stored_hoods(name, p, segs):
     # On a seeded run's stored layers, f_i(m) = sum of f_(i+1)(m + u) over
-    # the u in m's stored hood that is_child accepts: every child the tally
-    # counts can be drawn from the member's stored neighborhood, so each
-    # trial carries the layer's f-mass over its weight into the next level.
-    # f is the reference's, computed only below the members; under every
-    # order of a builtin, layers of 10 trials keep that quick.
+    # the u in m's stored hood that child_covered accepts under m's stored
+    # rule: every child the tally counts can be drawn from the member's
+    # stored neighborhood, so each trial carries the layer's f-mass over its
+    # weight into the next level.  Every stored rule, handed down trial by
+    # trial, must be the member's own, read by probing every member pair.
+    # f is the reference's, computed only below the members; under the
+    # hundred-odd orders of g59 and g510, layers of 10 trials keep that quick.
     lookups = MEAN_GRAPH.raw_neighbor_lookups()
-    trials = 30 if len(segs) == 1 else 10
+    trials = 10 if len(segs) > 100 else 30
+    grown = 0
     for seg in segs:
         f = util.reference_chain_count(MEAN_GRAPH, p, seg)
         cfg = EstimateConfig(
@@ -244,34 +260,35 @@ def test_chain_counts_pass_through_stored_hoods(name, p, segs):
         )
         checked = carried = 0
         for layer in estimate_count(MEAN_GRAPH, p, seg, cfg).layers:
-            for m, hood in dict(zip(layer.members, layer.hoods)).items():
-                rule = parent_rule(lookups, m, seg)
+            rules = [(t, c, layer.grows) for t, c in zip(layer.thresholds, layer.covered)]
+            assert rules == [util.brute_parent_rule(MEAN_GRAPH, m, seg) for m in layer.members]
+            for m, (hood, rule) in dict(zip(layer.members, zip(layer.hoods, rules))).items():
                 got = sum(
                     f(tuple(sorted(m + (u,))))
                     for u in hood
-                    if u not in m and is_child(lookups[u], m, u, rule)
+                    if u not in m and child_covered(lookups[u], m, u, *rule) is not None
                 )
                 assert got == f(m), (seg.order, layer.level, m)
                 checked += 1
                 carried += got > 0
+                grown += bool(rule[1])
         assert checked >= 46 and carried > 0, seg.order
+    # a stored member covers a pair whenever a level from 3 to k-1 grows
+    assert grown > 0 or all(s.missing[p.size - 1] == 0 for s in segs)
 
 
 @pytest.mark.parametrize("name,p,segs", WITH_EVERY_ORDER, ids=WITH_EVERY_ORDER_IDS)
 def test_pair_rule_matches_the_probe_loop(name, p, segs):
-    # parent_rule answers a pair with one probe; on every pair of a small
-    # graph, adjacent or not, that must be the rule read by probing every
-    # member pair, under every order (level 3 grows under some of them)
+    # the level-2 layer takes every edge's rule from the order alone (its
+    # lower endpoint, or n when level 3 grows, and nothing covered); on
+    # every edge of a small graph that must be the rule read by probing,
+    # under every order (level 3 grows under some of them)
     g = util.er_graph(12, 0.5, 3)
-    lookups = g.raw_neighbor_lookups()
-    pairs = list(combinations(range(g.vertex_count), 2))
+    edges = util.edges(g)
     for seg in segs:
-        copies = 0
-        for pair in pairs:
-            got = parent_rule(lookups, pair, seg)
-            assert got == util.brute_parent_rule(g, pair, seg), (seg.order, pair)
-            copies += got is not None
-        assert 0 < copies < len(pairs), seg.order
+        layer = initial_layer(g, QueryLedger(), edges, p.slack, seg)
+        rules = [(t, c, layer.grows) for t, c in zip(layer.thresholds, layer.covered)]
+        assert rules == [util.brute_parent_rule(g, e, seg) for e in edges], seg.order
 
 
 def test_every_copy_is_assignable_under_every_feasible_order():
@@ -389,12 +406,13 @@ def test_classification_near_every_level_at_six_to_eight(name, p, seg):
 
 
 def test_infeasible_order_refuses_to_classify():
-    # path 0-1-2-3 in the order 0, 2, 1, 3: level 2 has no edge
+    # a layer is built only under an order whose levels are cliques minus a
+    # matching.  Path 0-1-2-3 in the order 0, 2, 1, 3: level 2 has no edge
     p = Pattern(4, [(0, 1), (1, 2), (2, 3)], slack=1)
     seg = Segmentation(p, (0, 2, 1, 3))
     with pytest.raises(ValueError, match="slack at most 1"):
-        util.classify_by_rule(util.triangle(), (0, 1, 2), seg)
+        initial_layer(util.triangle(), QueryLedger(), [(0, 1)], 1, seg)
     # the five-cycle's best order needs slack 2
     wide = Pattern(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], slack=2)
     with pytest.raises(ValueError, match="slack at most 1"):
-        util.classify_by_rule(util.k4(), (0, 1, 2, 3), auto_segment(wide))
+        initial_layer(util.k4(), QueryLedger(), [(0, 1)], 1, auto_segment(wide))

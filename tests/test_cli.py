@@ -121,6 +121,20 @@ class TestValidate:
         assert "min_slack=2" in out
         assert out.endswith("verdict=unsupported-slack-2\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3 0\norder 0 1 x\n0 1\n1 2\n0 2\n", "order line 'order 0 1 x'"),
+         ("3 0\n0 1\n1 y\n0 2\n", "edge line '1 y'")],
+        ids=["order", "edge"],
+    )
+    def test_non_integer_token_names_its_line(self, tmp_path, capsys, text, line):
+        pf = tmp_path / "bad.pat"
+        pf.write_text(text)
+        assert main(["validate", "--pattern-file", str(pf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad {line}\n"
+
     def test_disconnected_order_reported(self, tmp_path, capsys):
         pf = tmp_path / "path.pat"
         pf.write_text("4 2\norder 0 2 1 3\n0 1\n1 2\n2 3\n")

@@ -22,6 +22,7 @@ from crawlcount import (
     simple_random_walk,
 )
 from crawlcount.estimator import _extend
+from crawlcount.instances import UNCOVERED
 
 import truth
 import util
@@ -30,18 +31,19 @@ import util
 class TestLayerState:
     def test_build_prefix_sums(self):
         members = [(0, 1), (1, 2), (0, 2)]
-        layer = LayerState(2, members, [(2,), (0, 3, 4), (1, 3)], trials=3)
+        hoods = [(2,), (0, 3, 4), (1, 3)]
+        layer = LayerState(2, members, hoods, 3, [0, 1, 0], [UNCOVERED] * 3, False)
         assert [len(h) for h in layer.hoods] == [1, 3, 2]
         assert layer.total_degree == 6
         assert layer.prefix_weights == [1, 4, 6]
         assert len(layer) == 3
 
     def test_empty_layer_is_degenerate(self):
-        layer = LayerState(3, [], [], trials=10)
+        layer = LayerState(3, [], [], 10, [], [], False)
         assert layer.total_degree == 0
         _, seg = builtin_pattern("g46")
         with pytest.raises(DegenerateLayerError):
-            final_level_successes(util.k5(), QueryLedger(), layer, seg, 10, Random(0))
+            final_level_successes(util.k5(), QueryLedger(), layer, 10, Random(0))
         with pytest.raises(DegenerateLayerError):
             util.reference_extend(util.k5(), QueryLedger(), layer, seg, 10, Random(0))
 
@@ -49,32 +51,41 @@ class TestLayerState:
         # In K5 every draw from (3, 4) is its child and the one from (0, 1)
         # is not ((0, 1, 2) belongs to (1, 2)), so successes count the draws
         # of the weight-3 member.
-        members = [(0, 1), (3, 4)]
-        layer = LayerState(2, members, [(2,), (0, 1, 2)], trials=2)
+        layer = hand_layer(util.k5(), "g33", [(0, 1), (3, 4)], [(2,), (0, 1, 2)])
         hits = assert_extend_matches_reference(util.k5(), layer, "g33", 20_000, 42)
         assert abs(len(hits) / 20_000 - 0.75) < 0.02
 
     def test_zero_weight_member_never_drawn(self):
         # In K7 every vertex below 5 grows (5, 6) into its child; a draw
         # from the empty neighborhood could not even pick a vertex.
-        members = [(0, 1), (5, 6)]
-        layer = LayerState(2, members, [(), (0, 1, 2, 3, 4)], trials=2)
         k7 = Graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+        layer = hand_layer(k7, "g33", [(0, 1), (5, 6)], [(), (0, 1, 2, 3, 4)])
         assert len(assert_extend_matches_reference(k7, layer, "g33", 200, 7)) == 200
+
+
+def hand_layer(g, pat, members, hoods):
+    """A level-2 layer of ``members`` with the given hoods, each member's rule
+    read from the member itself by ``util.brute_parent_rule``."""
+    _, seg = builtin_pattern(pat)
+    rules = [util.brute_parent_rule(g, m, seg) for m in members]
+    thresholds, covered, grows = zip(*rules)
+    return LayerState(2, members, hoods, len(members), thresholds, covered, grows[0])
 
 
 def assert_extend_matches_reference(g, layer, pat, trials, seed):
     """Run ``_extend`` and the plain reference loop from one state; both must
-    accept the same tuples, charge equal ledgers and leave the rng alike."""
+    accept the same tuples, charge equal ledgers and leave the rng alike, and
+    each accepted tuple must come with the set its missing pairs cover."""
     _, seg = builtin_pattern(pat)
     led, ref_led = QueryLedger(), QueryLedger()
     for verts in dict.fromkeys(layer.members):
         util.metered_hood(g, led, verts, 0)
         util.metered_hood(g, ref_led, verts, 0)
     rng, ref_rng = Random(seed), Random(seed)
-    got = _extend(g, led, layer, seg, trials, rng)
+    got, covered = _extend(g, led, layer, trials, rng)
     want = util.reference_extend(g, ref_led, layer, seg, trials, ref_rng)
     assert got == want
+    assert covered == [util.brute_covered(g, c) for c in got]
     assert led == ref_led
     assert rng.getstate() == ref_rng.getstate()
     return got
@@ -160,7 +171,7 @@ class TestInitialLayer:
     def test_wraps_walk_edges_in_order(self, bowtie):
         led = QueryLedger()
         edges = simple_random_walk(bowtie, led, WalkConfig(length=12), 3)
-        layer = initial_layer(bowtie, led, edges, slack=0)
+        layer = initial_layer(bowtie, led, edges, 0, builtin_pattern("g33")[1])
         assert layer.members == edges
         assert layer.trials == 12
         assert layer.level == 2
@@ -169,13 +180,13 @@ class TestInitialLayer:
         # every bowtie edge has an endpoint of degree 2
         led = QueryLedger()
         edges = simple_random_walk(bowtie, led, WalkConfig(length=30), 5)
-        layer = initial_layer(bowtie, led, edges, slack=0)
+        layer = initial_layer(bowtie, led, edges, 0, builtin_pattern("g33")[1])
         assert [len(h) for h in layer.hoods] == [2] * 30
         assert layer.total_degree == 60
 
     def test_repeat_edges_share_weight(self, k4):
         led = QueryLedger()
-        layer = initial_layer(k4, led, [(0, 1), (0, 1), (2, 3)], slack=0)
+        layer = initial_layer(k4, led, [(0, 1), (0, 1), (2, 3)], 0, builtin_pattern("g46")[1])
         assert [len(h) for h in layer.hoods] == [3, 3, 3]
         assert layer.hoods[0] is layer.hoods[1]
         assert led.oracle_calls == 4  # two distinct edges, two vertices each
@@ -303,9 +314,9 @@ class TestBuildLayers:
         p, seg = builtin_pattern("g33")
         led = QueryLedger()
         edges = simple_random_walk(bowtie, led, WalkConfig(length=40, burn_in=30), 9)
-        layer = initial_layer(bowtie, led, edges, p.slack)
-        a = final_level_successes(bowtie, led, layer, seg, 200, Random(4))
-        b = final_level_successes(bowtie, led, layer, seg, 200, Random(4))
+        layer = initial_layer(bowtie, led, edges, p.slack, seg)
+        a = final_level_successes(bowtie, led, layer, 200, Random(4))
+        b = final_level_successes(bowtie, led, layer, 200, Random(4))
         assert a == b
 
 
@@ -330,13 +341,14 @@ class TestOneFetchPerMember:
             fetched.append(verts)
             return fetch(adj, lookups, verts, slack)
 
-        def compared_extend(g, ledger, layer, seg, trials, rng):
+        def compared_extend(g, ledger, layer, trials, rng):
             ref_ledger = copy.deepcopy(ledger)
             ref_rng = copy.deepcopy(rng)
             before = ledger.oracle_calls
-            got = extend(g, ledger, layer, seg, trials, rng)
+            got = extend(g, ledger, layer, trials, rng)
             want = util.reference_extend(g, ref_ledger, layer, seg, trials, ref_rng)
-            assert got == want
+            assert got[0] == want
+            assert got[1] == [util.brute_covered(g, c) for c in want]
             assert ledger == ref_ledger
             assert rng.getstate() == ref_rng.getstate()
             trial_calls.append((trials, ledger.oracle_calls - before))
@@ -374,7 +386,8 @@ class TestBulkLayerCharge:
             copies = truth.copies(g, p, seg, level)[:40]
             members = copies + copies[::3]  # repeats are fetched and charged once
             led = QueryLedger({-1}, 5)
-            layer = LayerState.build(g, led, level, members, len(members), p.slack)
+            covered = None if level == 2 else [util.brute_covered(g, m) for m in members]
+            layer = LayerState.build(g, led, level, members, covered, len(members), p.slack, seg)
             ref = QueryLedger({-1}, 5)
             want = {}
             for m in members:
@@ -382,6 +395,8 @@ class TestBulkLayerCharge:
                     want[m] = util.metered_hood(g, ref, m, p.slack)
             assert led == ref, (pat, level)
             assert layer.hoods == [want[m] for m in members]
+            rules = [(t, c, layer.grows) for t, c in zip(layer.thresholds, layer.covered)]
+            assert rules == [util.brute_parent_rule(g, m, seg) for m in members], (pat, level)
 
 
 class TestEstimateCount:

@@ -14,7 +14,7 @@ from crawlcount import (
     parse_pattern,
     representative,
 )
-from crawlcount.instances import representative_hood
+from crawlcount.instances import UNCOVERED, representative_hood
 
 import truth
 import util
@@ -49,7 +49,7 @@ class TestRepresentative:
         # the representative is read unmetered; the layer that fetches it
         # charges one query per member vertex, as many as neighbors calls
         led = QueryLedger()
-        LayerState.build(bowtie, led, 3, [(0, 1, 2)], 1, 0)
+        LayerState.build(bowtie, led, 3, [(0, 1, 2)], [UNCOVERED], 1, 0, builtin_pattern("g46")[1])
         assert led.oracle_calls == 3
 
     @settings(max_examples=60, deadline=None)
@@ -220,6 +220,7 @@ class TestClassify:
 
 class TestHotPathLedger:
     def test_full_size_parent_is_rejected_by_level(self, k4):
+        # a layer of full-size copies has no next level to extend into
         _, seg = builtin_pattern("g33")
         with pytest.raises(ValueError, match="level 3 has no next level"):
-            util.metered_check(k4, QueryLedger(), (0, 1, 2), 3, seg)
+            LayerState.build(k4, QueryLedger(), 3, [(0, 1, 2)], [UNCOVERED], 1, 0, seg)

@@ -351,6 +351,15 @@ class TestParsePattern:
         with pytest.raises(ValueError, match="bad edge line '0 1 2'"):
             parse_pattern(io.StringIO("3 0\n0 1 2\n1 2\n0 2\n"))
 
+    @pytest.mark.parametrize("line", ["1 y", "x 2", "1.0 2", "7"])
+    def test_edge_line_of_non_integers_is_named(self, line):
+        with pytest.raises(ValueError, match=f"^bad edge line '{line}'$"):
+            parse_pattern(io.StringIO(f"3 0\n0 1\n{line}\n0 2\n"))
+
+    def test_order_line_of_non_integers_is_named(self):
+        with pytest.raises(ValueError, match="^bad order line 'order 0 1 x'$"):
+            parse_pattern(io.StringIO("3 0\norder 0 1 x\n0 1\n1 2\n0 2\n"))
+
     def test_empty_file(self):
         with pytest.raises(ValueError, match="empty"):
             parse_pattern(io.StringIO("# nothing\n"))

@@ -39,7 +39,7 @@ from crawlcount import (
     default_burn_in,
     neighbors,
 )
-from crawlcount.instances import is_child, parent_rule
+from crawlcount.instances import child_covered, covered_rule
 
 # ---- named graphs ----
 
@@ -297,17 +297,22 @@ def reference_class(bits: list[int], seg: Segmentation, k: int) -> int | None:
 
 def classify_by_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation) -> int | None:
     """The index j for which ``verts[j]`` is a child of ``verts`` without
-    ``verts[j]`` under ``parent_rule`` and ``is_child``, or None when there is
-    no such j: the package's child rule read as a classifier of the grown
-    tuple.  Every index is tried, and an AssertionError raised when more
-    than one accepts: a rule that assigns a copy to two parents counts it
-    twice."""
+    ``verts[j]`` under ``child_covered``, or None when there is no such j:
+    the package's child rule read as a classifier of the grown tuple.  Each
+    parent's covered set and growth come from :func:`brute_parent_rule`,
+    its threshold from ``covered_rule``.  Every index is tried, and an
+    AssertionError raised when more than one accepts: a rule that assigns a
+    copy to two parents counts it twice."""
     lookups = g.raw_neighbor_lookups()
     accepting = []
     for j, u in enumerate(verts):
         parent = verts[:j] + verts[j + 1 :]
-        rule = parent_rule(lookups, parent, seg)
-        if rule is not None and is_child(lookups[u], parent, u, rule):
+        rule = brute_parent_rule(g, parent, seg)
+        if rule is None:
+            continue
+        _, covered, grows = rule
+        threshold = covered_rule(parent, covered, grows, g.vertex_count)
+        if child_covered(lookups[u], parent, u, threshold, covered, grows) is not None:
             accepting.append(j)
     assert len(accepting) <= 1, f"{verts} is a child of the parents without each of {accepting}"
     return accepting[0] if accepting else None
@@ -453,11 +458,19 @@ def brute_representative(g: Graph, verts: tuple[int, ...], slack: int) -> tuple[
     return best
 
 
+def brute_covered(g: Graph, verts: tuple[int, ...]) -> frozenset[int]:
+    """The vertices of ``verts`` that lie in a missing pair, every pair probed."""
+    lookups = g.raw_neighbor_lookups()
+    return frozenset(v for a, b in combinations(verts, 2) if b not in lookups[a] for v in (a, b))
+
+
 def brute_parent_rule(g: Graph, verts: tuple[int, ...], seg: Segmentation):
-    """``parent_rule`` spelled from its definition: every member pair probed;
+    """A copy's rule read from the copy itself, every member pair probed:
     None unless the missing pairs are ``seg.missing[k]`` disjoint ones, else
-    the covered set, whether level k+1 misses one pair more, and the least
-    covered vertex (growing) or least uncovered member, ``n`` if none."""
+    ``(threshold, covered, grows)``: the least covered vertex (growing) or
+    least uncovered member, ``n`` if none; the covered set; and whether
+    level k+1 misses one pair more.  The package never reads a copy's pairs:
+    a parent hands its child the covered set."""
     lookups = g.raw_neighbor_lookups()
     k = len(verts)
     missing = [(a, b) for a, b in combinations(verts, 2) if b not in lookups[a]]
@@ -560,16 +573,15 @@ def metered_check(
     """The grown tuple if ``verts + u`` is a copy of the next level assigned
     to ``verts``, else None: one trial's decision the per-query way.  None,
     uncharged, when u is in ``verts``; otherwise one metered ``neighbors``
-    call per vertex of the grown tuple, then ``parent_rule`` and
-    ``is_child``."""
+    call per vertex of the grown tuple, then :func:`brute_parent_rule` and
+    ``child_covered``."""
     if u in verts:
         return None
     grown = tuple(sorted(verts + (u,)))
     for v in grown:
         neighbors(g, ledger, v)
-    lookups = g.raw_neighbor_lookups()
-    rule = parent_rule(lookups, verts, seg)
-    if rule is None or not is_child(lookups[u], verts, u, rule):
+    rule = brute_parent_rule(g, verts, seg)
+    if rule is None or child_covered(g.raw_neighbor_lookups()[u], verts, u, *rule) is None:
         return None
     return grown
 
@@ -597,7 +609,8 @@ def reference_tally(
     g: Graph, p: Pattern, seg: Segmentation, top: int, on_child=None
 ) -> tuple[dict[int, int], dict[int, dict[tuple[int, ...], int]], int]:
     """The exact tally decided one candidate at a time: each copy's
-    :func:`metered_hood`, then ``is_child`` on every vertex of it, every copy
+    :func:`metered_hood`, then ``child_covered`` under its
+    :func:`brute_parent_rule` on every vertex of it, every copy
     visited, leaves included.  Counts and chain tables in the package's
     order, and the work the budget counts: the sum of hood sizes over every
     copy below ``top``.  ``on_child(verts, rule, u, child)``, when given, is
@@ -613,11 +626,15 @@ def reference_tally(
         chains = 1
         if len(verts) < top:
             chains = 0
-            rule = parent_rule(lookups, verts, seg)
+            rule = brute_parent_rule(g, verts, seg)
             hood = metered_hood(g, QueryLedger(), verts, p.slack)
             work += len(hood)
             for u in hood:
-                if rule is not None and u not in verts and is_child(lookups[u], verts, u, rule):
+                if (
+                    rule is not None
+                    and u not in verts
+                    and child_covered(lookups[u], verts, u, *rule) is not None
+                ):
                     child = tuple(sorted(verts + (u,)))
                     if on_child is not None:
                         on_child(verts, rule, u, child)
@@ -641,13 +658,13 @@ def reference_chain_count(g: Graph, p: Pattern, seg: Segmentation):
     def chains(verts: tuple[int, ...]) -> int:
         if len(verts) == p.size:
             return 1
-        rule = parent_rule(lookups, verts, seg)
+        rule = brute_parent_rule(g, verts, seg)
         if rule is None:
             return 0
         return sum(
             chains(tuple(sorted(verts + (u,))))
             for u in metered_hood(g, QueryLedger(), verts, p.slack)
-            if u not in verts and is_child(lookups[u], verts, u, rule)
+            if u not in verts and child_covered(lookups[u], verts, u, *rule) is not None
         )
 
     return chains

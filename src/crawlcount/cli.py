@@ -413,8 +413,8 @@ def _add_estimate_flags(sp: argparse.ArgumentParser) -> None:
 
 
 BUDGET_HELP = (
-    "cap on the exact side's extension checks (one per parent and vertex of its "
-    "representative neighborhood, so the sum of seg-degrees over each level)"
+    "cap on the exact side's extension checks: the sum, over every copy below the "
+    "pattern size, of its least member degree"
 )
 
 

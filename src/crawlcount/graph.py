@@ -29,7 +29,8 @@ class Graph:
 
     Adjacency lists are stored as strictly increasing tuples.  Numeric id
     order is the tie-breaking order used everywhere else in the package.
-    Self-loops and duplicate edges are dropped at construction time.
+    Self-loops and duplicate edges are dropped at construction time; an
+    endpoint outside 0..n-1 raises ValueError, on a self-loop as well.
     """
 
     __slots__ = ("_adj", "_lookups", "_m")
@@ -46,10 +47,10 @@ class Graph:
         ids = list(range(n))
         nbrs: list = [[] for _ in range(n)]
         for u, v in edges:
-            if u == v:
-                continue
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                continue
             nbrs[u].append(ids[v])
             nbrs[v].append(ids[u])
         for v, l in enumerate(nbrs):

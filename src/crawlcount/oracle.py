@@ -17,32 +17,30 @@ the order of Chiba and Nishizeki 1985).  No neighborhood is built.
   min(parent weight, deg u), and the root's is deg x.
 - At slack 1 a copy holds the set its missing pairs cover (the parent's,
   plus u and the member w it misses when the level grows), from which
-  :func:`~crawlcount.instances.covered_rule` gives its threshold; its
-  members' common neighbors; and, while a level from its own on grows,
-  each uncovered member's others-common set, the common neighbors of
-  the other members.  Each set is the parent's intersected with N(u).
-  If the level does not grow, the children are the common neighbors
-  below the threshold; if it grows, each uncovered w adds its
-  others-common set cut below w and the threshold, minus w's set.  The
-  weight is the parent's least pair union, lowered where a pair (a, u)
-  does better; a union is no smaller than either list, so only members
-  of lower degree than the running least are intersected with u.
+  :func:`~crawlcount.instances.covered_rule` gives its threshold; while
+  a level from its own on does not grow, its members' common neighbors;
+  and, while one grows, each uncovered member's others-common set, the
+  common neighbors of the other members.  Each set is the parent's
+  intersected with N(u).  If the level does not grow, the children are
+  the common neighbors below the threshold; if it grows, each uncovered
+  w adds its others-common set cut below w and the threshold, minus w's
+  set.  The weight is min(parent weight, deg u), as at slack 0.
 
-The work budget counts each copy's sampling weight, the size of the
-representative neighborhood the sampler would store for it (at slack 1
-by inclusion-exclusion over the pair's common neighbors): the sum of
-seg-degrees over every level below the full pattern.  Every copy adds
-its weight before its children are visited, in increasing order at
-slack 0 and in any order at slack 1: the weights sum to the same total
-in any order and the error names no copy, so the budget trips at the
-same count whatever the order.  Completeness needs a feasible order at
-slack at most 1, so patterns that fail :func:`require_feasible` are
-rejected here as well.
+The work budget counts each copy's weight, its least member degree, over
+every level below the full pattern.  At slack 0 that is the size of the
+representative neighborhood the sampler would store for the copy, its
+seg-degree; at slack 1 it is a lower bound on it, since the least pair
+union is no smaller than either list.  Every copy adds its weight before
+its children are visited, in increasing order at slack 0 and in any
+order at slack 1: the weights sum to the same total in any order and the
+error names no copy, so the budget trips at the same count whatever the
+order.  Completeness needs a feasible order at slack at most 1, so
+patterns that fail :func:`require_feasible` are rejected here as well.
 
 At slack 1, level 2 is a loop over the edges and takes no rule call: an
 edge x < y covers nothing, so its threshold is fixed by the order, x, or
 n when level 3 grows, as in the sampler's level-2 layer, and its weight
-is deg x + deg y minus the number of common neighbors.
+is min(deg x, deg y).
 
 Copies are tallied depth first, from each vertex at slack 0 and each
 edge at slack 1: each returns its chain count, the number of full-size
@@ -118,11 +116,11 @@ def count_profile(
     children; each count goes up to the parent and into its level's
     running maximum, and is then dropped.  Each copy is handed the state
     its parent held, grown by its new vertex (see the module docstring),
-    and adds its weight before its children are visited, in increasing
-    order at slack 0 and in any order at slack 1; the weights sum to the
-    same total in any order, so the extension checks pass ``budget`` at
-    the same count.  Raises as soon as they do.  The level just below the
-    top counts its children by set size.
+    and adds its weight, its least member degree, before its children are
+    visited, in increasing order at slack 0 and in any order at slack 1;
+    the weights sum to the same total in any order, so the extension
+    checks pass ``budget`` at the same count.  Raises as soon as they do.
+    The level just below the top counts its children by set size.
     """
     require_feasible(pattern, seg)
     adj = g.raw_adjacency()
@@ -130,8 +128,10 @@ def count_profile(
     n = len(adj)
     k = pattern.size
     grows = [seg.missing[i + 1] > seg.missing[i] for i in range(k)]
-    # a copy keeps its others-common sets while its level or a later one grows
+    # a copy keeps its others-common sets while its level or a later one grows,
+    # and its common neighbors while one does not
     keeps = [any(grows[i:]) for i in range(k)]
+    needs = [not all(grows[i:]) for i in range(k)]
     counts = dict.fromkeys(range(2, k + 1), 0)
     f_max = dict.fromkeys(range(1, k + 1), 0)  # level 1 is slack 0's root, a vertex
     checks = 0
@@ -174,15 +174,16 @@ def count_profile(
         verts: tuple[int, ...],
         covered: AbstractSet[int],
         weight: int,
-        common: AbstractSet[int],
+        common: AbstractSet[int] | None,
         others: dict[int, AbstractSet[int]] | None,
     ) -> int:
         """Chain count of a slack-1 copy ``verts``, counted and weighed already.
 
-        ``covered`` is the set its missing pairs cover and ``common`` its
-        members' common neighbors.  While a level from this one on grows,
-        ``others`` maps each member outside ``covered`` to the other
-        members' common neighbors; after, it is None.
+        ``covered`` is the set its missing pairs cover.  While a level from
+        this one on does not grow, ``common`` is its members' common
+        neighbors; while one grows, ``others`` maps each member outside
+        ``covered`` to the other members' common neighbors.  Each is None
+        once no later level needs it.
         """
         nonlocal checks
         level = len(verts)
@@ -195,59 +196,32 @@ def count_profile(
         else:
             kids = {None: set(filter(threshold.__gt__, common))}
         chains = 0
-        if level + 1 == k:  # an edge of a 3-vertex pattern: its children are full-size
+        if level + 1 == k:  # the level below the top counts its children
             for new in kids.values():
                 chains += len(new)
             counts[k] += chains
-            if chains > f_max[level]:
-                f_max[level] = chains
-            return chains
-        leaf = level + 2 == k
-        for w, new in kids.items():
-            counts[level + 1] += len(new)
-            for u in new:
-                mine = lookups[u].keys()
-                du = len(mine)
-                weight_u = weight
-                if du < weight_u:  # a pair's union is no smaller than either list
-                    for a in verts:
-                        da = len(adj[a])
-                        if da < weight_u:
-                            size = da + du - len(mine & lookups[a].keys())
-                            if size < weight_u:
-                                weight_u = size
-                checks += weight_u
-                if checks > budget:
-                    _over_budget(budget)
-                grown = covered if w is None else covered | {u, w}
-                if not leaf:
+        else:
+            for w, new in kids.items():
+                counts[level + 1] += len(new)
+                for u in new:
+                    mine = lookups[u].keys()
+                    du = len(mine)
+                    weight_u = du if du < weight else weight
+                    checks += weight_u
+                    if checks > budget:
+                        _over_budget(budget)
                     nxt = None
                     if keeps[level + 1]:
                         nxt = {b: mine & theirs for b, theirs in others.items() if b != w}
                         if w is None:
                             nxt[u] = common
-                    chains += tally(verts + (u,), grown, weight_u, mine & common, nxt)
-                    continue
-                # the level below the top counts its children here, by tally's
-                # rules: a call per copy would cost more than the count itself
-                t = covered_rule(verts + (u,), grown, grows[level + 1], n)
-                if grows[level + 1]:
-                    c = 0
-                    for b, theirs in others.items():
-                        if b != w:
-                            below = set(filter((b if b < t else t).__gt__, mine & theirs))
-                            below.difference_update(lookups[b])
-                            c += len(below)
-                    if w is None:
-                        below = set(filter((u if u < t else t).__gt__, common))
-                        below.difference_update(mine)
-                        c += len(below)
-                else:
-                    c = len(set(filter(t.__gt__, mine & common)))
-                counts[k] += c
-                if c > f_max[level + 1]:
-                    f_max[level + 1] = c
-                chains += c
+                    chains += tally(
+                        verts + (u,),
+                        covered if w is None else covered | {u, w},
+                        weight_u,
+                        mine & common if needs[level + 1] else None,
+                        nxt,
+                    )
         if chains > f_max[level]:
             f_max[level] = chains
         return chains
@@ -259,17 +233,20 @@ def count_profile(
         # level 2, the edge set: an edge's rule is fixed by the order
         pair_grows = grows[2]
         keep = keeps[2]
+        need = needs[2]
         for x, nbrs in enumerate(adj):
             upper = bisect_right(nbrs, x)
             counts[2] += len(nbrs) - upper
+            dx = len(nbrs)
             mine = lookups[x].keys()
             for y in nbrs[upper:]:
                 theirs = lookups[y]
-                both = mine & theirs.keys()
-                weight = len(nbrs) + len(theirs) - len(both)
+                dy = len(theirs)
+                weight = dx if dx < dy else dy
                 checks += weight
                 if checks > budget:
                     _over_budget(budget)
+                both = mine & theirs.keys() if need else None
                 if pair_grows or min(both, default=n) < x:  # else it has no child
                     others = {x: theirs.keys(), y: mine} if keep else None
                     tally((x, y), UNCOVERED, weight, both, others)

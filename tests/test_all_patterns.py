@@ -135,7 +135,7 @@ def test_tally_by_set_algebra_matches_is_child(name, p, seg):
 def test_tally_under_every_feasible_builtin_order(name, p, segs):
     # the two checks above under every order of the builtins: copies and
     # largest chain count per level against the reference, and the budget
-    # passing at the reference hood sum and raising one below it
+    # passing at the reference work and raising one below it
     grown = 0
     for g in (util.er_graph(12, 0.7, 2), util.hk_graph(60, 4, 0.7, 3), SPREAD):
         for seg in segs:
@@ -187,8 +187,9 @@ def test_child_rule_follows_from_the_parent_covered_set(name, p, segs):
 
 @pytest.mark.parametrize("name,p,seg", ACCEPTED, ids=IDS)
 def test_budget_trips_at_the_reference_hood_sum(name, p, seg):
-    # --budget bounds the sum of representative neighborhood sizes over
-    # every copy below the top: that sum passes and one less raises
+    # --budget bounds the sum of least member degrees over every copy below
+    # the top (at slack 0 the representative neighborhood sizes): that sum
+    # passes and one less raises
     for g in (util.er_graph(16, 0.8, 4), util.hk_graph(60, 4, 0.7, 3)):
         _, _, work = util.reference_tally(g, p, seg, p.size)
         count_profile(g, p, seg, budget=work)

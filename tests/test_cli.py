@@ -404,10 +404,10 @@ class TestExperiment:
             ",".join(SUMMARY_HEADER) + "\n20,3,,,,100.0000\n30,3,,,,100.0000\n"
         )
 
-    @pytest.mark.parametrize("budget", [2500, 3572])
+    @pytest.mark.parametrize("budget", [1500, 2189])
     def test_exact_count_follows_the_order_flag(self, budget, tmp_path, capsys):
-        # g45 here needs 2164 extension checks under its automatic order
-        # (0,1,2,3) and 3572 under (0,2,3,1): experiment must count under
+        # g45 here needs 1339 extension checks under its automatic order
+        # (0,1,2,3) and 2189 under (0,2,3,1): experiment must count under
         # the run's own order, as exact does, and refuse or agree with it
         g = util.er_graph(16, 0.5, 4)
         gf = tmp_path / "g.txt"
@@ -420,7 +420,7 @@ class TestExperiment:
         run_code = main(["experiment", *flags, "--walk-len", "20", "--reps", "1",
                          "--layers", "10,10", "--seed", "1", "--out", str(out_csv)])
         run = capsys.readouterr()
-        assert exact_code == run_code == (2 if budget < 3572 else 0)
+        assert exact_code == run_code == (2 if budget < 2189 else 0)
         if exact_code:
             assert f"exceeded {budget} extension checks" in exact.err
             assert f"exceeded {budget} extension checks" in run.err

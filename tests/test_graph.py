@@ -50,6 +50,10 @@ class TestGraphStore:
             Graph(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph(3, [(-1, 0)])
+        # a self-loop is dropped, but only once its ids are known to be in range
+        for loop in ((7, 7), (3, 3), (-2, -2)):
+            with pytest.raises(ValueError, match=r"out of range for n=3"):
+                Graph(3, [(0, 1), loop])
 
     @given(edge_lists())
     def test_invariants_hold_for_any_input(self, spec):

@@ -612,9 +612,10 @@ def reference_tally(
     :func:`metered_hood`, then ``child_covered`` under its
     :func:`brute_parent_rule` on every vertex of it, every copy
     visited, leaves included.  Counts and chain tables in the package's
-    order, and the work the budget counts: the sum of hood sizes over every
-    copy below ``top``.  ``on_child(verts, rule, u, child)``, when given, is
-    called on each accepted child before it is visited."""
+    order, and the work the budget counts: the sum of each copy's least
+    member degree over every copy below ``top``.  ``on_child(verts, rule,
+    u, child)``, when given, is called on each accepted child before it is
+    visited."""
     counts = dict.fromkeys(range(2, top + 1), 0)
     tables: dict[int, dict[tuple[int, ...], int]] = {i: {} for i in counts}
     lookups = g.raw_neighbor_lookups()
@@ -628,7 +629,7 @@ def reference_tally(
             chains = 0
             rule = brute_parent_rule(g, verts, seg)
             hood = metered_hood(g, QueryLedger(), verts, p.slack)
-            work += len(hood)
+            work += min(map(g.raw_degree, verts))
             for u in hood:
                 if (
                     rule is not None

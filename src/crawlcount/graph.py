@@ -14,7 +14,7 @@ import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -24,6 +24,19 @@ class EdgeListParseError(ValueError):
 _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
 
+class _Lookups(dict):
+    """Vertex id to a dict of its sorted neighbors to None, built on first read and kept."""
+
+    __slots__ = ("_adj",)
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]):
+        self._adj = adj
+
+    def __missing__(self, v: int) -> dict[int, None]:
+        self[v] = lookup = dict.fromkeys(self._adj[v])
+        return lookup
+
+
 class Graph:
     """Simple undirected graph with vertex ids 0..n-1.
 
@@ -31,6 +44,9 @@ class Graph:
     order is the tie-breaking order used everywhere else in the package.
     Self-loops and duplicate edges are dropped at construction time; an
     endpoint outside 0..n-1 raises ValueError, on a self-loop as well.
+    Membership lookups are built per vertex on first read (see
+    :meth:`raw_neighbor_lookups`), so a graph holds only its tuples until
+    a caller probes a vertex's neighbors.
     """
 
     __slots__ = ("_adj", "_lookups", "_m")
@@ -41,11 +57,15 @@ class Graph:
         n = vertex_count
         # One pass fills per-vertex lists with the one int object ids[v] per
         # id, so a graph holds n ints, not one per edge end.  Each sorted list
-        # is then replaced in place by a dict of its neighbors to None: that
-        # drops duplicates, keeps the order, is about half a frozenset's size
-        # and is never tracked by the cyclic collector.
+        # goes through dict.fromkeys, which drops duplicates and keeps the
+        # order, into a tuple, and is then cleared to free its buffer.
+        # Clearing it rather than replacing it frees no tracked object, so
+        # the cyclic collector's gen-0 passes keep running during the load
+        # and untrack the new tuples of ints as they go; replacing each list
+        # by its tuple would leave every tuple tracked for the first full
+        # collection to walk.
         ids = list(range(n))
-        nbrs: list = [[] for _ in range(n)]
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -53,12 +73,14 @@ class Graph:
                 continue
             nbrs[u].append(ids[v])
             nbrs[v].append(ids[u])
-        for v, l in enumerate(nbrs):
+        adj = []
+        for l in nbrs:
             l.sort()
-            nbrs[v] = dict.fromkeys(l)
-        self._lookups: tuple[dict[int, None], ...] = tuple(nbrs)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
-        self._m = sum(map(len, self._adj)) // 2
+            adj.append(tuple(dict.fromkeys(l)))
+            l.clear()
+        self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
+        self._lookups = _Lookups(self._adj)
+        self._m = sum(map(len, adj)) // 2
 
     @property
     def vertex_count(self) -> int:
@@ -81,8 +103,15 @@ class Graph:
     def raw_degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def raw_neighbor_lookups(self) -> tuple[dict[int, None], ...]:
-        """Unmetered ``in`` tests, indexed by id: a dict of the sorted neighbors to None."""
+    def raw_neighbor_lookups(self) -> Mapping[int, dict[int, None]]:
+        """Unmetered ``in`` tests: vertex id to a dict of its sorted neighbors to None.
+
+        Index it by id only.  A vertex's dict is built the first time it is
+        read and then kept, so iterating the mapping yields only the ids
+        read so far, not every vertex.  Each lookup, a dict of ints to None,
+        is never tracked by the cyclic collector, and its keys are the
+        adjacency tuple's own int objects.
+        """
         return self._lookups
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -149,8 +178,9 @@ def load_edge_list(source: Iterable[str] | IO[str]) -> Graph:
     without it the count is max id + 1.  Duplicate edges and self-loops
     are dropped silently.  A graph with no edges is rejected.  Endpoints
     are buffered as 64-bit machine integers, 16 bytes per edge, so ids must
-    lie below 2**63.  Even an id without edges costs about 80 bytes once
-    loaded and 130 while loading, so a vertex count above max(2**20,
+    lie below 2**63.  Even an id without edges costs about 120 bytes while
+    loading, and about 145 once every neighbor lookup has been read (the
+    exact side reads them all), so a vertex count above max(2**20,
     4 * endpoints read) is refused before anything is allocated for it.
     """
     declared_n: int | None = None

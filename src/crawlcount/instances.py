@@ -28,12 +28,12 @@ keeps state between calls.
 from __future__ import annotations
 
 from itertools import combinations, filterfalse
-from typing import AbstractSet, Container, Iterable, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, Sequence
 
 
 def representative(
     adj: Sequence[tuple[int, ...]],
-    lookups: Sequence[dict[int, None]],
+    lookups: Mapping[int, dict[int, None]],
     verts: Sequence[int],
     slack: int,
 ) -> tuple[int, ...]:
@@ -62,7 +62,7 @@ def representative(
 
 def representative_hood(
     adj: Sequence[tuple[int, ...]],
-    lookups: Sequence[dict[int, None]],
+    lookups: Mapping[int, dict[int, None]],
     verts: Sequence[int],
     slack: int,
 ) -> tuple[int, ...]:
@@ -72,14 +72,15 @@ def representative_hood(
     :meth:`~crawlcount.graph.Graph.raw_adjacency` and
     :meth:`~crawlcount.graph.Graph.raw_neighbor_lookups`; ``verts`` must be
     sorted and longer than ``slack``.  Reads the graph unmetered: callers
-    charge for it.  A pair takes a shortcut: at slack 0 its lower-degree
-    endpoint (ties to the lower id), at slack 1 the pair itself.  At slack 1
-    the union is a merge of the two sorted lists, not a set: the longer
-    list, then the shorter one's vertices missing from the longer one's
-    lookup, two sorted runs that ``sorted`` merges in linear time into the
-    same tuple as the sorted set union.  Vertices of ``verts`` are not
-    excluded; trials reject them later, which keeps every trial's landing
-    probability at exactly one over the size of this set.
+    charge for it.  Only lookups of ``verts`` are read, so charging
+    ``verts`` charges every lookup this builds.  A pair takes a shortcut: at
+    slack 0 its lower-degree endpoint (ties to the lower id), at slack 1 the
+    pair itself.  At slack 1 the union is a merge of the two sorted lists,
+    not a set: the longer list, then the shorter one's vertices missing
+    from the longer one's lookup, two sorted runs that ``sorted`` merges in
+    linear time into the same tuple as the sorted set union.  Vertices of
+    ``verts`` are not excluded; trials reject them later, which keeps every
+    trial's landing probability at exactly one over the size of this set.
     """
     if len(verts) == 2:
         a, b = verts

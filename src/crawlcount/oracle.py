@@ -120,12 +120,16 @@ def count_profile(
     visited, in increasing order at slack 0 and in any order at slack 1;
     the weights sum to the same total in any order, so the extension
     checks pass ``budget`` at the same count.  Raises as soon as they do.
-    The level just below the top counts its children by set size.
+    The level just below the top counts its children by set size.  Every
+    vertex's neighbor lookup is built on entry and kept by the graph (see
+    :meth:`~crawlcount.graph.Graph.raw_neighbor_lookups`).
     """
     require_feasible(pattern, seg)
     adj = g.raw_adjacency()
-    lookups = g.raw_neighbor_lookups()
     n = len(adj)
+    # the tally reads nearly every vertex's lookup: build them all once and
+    # index a tuple, which is faster than the graph's lazy mapping
+    lookups = tuple(map(g.raw_neighbor_lookups().__getitem__, range(n)))
     k = pattern.size
     grows = [seg.missing[i + 1] > seg.missing[i] for i in range(k)]
     # a copy keeps its others-common sets while its level or a later one grows,

@@ -399,6 +399,33 @@ class TestBulkLayerCharge:
             assert rules == [util.brute_parent_rule(g, m, seg) for m in members], (pat, level)
 
 
+class TestLazyLookups:
+    """A run builds the neighbor lookups of the vertices it charged, and no others."""
+
+    @pytest.mark.parametrize("mode", ["exact-m", "estimated-m"])
+    @pytest.mark.parametrize("pat", ["g33", "g59"])
+    def test_built_only_for_queried_vertices(self, pat, mode):
+        g = util.hk_graph(600, 4, 0.7, 2)
+        lookups = g.raw_neighbor_lookups()
+        assert len(lookups) == 0
+        p, seg = builtin_pattern(pat)
+        cfg = EstimateConfig(
+            layer_sizes=[200] * (p.size - 2),
+            walk=WalkConfig(length=60),
+            edge_count_mode=mode,
+            seed=4,
+        )
+        res = estimate_count(g, p, seg, cfg)
+        built = set(lookups)
+        assert built and built <= res.ledger.queried_vertices
+        assert len(built) < g.vertex_count
+        adj = g.raw_adjacency()
+        for v in built:
+            assert lookups[v] is lookups[v]
+            # the lookup's keys are the adjacency tuple's own int objects
+            assert all(a is b for a, b in zip(lookups[v], adj[v], strict=True))
+
+
 class TestEstimateCount:
     def cfg(self, sizes, length=40, seed=0, **kw):
         return EstimateConfig(

@@ -773,6 +773,27 @@ class TestErrors:
         assert out.out == ""
         assert out.err.startswith("error: vertex count 100000001") and out.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("17 x9", "line 5000: expected two integer tokens, got '17 x9'"),
+            ("3 -4", "line 5000: negative vertex id in '3 -4'"),
+            ("5 10000", "line 5000: vertex id exceeds declared n=10000"),
+            ("1 2 3", "line 5000: expected two integer tokens, got '1 2 3'"),
+        ],
+        ids=["token", "negative", "declared-n", "three-tokens"],
+    )
+    def test_parse_error_past_the_first_chunk_is_one_line(self, tmp_path, capsys, bad, message):
+        # the loader reads plain lines in chunks of 4096; line 5000 lies inside the second
+        lines = ["# n=10000"] + [f"{i % 9973} {(i * 7 + 1) % 9973}" for i in range(2, 10001)]
+        lines[4999] = bad
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["exact", "--graph", str(path), "--pattern", "g33"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
     def test_slack_two_stops_exact_with_one_error_line(self, bowtie_file, capsys):
         code = main(
             ["exact", "--graph", bowtie_file, "--pattern", "g33", "--c", "2"]

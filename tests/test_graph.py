@@ -1,5 +1,6 @@
 import gc
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -15,8 +16,10 @@ from crawlcount import (
     edges_observed_fraction,
     estimate_count,
     load_edge_list,
+    load_edge_list_path,
     neighbors,
 )
+from crawlcount import graph
 
 import util
 
@@ -217,6 +220,162 @@ class TestLoader:
         p.write_text("# n=4\n0 1\n1 2\n2 3\n")
         g = load_edge_list_path(p)
         assert g.edge_count == 3
+
+
+# Lines the bulk parser must leave to the line-by-line parse, one way or
+# another.  Both parses accept the first group: blanks, comments and headers,
+# tabs, a carriage return, leading zeros, signs, underscores and a self-loop.
+# Each of the second group stops both: negative and 64-bit-overflowing ids,
+# other than two tokens, a non-ASCII digit and a NUL.
+ODD_LINES = [
+    "", "   ", "# a note", "# n=5", "#n = 9", "3\t4", "\t2 5 ", "1 2\r",
+    "007 3", "3 00", "0 0", "+5 1", "1_0 2", "0 -0",
+]
+BAD_LINES = [
+    "-1 2", "9223372036854775808 1", "1 9223372036854775807", "18446744073709551616 2",
+    "1 2 3", "4", "x 1", "1 2 # tail", "\u0663 1", "0\x001 2",
+]
+
+
+@st.composite
+def edge_list_sources(draw):
+    """A fresh-source factory for one edge-list text, as a file or as arbitrary string pieces."""
+    n = draw(st.integers(2, 14))
+    plain = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map("{0[0]} {0[1]}".format)
+    odd = st.sampled_from(ODD_LINES)
+    lines = draw(st.lists(st.one_of(plain, plain, plain, plain, plain, odd), max_size=30))
+    if draw(st.booleans()):
+        # one line that stops the parse, or a plain one past the declared n
+        past_n = st.tuples(st.integers(0, n + 2), st.integers(n, n + 2)).map("{0[0]} {0[1]}".format)
+        bad = draw(st.one_of(st.sampled_from(BAD_LINES), past_n))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    if draw(st.booleans()):
+        lines.insert(0, f"# n={n}")
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    source = draw(st.sampled_from(["file", "file", "lines", "pieces"]))
+    if source == "file":
+        return lambda: io.StringIO(text)
+    lines = re.findall(r"[^\n]*\n|[^\n]+$", text)
+    if source == "pieces":
+        # the same text cut into pieces that are not lines: a merged line, a
+        # split line or an empty string, each of which the parse reads as a line
+        at = draw(st.integers(0, len(lines)))
+        cut = draw(st.sampled_from(["merge", "split", "empty"]))
+        if cut == "empty" or not lines:
+            lines.insert(at, "")
+        elif cut == "merge" and at > 0:
+            lines[at - 1 : at + 1] = ["".join(lines[at - 1 : at + 1])]
+        else:
+            line = lines.pop(min(at, len(lines) - 1))
+            k = draw(st.integers(0, len(line)))
+            lines[at:at] = [line[:k], line[k:]]
+    return lambda: iter(lines)
+
+
+def load_outcome(load, source):
+    try:
+        g = load(source)
+    except EdgeListParseError as e:
+        return "error", str(e)
+    return "graph", g.vertex_count, g.raw_adjacency()
+
+
+def count_plain_chunks(monkeypatch) -> list[bool]:
+    """Record, for each chunk the loader reads, whether it decoded as plain lines."""
+    seen: list[bool] = []
+    plain_ids = graph._plain_ids
+
+    def spy(chunk):
+        ids = plain_ids(chunk)
+        seen.append(ids is not None)
+        return ids
+
+    monkeypatch.setattr(graph, "_plain_ids", spy)
+    return seen
+
+
+class TestBulkLoader:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_sources())
+    @example(lambda: iter(["0 1\n2 3\n"]))
+    @example(lambda: iter(["", "0 1\n2 3\n", "4 5\n"]))
+    @example(lambda: iter(["0 1\n\x002 3\n", "4 5\n", "6 7\n"]))
+    @example(lambda: io.StringIO("# n=3\n0 1\n1 2\n2 0\n0 1\n1 0\n2 2\n"))
+    def test_matches_the_line_by_line_parse(self, fresh):
+        # three-line chunks, so that every kind of line lands inside a chunk,
+        # at its start and at its end
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_CHUNK_LINES", 3)
+            got = load_outcome(load_edge_list, fresh())
+        assert got == load_outcome(util.reference_load_edge_list, fresh())
+
+    @pytest.mark.parametrize(
+        "header, bad, message",
+        [
+            (True, "# a note", None),
+            (False, "# a note", None),
+            (True, "17 x9", "line 5000: expected two integer tokens, got '17 x9'"),
+            (False, "1\t2 3", "line 5000: expected two integer tokens, got '1\\t2 3'"),
+            (True, "3 -4", "line 5000: negative vertex id in '3 -4'"),
+            (True, "5 10000", "line 5000: vertex id exceeds declared n=10000"),
+            (True, "6 9223372036854775808", "line 5000: vertex id exceeds declared n=10000"),
+            (False, "6 9223372036854775808", "line 5000: vertex id too large in '6 9223372036854775808'"),
+        ],
+    )
+    def test_line_inside_a_chunk_keeps_its_number(self, tmp_path, monkeypatch, header, bad, message):
+        # 10000 lines at the default chunk size: line 5000 lies inside the
+        # third chunk, whether line 1 is a header or an edge
+        lines = [f"{i % 9973} {(i * 7 + 1) % 9973}" for i in range(1, 10001)]
+        if header:
+            lines[0] = "# n=10000"
+        path = tmp_path / "g.txt"
+        path.write_text("\n".join(lines) + "\n")
+        plain = util.reference_load_edge_list(path.read_text().splitlines(keepends=True))
+        lines[4999] = bad
+        path.write_text("\n".join(lines) + "\n")
+        chunks = count_plain_chunks(monkeypatch)
+        if message is None:
+            g = load_edge_list_path(path)
+            dropped = util.reference_load_edge_list(l for i, l in enumerate(lines) if i != 4999)
+            assert util.edges(g) == util.edges(dropped) != util.edges(plain)
+            # line 1 alone, then lines 2-4097, 4098-8193 and 8194-10000
+            assert chunks == [not header, True, False, True]
+        else:
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list_path(path)
+            assert str(err.value) == message
+            # the error stops the load in the third chunk, after a bulk one
+            assert chunks[:2] == [not header, True] and len(chunks) == 3
+
+    def test_duplicates_and_self_loops_through_the_bulk_path(self, monkeypatch):
+        # PA(3000, 3): about 9000 edges, each listed once as read, then some
+        # reversed next to it, self-loops in between, and the first 600 again
+        # at the end in both orientations, several chunks from where they began
+        pairs = util.edges(util.pa_graph(3000, 3, seed=5))
+        raw = []
+        for i, (u, v) in enumerate(pairs):
+            raw.append((u, v))
+            if i % 3 == 0:
+                raw.append((v, u))
+            if i % 50 == 0:
+                raw.append((v, v))
+        raw += pairs[:600] + [(v, u) for u, v in pairs[:600]]
+        text = "# n=3000\n" + "".join(f"{u} {v}\n" for u, v in raw)
+        ref: dict[int, set[int]] = {v: set() for v in range(3000)}
+        for u, v in raw:
+            if u != v:
+                ref[u].add(v)
+                ref[v].add(u)
+        want = tuple(tuple(sorted(ref[v])) for v in range(3000))
+        chunks = count_plain_chunks(monkeypatch)
+        loaded = load_edge_list(io.StringIO(text))
+        assert chunks == [False] + [True] * (len(chunks) - 1) and len(chunks) > 3
+        # fresh int objects for every entry, as any caller's parser would give
+        built = Graph(3000, [(int(str(u)), int(str(v))) for u, v in raw])
+        for g in (loaded, built):
+            assert g.raw_adjacency() == want
+            assert g.edge_count == len(pairs)
 
 
 class TestLedger:

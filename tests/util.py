@@ -10,11 +10,13 @@ plain trial loop the sampler's inline draws and bulk charges must match.
 :func:`metered_hood` and :func:`metered_check` are the per-copy metered
 forms of a layer's fetch and a trial's decision, built on one literal
 ``neighbors`` call per vertex, so that every bulk charge of the package is
-checked against the queries it stands for.
+checked against the queries it stands for.  :func:`reference_load_edge_list`
+is the plain line-by-line edge-list parser that the bulk one must match.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
@@ -29,6 +31,7 @@ from crawlcount import (
     CollisionShortfallError,
     DegenerateLayerError,
     EdgeCountEstimate,
+    EdgeListParseError,
     Graph,
     LayerState,
     Pattern,
@@ -39,6 +42,7 @@ from crawlcount import (
     default_burn_in,
     neighbors,
 )
+from crawlcount.graph import _HEADER_RE
 from crawlcount.instances import child_covered, covered_rule
 
 # ---- named graphs ----
@@ -208,6 +212,63 @@ def is_connected(g: Graph) -> bool:
 def edges(g: Graph) -> list[tuple[int, int]]:
     """All edges as (min, max) pairs, sorted."""
     return [(u, v) for u, nbrs in enumerate(g.raw_adjacency()) for v in nbrs if u < v]
+
+
+def reference_load_edge_list(source) -> Graph:
+    """The edge-list parser read one line at a time, for the bulk parser to match."""
+    declared_n: int | None = None
+    ends = array("q")  # u0, v0, u1, v1, ...
+    push = ends.append
+    saw_line = False
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if not saw_line:
+                m = _HEADER_RE.match(line)
+                if m:
+                    declared_n = int(m.group(1))
+                    saw_line = True
+            continue
+        saw_line = True
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                f"line {lineno}: expected two integer tokens, got {line!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(
+                f"line {lineno}: expected two integer tokens, got {line!r}"
+            ) from None
+        if u < 0 or v < 0:
+            raise EdgeListParseError(f"line {lineno}: negative vertex id in {line!r}")
+        if declared_n is not None and (u >= declared_n or v >= declared_n):
+            raise EdgeListParseError(
+                f"line {lineno}: vertex id exceeds declared n={declared_n}"
+            )
+        try:
+            push(u)
+            push(v)
+        except OverflowError:
+            raise EdgeListParseError(
+                f"line {lineno}: vertex id too large in {line!r}"
+            ) from None
+    n = declared_n if declared_n is not None else (max(ends) + 1 if ends else 0)
+    if n <= 0:
+        raise EdgeListParseError("edge list declares no vertices")
+    if n > max(1 << 20, 4 * len(ends)):
+        raise EdgeListParseError(
+            f"vertex count {n} exceeds max(2**20, 4 x {len(ends)} endpoints); "
+            "renumber the ids densely from 0"
+        )
+    pairs = iter(ends)
+    g = Graph(n, zip(pairs, pairs))
+    if g.edge_count == 0:
+        raise EdgeListParseError("edge list contains no usable edges")
+    return g
 
 
 def naive_matrix(g: Graph, verts: tuple[int, ...]) -> list[list[int]]:

@@ -102,7 +102,6 @@ class ExperimentSpec:
     burn_in: int | None = None
     base_seed: int = 0
     estimate_m: bool = False
-    lazy_walk: bool = False
     exact_total: float | None = None
     budget: int = DEFAULT_BUDGET
 
@@ -121,7 +120,7 @@ class ExperimentSpec:
 
     def config(self, walk_len: int, seed: int) -> EstimateConfig:
         """The configuration of one run of the sweep."""
-        walk = WalkConfig(walk_len, burn_in=self.burn_in, lazy=self.lazy_walk)
+        walk = WalkConfig(walk_len, burn_in=self.burn_in)
         mode = "estimated-m" if self.estimate_m else "exact-m"
         return EstimateConfig(self.layer_sizes or (), walk, mode, seed)
 
@@ -367,7 +366,6 @@ def _run_spec(
         burn_in=args.burn_in,
         base_seed=args.seed,
         estimate_m=args.estimate_m,
-        lazy_walk=args.lazy_walk,
         **fields,
     )
     if sizes is None:
@@ -405,7 +403,6 @@ def _add_estimate_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--layers", default=None, help="trial counts l3,l4,... per layer")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--estimate-m", action="store_true", help="estimate the edge count instead of reading it")
-    sp.add_argument("--lazy-walk", action="store_true", help="lazy walk (stay put with probability 1/2)")
     sp.add_argument("--epsilon", type=float, default=0.5, help="accuracy knob for auto layer sizing")
     sp.add_argument("--t-guess", type=float, default=None, help="count guess for auto layer sizing")
     sp.add_argument("--fmax-guess", type=float, default=1.0, help="chain concentration guess for auto sizing")

@@ -5,12 +5,13 @@ is what makes walk edges usable as near-uniform edge samples.  The same
 fact powers the edge-count estimator: among s spaced samples the expected
 number of colliding pairs is close to C(s, 2) / m.
 
-Both walks step through one loop, :func:`_steps`: the walk stops on the
-step that makes its ``length``-th move, the edge count after at most six
-doubling rounds.  A step draws its neighbor with ``rng.randrange(n)``
-spelled inline, as ``getrandbits(n.bit_length())`` redrawn until it falls
-below n: ``random.Random`` draws below n that way, so the draws are the
-same, and inline a step saves the two Python calls ``randrange`` makes.
+Both walks step through one loop, :func:`_steps`, and read their samples
+off the path by one rule, :func:`_spaced_edges`: the walk takes every
+step's edge, the edge count every ``spacing``-th step's.  A step draws its
+neighbor with ``rng.randrange(n)`` spelled inline, as
+``getrandbits(n.bit_length())`` redrawn until it falls below n:
+``random.Random`` draws below n that way, so the draws are the same, and
+inline a step saves the two Python calls ``randrange`` makes.
 Picking the start, at most 33 draws, still calls ``randrange``.
 """
 
@@ -39,14 +40,11 @@ def default_burn_in(n: int) -> int:
 class WalkConfig:
     """Parameters of one walk.
 
-    ``burn_in`` of None means the size-based default.  ``lazy`` makes the
-    walk stay put with probability 1/2 each step, which trades speed for
-    aperiodicity on near-bipartite graphs.
+    ``burn_in`` of None means the size-based default.
     """
 
     length: int
     burn_in: int | None = None
-    lazy: bool = False
 
     def __post_init__(self) -> None:
         if self.length < 1:
@@ -79,17 +77,15 @@ def _pick_start(g: Graph, rng: Random) -> int:
     return live[rng.randrange(len(live))]
 
 
-def _steps(adj: tuple, rng: Random, cur: int, count: int, path: list[int], lazy: bool) -> int:
+def _steps(adj: tuple, rng: Random, cur: int, count: int, path: list[int]) -> int:
     """Take ``count`` steps from ``cur``; the vertex the last one ends on.
 
-    Each step appends the vertex it queried to ``path``.  A lazy step draws
-    its coin before it moves and stays put below 1/2.
+    Each step appends the vertex it queried to ``path`` and moves to a
+    uniform neighbor of it.
     """
-    getrandbits, coin, step = rng.getrandbits, rng.random, path.append
+    getrandbits, step = rng.getrandbits, path.append
     for _ in range(count):
         step(cur)
-        if lazy and coin() < 0.5:
-            continue
         nbrs = adj[cur]
         n = len(nbrs)
         x = getrandbits(n.bit_length())  # rng.randrange(n), spelled inline
@@ -99,34 +95,36 @@ def _steps(adj: tuple, rng: Random, cur: int, count: int, path: list[int], lazy:
     return cur
 
 
+def _spaced_edges(steps: list[int], end: int, spacing: int) -> list[tuple[int, int]]:
+    """The edge of every ``spacing``-th step, as canonical ``(low, high)`` pairs.
+
+    ``steps`` holds the vertex each step left and ``end`` the vertex the
+    last one reached, so step i moved along ``seq[i], seq[i + 1]`` of
+    ``seq = steps + [end]``.
+    """
+    seq = steps + [end]
+    sampled = zip(seq[spacing - 1 :: spacing], seq[spacing::spacing])
+    return [(a, b) if a < b else (b, a) for a, b in sampled]
+
+
 def simple_random_walk(
     g: Graph, ledger: QueryLedger, cfg: WalkConfig, seed: int
 ) -> list[tuple[int, int]]:
     """Run the walk seeded with ``seed``; the last ``length`` traversed edges, in order.
 
-    Every step issues exactly one neighbors query, so with ``lazy`` off the
-    ledger grows by burn_in + length calls.  The walk stops on the step that
-    makes its ``length``-th move.  Isolated start vertices are resampled
-    before the walk begins (setup, not crawling).  Steps go through the
-    module's one stepping loop, :func:`_steps`, which reads the adjacency
-    unmetered; the ledger is charged for them once, at the end.
+    Every step issues exactly one neighbors query, so the ledger grows by
+    burn_in + length calls.  Isolated start vertices are resampled before
+    the walk begins (setup, not crawling).  Steps go through the module's
+    one stepping loop, :func:`_steps`, which reads the adjacency unmetered;
+    the ledger is charged for them once, at the end.
     """
     rng = Random(seed)
     burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(g.vertex_count)
     adj = g.raw_adjacency()
     path: list[int] = []  # the vertex each step queried
-    cur = _steps(adj, rng, _pick_start(g, rng), burn, path, cfg.lazy)
-    edges: list[tuple[int, int]] = []
-    # A chunk of r steps makes at most r moves (a stay moves along no edge),
-    # so asking for the moves still missing stops the walk on the step that
-    # makes its length-th move, as a step-by-step loop would.
-    while len(edges) < cfg.length:
-        first = len(path)
-        cur = _steps(adj, rng, cur, cfg.length - len(edges), path, cfg.lazy)
-        seq = path[first:] + [cur]
-        edges += [(a, b) if a < b else (b, a) for a, b in zip(seq, seq[1:]) if a != b]
+    cur = _steps(adj, rng, _pick_start(g, rng), burn + cfg.length, path)
     charge_steps(ledger, path)
-    return edges
+    return _spaced_edges(path[burn:], cur, 1)
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ def estimate_edge_count(
     burn = burn_in if burn_in is not None else default_burn_in(g.vertex_count)
     adj = g.raw_adjacency()
     path: list[int] = []  # the vertex each step queried, charged once per round
-    cur = _steps(adj, rng, _pick_start(g, rng), burn, path, False)
+    cur = _steps(adj, rng, _pick_start(g, rng), burn, path)
     counts: Counter[tuple[int, int]] = Counter()
     taken = 0
     target = samples
@@ -178,10 +176,8 @@ def estimate_edge_count(
     while True:
         attempts += 1
         first = len(path)
-        cur = _steps(adj, rng, cur, spacing * (target - taken), path, False)
-        seq = path[first:] + [cur]
-        sampled = zip(seq[spacing - 1 :: spacing], seq[spacing::spacing])
-        counts.update((a, b) if a < b else (b, a) for a, b in sampled)
+        cur = _steps(adj, rng, cur, spacing * (target - taken), path)
+        counts.update(_spaced_edges(path[first:], cur, spacing))
         taken = target
         charge_steps(ledger, path)
         path.clear()

@@ -126,7 +126,7 @@ def _cli(tmp: Path) -> dict:
                           "--t-guess", "50", "--max-layer", "400", "--estimate-m"],
         "experiment": ["experiment", *gf, "--pattern", "g45", "--walk-len", "60,120",
                        "--reps", "3", "--layers", "100,100", "--seed", "5",
-                       "--lazy-walk", "--out", str(tmp / "runs.csv")],
+                       "--out", str(tmp / "runs.csv")],
         "edgecount": ["edgecount", *gf, "--samples", "300", "--gap", "4", "--seed", "2"],
     }
     out = {}

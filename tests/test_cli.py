@@ -485,6 +485,19 @@ class TestErrors:
         assert "error:" in err
         assert "g33" in err and "g510" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["estimate", "--walk-len", "20", "--layers", "10"],
+            ["experiment", "--walk-len", "20", "--layers", "10", "--out", "never.csv"],
+        ],
+    )
+    def test_lazy_walk_flag_is_gone(self, extra, bowtie_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(extra + ["--graph", bowtie_file, "--pattern", "g33", "--lazy-walk"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lazy-walk" in capsys.readouterr().err
+
     def test_pattern_name_and_file_conflict(self, bowtie_file, tmp_path, capsys):
         pf = tmp_path / "p.pat"
         pf.write_text("3 0\n0 1\n1 2\n0 2\n")

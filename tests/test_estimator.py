@@ -14,6 +14,7 @@ from crawlcount import (
     WalkConfig,
     builtin_pattern,
     count_profile,
+    default_burn_in,
     estimate_count,
     final_level_successes,
     initial_layer,
@@ -262,6 +263,21 @@ class TestUnbiasednessStructure:
         f2 = util.reference_tally(g, p, seg, p.size)[1][2]
         exact = util.exact_walk_expectation(g, f2, burn_in=60, length=25)
         assert abs(float(exact) - count_profile(g, p, seg).total) < 1e-10
+
+    def test_slow_mixing_start_biases_the_expectation(self):
+        """K20 with a 200-vertex path hung off vertex 0: the default burn-in
+        leaves most walks on the path, and the mean estimate at walk 100 is
+        far below T.  Walk 1000 gives 369.58 but takes about a minute in
+        rationals."""
+        k20 = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+        g = Graph(220, k20 + [(0, 20)] + [(v, v + 1) for v in range(20, 219)])
+        p, seg = builtin_pattern("g33")
+        total = count_profile(g, p, seg).total
+        assert (g.edge_count, total, default_burn_in(220)) == (390, 1140, 78)
+        f2 = util.reference_tally(g, p, seg, p.size)[1][2]
+        exact = util.exact_walk_expectation(g, f2, burn_in=78, length=100)
+        assert abs(float(exact) - 289.19222138747625) < 1e-9
+        assert exact < total / 3
 
 
 class TestBuildLayers:

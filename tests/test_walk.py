@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -80,13 +81,19 @@ class TestWalk:
         with pytest.raises(ValueError, match="no edges"):
             simple_random_walk(g, QueryLedger(), WalkConfig(length=1), 0)
 
-    def test_lazy_walk_still_produces_requested_length(self, k4):
-        led = QueryLedger()
-        walk = simple_random_walk(
-            k4, led, WalkConfig(length=25, burn_in=5, lazy=True), 4
-        )
-        assert len(walk) == 25
-        assert led.oracle_calls >= 30  # stays cost extra queries
+    @pytest.mark.parametrize(
+        "edge,unmixed",
+        [((0, 1), Fraction(9, 8)), ((1, 2), Fraction(3, 4)), ((2, 3), Fraction(9, 8))],
+    )
+    def test_edge_law_is_uniform_on_a_bipartite_graph(self, edge, unmixed):
+        # The path 0-1-2-3 is bipartite, so the walk is periodic, and not
+        # regular, so a uniform start is not stationary.  Each edge is still
+        # taken with probability 1/m once the start has mixed: the walk
+        # needs no lazy steps.  At burn-in 0 the unmixed start shows.
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        mixed = util.exact_walk_expectation(g, {edge: 1}, burn_in=40, length=1)
+        assert abs(mixed - 1) < 1e-12
+        assert util.exact_walk_expectation(g, {edge: 1}, burn_in=0, length=1) == unmixed
 
     def test_long_walk_visits_k4_edges_near_uniformly(self, k4):
         # stationary edge frequency on a regular graph is exactly 1/m
@@ -220,13 +227,12 @@ class TestStart:
 class TestLedgerEquivalence:
     """Bulk-charged walks against the per-step references in util."""
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_walk_matches_per_step_reference(self, corpus, lazy):
+    def test_walk_matches_per_step_reference(self, corpus):
         for _, g in graphs(corpus):
             for seed in range(20):
                 burn_in = None if seed == 0 else seed % 7
                 assert_walk_matches(
-                    g, WalkConfig(length=1 + 3 * seed, burn_in=burn_in, lazy=lazy), seed
+                    g, WalkConfig(length=1 + 3 * seed, burn_in=burn_in), seed
                 )
 
     def test_edge_count_matches(self, corpus):

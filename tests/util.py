@@ -745,20 +745,16 @@ def reference_start(g: Graph, rng: Random) -> int:
 def reference_walk(
     g: Graph, ledger: QueryLedger, cfg: WalkConfig, seed: int
 ) -> list[tuple[int, int]]:
-    """The walk with one metered ``neighbors`` call per step, lazy steps included."""
+    """The walk with one metered ``neighbors`` call per step."""
     rng = Random(seed)
     burn = cfg.burn_in if cfg.burn_in is not None else default_burn_in(g.vertex_count)
     cur = reference_start(g, rng)
     for _ in range(burn):
         nbrs = neighbors(g, ledger, cur)
-        if cfg.lazy and rng.random() < 0.5:
-            continue
         cur = nbrs[rng.randrange(len(nbrs))]
     edges: list[tuple[int, int]] = []
-    while len(edges) < cfg.length:
+    for _ in range(cfg.length):
         nbrs = neighbors(g, ledger, cur)
-        if cfg.lazy and rng.random() < 0.5:
-            continue
         nxt = nbrs[rng.randrange(len(nbrs))]
         edges.append((cur, nxt) if cur < nxt else (nxt, cur))
         cur = nxt

@@ -56,7 +56,7 @@ suite's independent reference tally (``util.reference_tally``).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, NoReturn
 
@@ -128,8 +128,17 @@ def count_profile(
     adj = g.raw_adjacency()
     n = len(adj)
     # the tally reads nearly every vertex's lookup: build them all once and
-    # index a tuple, which is faster than the graph's lazy mapping
-    lookups = tuple(map(g.raw_neighbor_lookups().__getitem__, range(n)))
+    # index a tuple, which is faster than the graph's lazy mapping.  The graph
+    # keeps a lookup under the int it was first read by, so a missing one is
+    # read by the int object a neighbor's tuple holds: a fresh one from
+    # range(n) would cost 28 bytes a vertex for as long as the graph lives
+    lookup_of = g.raw_neighbor_lookups()
+    if len(lookup_of) < n:
+        for x, nbrs in enumerate(adj):
+            if nbrs:
+                theirs = adj[nbrs[-1]]
+                lookup_of[theirs[bisect_left(theirs, x)]]  # builds it if missing
+    lookups = tuple(map(lookup_of.__getitem__, range(n)))
     k = pattern.size
     grows = [seg.missing[i + 1] > seg.missing[i] for i in range(k)]
     # a copy keeps its others-common sets while its level or a later one grows,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from random import Random
 
 from .graph import Graph, QueryLedger, charge_steps
@@ -95,16 +96,17 @@ def _steps(adj: tuple, rng: Random, cur: int, count: int, path: list[int]) -> in
     return cur
 
 
-def _spaced_edges(steps: list[int], end: int, spacing: int) -> list[tuple[int, int]]:
-    """The edge of every ``spacing``-th step, as canonical ``(low, high)`` pairs.
+def _spaced_edges(path: list[int], first: int, end: int, spacing: int) -> list[tuple[int, int]]:
+    """The edge of every ``spacing``-th step from ``path[first]`` on, as ``(low, high)`` pairs.
 
-    ``steps`` holds the vertex each step left and ``end`` the vertex the
-    last one reached, so step i moved along ``seq[i], seq[i + 1]`` of
-    ``seq = steps + [end]``.
+    ``path`` holds the vertex each step left and ``end`` the vertex the last
+    one reached, so step i moved along ``seq[i], seq[i + 1]`` of
+    ``seq = path[first:] + [end]``.  Strided slices of ``path`` stand in
+    for ``seq``'s, so neither list is copied.
     """
-    seq = steps + [end]
-    sampled = zip(seq[spacing - 1 :: spacing], seq[spacing::spacing])
-    return [(a, b) if a < b else (b, a) for a, b in sampled]
+    lows = islice(path, first + spacing - 1, None, spacing)
+    highs = chain(islice(path, first + spacing, None, spacing), (end,))
+    return [(a, b) if a < b else (b, a) for a, b in zip(lows, highs)]
 
 
 def simple_random_walk(
@@ -124,7 +126,7 @@ def simple_random_walk(
     path: list[int] = []  # the vertex each step queried
     cur = _steps(adj, rng, _pick_start(g, rng), burn + cfg.length, path)
     charge_steps(ledger, path)
-    return _spaced_edges(path[burn:], cur, 1)
+    return _spaced_edges(path, burn, cur, 1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ def estimate_edge_count(
         attempts += 1
         first = len(path)
         cur = _steps(adj, rng, cur, spacing * (target - taken), path)
-        counts.update(_spaced_edges(path[first:], cur, spacing))
+        counts.update(_spaced_edges(path, first, cur, spacing))
         taken = target
         charge_steps(ledger, path)
         path.clear()

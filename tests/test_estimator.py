@@ -441,6 +441,20 @@ class TestLazyLookups:
             # the lookup's keys are the adjacency tuple's own int objects
             assert all(a is b for a, b in zip(lookups[v], adj[v], strict=True))
 
+    def test_count_profile_keys_each_lookup_by_the_tuples_int(self):
+        # ids up to 599, so most lie beyond the interpreter's cached small ints
+        g = Graph(610, util.edges(util.hk_graph(600, 4, 0.7, 2)))
+        count_profile(g, *builtin_pattern("g33"))
+        lookups = g.raw_neighbor_lookups()
+        adj = g.raw_adjacency()
+        assert len(lookups) == g.vertex_count
+        for v in lookups:
+            if adj[v]:
+                theirs = adj[adj[v][0]]
+                assert v is theirs[theirs.index(v)]
+            else:
+                assert v >= 600 and lookups[v] == {}
+
 
 class TestEstimateCount:
     def cfg(self, sizes, length=40, seed=0, **kw):

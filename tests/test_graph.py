@@ -2,9 +2,10 @@ import gc
 import io
 import re
 import tracemalloc
+from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from crawlcount import (
     EdgeListParseError,
@@ -378,6 +379,31 @@ class TestBulkLoader:
             assert g.edge_count == len(pairs)
 
 
+@st.composite
+def observed_cases(draw):
+    """A graph with edges, ER or PA with its ids relabelled at random or not, and a queried set.
+
+    The set is arbitrary, so it may hold isolated ids; vertex 0, the top id
+    and a vertex of the highest degree are each added by a draw.
+    """
+    n = draw(st.integers(4, 40))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        g = util.er_graph(n, draw(st.sampled_from([0.2, 0.5, 0.8])), seed)
+    else:
+        g = util.pa_graph(n, draw(st.integers(1, 3)), seed)
+    assume(g.edge_count)
+    if draw(st.booleans()):  # hubs lose their low ids, and some ids get no edge
+        size = n + draw(st.integers(0, n))
+        ids = Random(seed).sample(range(size), n)
+        g = Graph(size, [(ids[u], ids[v]) for u, v in util.edges(g)])
+    top = g.vertex_count - 1
+    hub = max(range(top + 1), key=g.raw_degree)
+    q = draw(st.sets(st.integers(0, top)))
+    q.update(v for v in (0, top, hub) if draw(st.booleans()))
+    return g, q
+
+
 class TestLedger:
     def test_counts_repeat_queries(self):
         g = util.triangle()
@@ -425,6 +451,13 @@ class TestLedger:
             prev_calls = led.oracle_calls
             prev_seen = seen
         assert len(led.queried_vertices) <= led.oracle_calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(observed_cases())
+    def test_observed_fraction_matches_brute_force_on_any_queried_set(self, case):
+        g, q = case
+        led = QueryLedger(queried_vertices=q)
+        assert edges_observed_fraction(led, g) == util.brute_observed_edges(g, q) / g.edge_count
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 20), st.integers(0, 10_000))
